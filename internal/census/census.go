@@ -479,12 +479,13 @@ func (c *Census) SlowestPair() *PairResult {
 
 // evaluator carries the per-run immutable state the pair workers share:
 // the config, and — when metrics or congestion are on — per-spec
-// compiled distancers and task graphs, built up front so the parallel
-// loop stays lock-free.
+// compiled distancers, task graphs and networks, built up front so the
+// parallel loop stays lock-free.
 type evaluator struct {
 	cfg        *Config
 	distancers map[string]*grid.RankDistancer // host spec string -> compiled distance
 	graphs     map[string]*taskgraph.Graph    // guest spec string -> edge list
+	networks   map[string]*netsim.Network     // host spec string -> routing machine
 	scratch    sync.Pool                      // *pairScratch
 }
 
@@ -532,9 +533,13 @@ func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
 	}
 	if cfg.Congestion {
 		ev.graphs = make(map[string]*taskgraph.Graph, len(specs))
+		ev.networks = make(map[string]*netsim.Network, len(specs))
 		for si, sp := range specs {
 			if guestUsed[si] {
 				ev.graphs[sp.String()] = taskgraph.FromSpec(sp)
+			}
+			if hostUsed[si] {
+				ev.networks[sp.String()] = netsim.New(sp)
 			}
 		}
 	}
@@ -653,7 +658,7 @@ func (ev *evaluator) congest(pr *PairResult, g, h grid.Spec, p netsim.Placement)
 	if !ev.cfg.Congestion {
 		return
 	}
-	stats, hops, err := netsim.CongestionHops(netsim.New(h), ev.graphs[g.String()], p)
+	stats, hops, err := netsim.CongestionHops(ev.networks[h.String()], ev.graphs[g.String()], p)
 	if err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify
 		return

@@ -525,6 +525,15 @@ func (d *Driver) Run(ctx context.Context) (*census.Census, error) {
 		}
 	}
 	stop()
+	// The attempts that finished the last stripes may have reported
+	// after the loop saw every shard done; the workers have exited, so
+	// their events are all buffered. Account for them, or Progress would
+	// show those attempts running after Run returns. Every shard is
+	// done, so handleEvent only does bookkeeping and returns nil.
+	close(events)
+	for ev := range events {
+		_ = d.handleEvent(st, ev, retries, &timers)
+	}
 
 	c := d.plan.Config.StreamHeader().Census()
 	c.Results = st.results

@@ -16,6 +16,7 @@ import (
 	"io"
 	"os/exec"
 	"strings"
+	"sync/atomic"
 
 	"torusmesh/internal/census"
 )
@@ -34,25 +35,35 @@ func (InProcess) Run(ctx context.Context, job Job, emit func(census.PairResult) 
 		return err
 	}
 	cfg := job.Config
-	var emitErr error
+	// census.Run serializes OnResult calls, but its other workers poll
+	// Interrupt concurrently, so the first emit failure is published
+	// atomically.
+	var emitErr atomic.Pointer[error]
+	failed := func() error {
+		if p := emitErr.Load(); p != nil {
+			return *p
+		}
+		return nil
+	}
 	cfg.OnResult = func(r *census.PairResult) {
-		// census.Run serializes OnResult calls, so this needs no lock.
-		if emitErr != nil {
+		if emitErr.Load() != nil {
 			return
 		}
-		emitErr = emit(*r)
+		if err := emit(*r); err != nil {
+			emitErr.Store(&err)
+		}
 	}
-	cfg.Interrupt = func() bool { return ctx.Err() != nil || emitErr != nil }
+	cfg.Interrupt = func() bool { return ctx.Err() != nil || emitErr.Load() != nil }
 	if _, err := census.Run(cfg); err != nil {
 		if ctxErr := ctx.Err(); errors.Is(err, census.ErrInterrupted) && ctxErr != nil {
 			return ctxErr
 		}
-		if errors.Is(err, census.ErrInterrupted) && emitErr != nil {
-			return emitErr
+		if errors.Is(err, census.ErrInterrupted) && failed() != nil {
+			return failed()
 		}
 		return err
 	}
-	return emitErr
+	return failed()
 }
 
 // Subprocess evaluates shard jobs by exec'ing a sweep binary in

@@ -57,8 +57,9 @@ type BenchReport struct {
 }
 
 // benchPair is the fixed workload: a 4096-node pair whose 12288 guest
-// edges sit above the LoadState striping threshold, so the parallel
-// construction path is what gets measured.
+// edges split into many accumulator blocks, so the striped routing pass
+// behind both LoadState construction and Congestion is what gets
+// measured.
 func benchPair() (*netsim.Network, *taskgraph.Graph, grid.Spec, netsim.Placement) {
 	host := grid.MeshSpec(16, 16, 16)
 	guest := grid.TorusSpec(16, 16, 16)

@@ -3,7 +3,6 @@ package netsim
 import (
 	"sync"
 
-	"torusmesh/internal/grid"
 	"torusmesh/internal/par"
 	"torusmesh/internal/taskgraph"
 )
@@ -40,106 +39,135 @@ func (s CongestionStats) AvgLink() float64 {
 }
 
 // Congestion computes static congestion of a placement: every task edge
-// contributes its two directed routes. Loads accumulate in dense
-// per-directed-link arrays indexed by link rank (grid.LinkRanker) — a
-// flat int32 slice per worker, merged by index — instead of hash maps,
-// so the batch measurement path allocates a couple of slabs per call
-// and the inner loop is an array increment. Edges are striped across
-// workers on the internal/par pool; int32 merges commute, so the stats
-// are independent of scheduling.
+// contributes its two directed routes, counted by the striped
+// accumulator into dense per-directed-link arrays indexed by link rank
+// (grid.LinkRanker) — no hash maps, no per-edge allocation — and
+// reduced to the stats after the pass. Integer merges commute, so the
+// stats are independent of scheduling.
 func Congestion(nw *Network, tg *taskgraph.Graph, p Placement) (CongestionStats, error) {
-	stats, _, err := congestion(nw, tg, p, false)
-	return stats, err
+	t, err := nw.measure(tg, p)
+	return t.stats(), err
 }
 
 // CongestionHops is Congestion plus the route-length distribution: a
-// histogram mapping routed distance (hops one way; 0 for co-located
-// endpoints) to the number of task edges routed at that distance. The
-// census artifact's hop_hist column comes from here — the same fused
-// edge pass that already walks every route, so the histogram is free
-// beyond a per-worker bucket array. It is returned separately rather
-// than as a CongestionStats field to keep the stats comparable with ==.
+// histogram mapping routed distance (hops one way) to the number of
+// task edges routed at that distance. The census artifact's hop_hist
+// column comes from here — the same pass fills the histogram. It is
+// returned separately rather than as a CongestionStats field to keep
+// the stats comparable with ==.
 func CongestionHops(nw *Network, tg *taskgraph.Graph, p Placement) (CongestionStats, map[int]int, error) {
-	return congestion(nw, tg, p, true)
+	t, err := nw.measure(tg, p)
+	if err != nil {
+		return CongestionStats{}, nil, err
+	}
+	hist := make(map[int]int)
+	for d, v := range t.distHist {
+		if v != 0 {
+			hist[d] = int(v)
+		}
+	}
+	return t.stats(), hist, nil
 }
 
-func congestion(nw *Network, tg *taskgraph.Graph, p Placement, wantHist bool) (CongestionStats, map[int]int, error) {
+// measure validates the inputs and runs the accumulator.
+func (nw *Network) measure(tg *taskgraph.Graph, p Placement) (tally, error) {
 	if err := tg.Validate(); err != nil {
-		return CongestionStats{}, nil, err
+		return tally{}, err
 	}
 	if err := p.Validate(nw, tg.N); err != nil {
-		return CongestionStats{}, nil, err
+		return tally{}, err
 	}
-	slots := nw.LinkSlots()
-	load := make([]int32, slots)
-	stats := CongestionStats{}
-	var distHist []int32
-	var mu sync.Mutex
-	// Per-span scratch comes from a pool local to this call: spans reuse
-	// the slabs of earlier spans (zeroed during the merge) instead of
-	// allocating slots-sized arrays per span.
-	scratch := sync.Pool{New: func() any {
-		s := make([]int32, slots)
-		return &s
-	}}
+	return nw.accumulate(tg, p), nil
+}
+
+// tally is what one accumulation pass leaves behind: raw per-link and
+// per-distance counts, from which every consumer derives its own
+// aggregates after the pass instead of maintaining them per hop.
+type tally struct {
+	load     []int32 // routes per directed link, by link rank
+	distHist []int32 // distHist[d] = task edges routed at distance d
+	hops     int     // route lengths summed over both directions
+	distSum  int64   // one-way route lengths summed: the total wirelength
+}
+
+// stats derives the congestion aggregates from the loads.
+func (t *tally) stats() CongestionStats {
+	s := CongestionStats{TotalHops: t.hops}
+	for _, v := range t.load {
+		if v > 0 {
+			s.UsedLinks++
+			s.MaxLink = max(s.MaxLink, int(v))
+		}
+	}
+	return s
+}
+
+// newTally allocates an empty tally. Its histogram covers the host's
+// diameter, the longest route the router can produce, so it never grows.
+func (nw *Network) newTally() *tally {
+	diam := 0
+	for _, l := range nw.shape {
+		if nw.torus {
+			diam += l / 2
+		} else {
+			diam += l - 1
+		}
+	}
+	return &tally{load: make([]int32, nw.LinkSlots()), distHist: make([]int32, diam+1)}
+}
+
+// accumulate is the load accumulator: it routes both directions of
+// every task edge of a validated placement, striping edge blocks over
+// the internal/par pool. A block takes a free tally, or starts one, and
+// routes into it; when the pass is done every tally it started is
+// merged into the first, by link rank and by distance bucket, so a pass
+// on one worker merges nothing. Integer sums commute, so the result is
+// the same at any worker count.
+func (nw *Network) accumulate(tg *taskgraph.Graph, p Placement) tally {
+	first := nw.newTally() // zero-edge graphs still get one
+	ts := &struct {
+		sync.Mutex
+		all, free []*tally
+	}{all: []*tally{first}, free: []*tally{first}}
 	par.Blocks(len(tg.Edges), par.Grain(len(tg.Edges), 256), func(lo, hi int) {
-		cur := make(grid.Node, nw.shape.Dim())
-		target := make(grid.Node, nw.shape.Dim())
-		localp := scratch.Get().(*[]int32)
-		local := *localp
-		bumpLoad := func(rank int) { local[rank]++ }
-		var localHist []int32
-		if wantHist {
-			localHist = make([]int32, 8)
+		ts.Lock()
+		var t *tally
+		if n := len(ts.free); n > 0 {
+			t, ts.free = ts.free[n-1], ts.free[:n-1]
+		} else {
+			t = nw.newTally()
+			ts.all = append(ts.all, t)
 		}
-		localHops := 0
-		for i := lo; i < hi; i++ {
-			e := tg.Edges[i]
-			d := nw.walkLinks(p[e[0]], p[e[1]], cur, target, bumpLoad)
-			localHops += d + nw.walkLinks(p[e[1]], p[e[0]], cur, target, bumpLoad)
-			if wantHist {
-				localHist = bump(localHist, d)
-			}
-		}
-		mu.Lock()
-		stats.TotalHops += localHops
-		for k, v := range local {
-			if v != 0 {
-				load[k] += v
-				local[k] = 0
-			}
-		}
-		if wantHist {
-			for d, v := range localHist {
-				if v != 0 {
-					for d >= len(distHist) {
-						distHist = append(distHist, make([]int32, len(distHist)+1)...)
-					}
-					distHist[d] += v
+		ts.Unlock()
+		var buf [16]span // two routes of up to four axes stay on the stack
+		load, hops := t.load, 0
+		for _, e := range tg.Edges[lo:hi] {
+			a, b := p[e[0]], p[e[1]]
+			spans, d := nw.route(buf[:0], a, b)
+			spans, _ = nw.route(spans, b, a)
+			for _, sp := range spans {
+				for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
+					load[r]++
 				}
 			}
+			hops += d
+			t.distHist[d]++
 		}
-		mu.Unlock()
-		scratch.Put(localp)
+		t.hops += 2 * hops
+		t.distSum += int64(hops)
+		ts.Lock()
+		ts.free = append(ts.free, t)
+		ts.Unlock()
 	})
-	for _, v := range load {
-		if v > 0 {
-			stats.UsedLinks++
-			if int(v) > stats.MaxLink {
-				stats.MaxLink = int(v)
-			}
+	for _, s := range ts.all[1:] {
+		first.hops += s.hops
+		first.distSum += s.distSum
+		for k, v := range s.load {
+			first.load[k] += v
+		}
+		for d, v := range s.distHist {
+			first.distHist[d] += v
 		}
 	}
-	var hist map[int]int
-	if wantHist {
-		hist = make(map[int]int)
-		for d, v := range distHist {
-			if v != 0 {
-				hist[d] = int(v)
-			}
-		}
-		// Edge case: zero-edge graphs keep the histogram present but
-		// empty, matching the distribution of "no routes".
-	}
-	return stats, hist, nil
+	return *first
 }

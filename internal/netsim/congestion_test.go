@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"torusmesh/internal/grid"
@@ -94,15 +95,22 @@ func TestCongestionStats(t *testing.T) {
 }
 
 // TestTorusWrapRouting checks that torus routing uses the short way
-// around and that the resulting load spreads across both directions.
+// around, wrapping in either direction, and that a tie (forward ==
+// l/2) goes toward increasing coordinates, with or without a wrap.
 func TestTorusWrapRouting(t *testing.T) {
-	nw := New(grid.RingSpec(8))
-	path := nw.Route(7, 1)
-	if len(path)-1 != 2 {
-		t.Fatalf("route 7->1 on ring(8) has %d hops, want 2 (wrap)", len(path)-1)
-	}
-	if path[1] != 0 {
-		t.Errorf("route 7->1 should pass through 0, got %v", path)
+	for _, tc := range []struct {
+		ring, src, dst int
+		want           []int
+	}{
+		{8, 7, 1, []int{7, 0, 1}},    // wraps upward
+		{6, 1, 5, []int{1, 0, 5}},    // wraps downward
+		{6, 0, 3, []int{0, 1, 2, 3}}, // tie, no wrap
+		{6, 4, 1, []int{4, 5, 0, 1}}, // tie, wraps upward
+		{6, 2, 2, []int{2}},
+	} {
+		if got := New(grid.RingSpec(tc.ring)).Route(tc.src, tc.dst); !slices.Equal(got, tc.want) {
+			t.Errorf("ring(%d): Route(%d, %d) = %v, want %v", tc.ring, tc.src, tc.dst, got, tc.want)
+		}
 	}
 }
 

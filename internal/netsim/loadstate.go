@@ -20,14 +20,12 @@
 //   - per-edge routed distances feed the same bucket scheme for the
 //     max-dilation counter, plus a running sum for average dilation.
 //
-// Construction is the remaining O(|E|·distance) cost, so the initial
-// routing stripes edge blocks across the internal/par pool: each worker
-// walks its edges into a pooled per-worker load slab plus a local
-// distance histogram (the pattern the dense Congestion accumulator
-// uses), the slabs merge by link rank, and the load-value bucket
-// counters are derived from the merged array — integer sums commute, so
-// the built state is bit-identical to a serial walk at any worker
-// count.
+// Construction is the remaining O(|E|·distance) cost. It is the
+// network's one striped accumulator (the pass Congestion runs), and the
+// load-value bucket counters and maxima are derived from its merged
+// integers afterwards, so the built state is bit-identical at any
+// worker count. Moves re-route through the same router, applying each
+// link-rank progression inline with the bucket updates.
 //
 // The placement table itself comes in two widths. Hosts whose node
 // ranks fit int32 — every host below 2³¹ nodes — default to a compact
@@ -44,10 +42,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"torusmesh/internal/grid"
-	"torusmesh/internal/par"
 	"torusmesh/internal/taskgraph"
 )
 
@@ -68,21 +63,18 @@ const (
 // compactLimit is the largest host rank the compact table addresses.
 const compactLimit = math.MaxInt32
 
-// loadStripeMinEdges is the edge count below which the initial routing
-// stays serial: striping pays for pooled slabs and a merge, which a
-// small graph never amortizes. Either path builds bit-identical state.
-const loadStripeMinEdges = 4096
-
 // LoadState holds the incrementally maintained routing state of one
 // placement. Build one with NewLoadState; mutate it with Swap and
 // Permute; read costs with Stats and Dilation.
 type LoadState struct {
 	nw  *Network
 	tg  *taskgraph.Graph
-	p   []int     // wide guest rank -> host rank table (nil in compact mode)
-	p32 []int32   // compact table (nil in wide mode)
-	inv []int32   // host rank -> guest rank, -1 when unoccupied
-	inc [][]int32 // per-guest incident edge indices (taskgraph.Incidence)
+	p   []int   // wide guest rank -> host rank table (nil in compact mode)
+	p32 []int32 // compact table (nil in wide mode)
+	inv []int32 // host rank -> guest rank, -1 when unoccupied
+	// Guest g's incident edges are incEdges[incOff[g]:incOff[g+1]]
+	// (taskgraph.Incidence).
+	incOff, incEdges []int32
 
 	load     []int32 // per directed link, indexed by link rank
 	loadHist []int32 // loadHist[v] = links currently at load v (v >= 1)
@@ -94,17 +86,16 @@ type LoadState struct {
 	maxDist  int
 	distSum  int64
 
-	cur, target grid.Node // walk scratch
-	stamp       []int32   // per-edge epoch marks of the current move
-	epoch       int32
-	touched     []int32 // edge indices the current move re-routes
+	spans   []span  // routing scratch for both directions of one edge (cap 4·Dim)
+	stamp   []int32 // per-edge epoch marks of the current move
+	epoch   int32
+	touched []int32 // edge indices the current move re-routes
 }
 
-// NewLoadState validates the placement and routes every task edge once
-// (striped across the internal/par pool on large graphs), building the
-// dense load array and the bucket counters. The table representation is
-// ModeAuto's pick. The placement is copied; the caller's slice is not
-// retained.
+// NewLoadState validates the placement, routes every task edge once
+// through the striped accumulator and derives the bucket counters from
+// its tally. The table representation is ModeAuto's pick. The placement
+// is copied; the caller's slice is not retained.
 func NewLoadState(nw *Network, tg *taskgraph.Graph, p Placement) (*LoadState, error) {
 	return NewLoadStateMode(nw, tg, p, ModeAuto)
 }
@@ -131,17 +122,33 @@ func NewLoadStateMode(nw *Network, tg *taskgraph.Graph, p Placement, mode Mode) 
 	if err := p.Validate(nw, tg.N); err != nil {
 		return nil, err
 	}
+	t := nw.accumulate(tg, p)
+	st := t.stats()
 	ls := &LoadState{
 		nw:       nw,
 		tg:       tg,
 		inv:      make([]int32, nw.n),
-		inc:      tg.Incidence(),
-		load:     make([]int32, nw.LinkSlots()),
-		loadHist: make([]int32, 8),
-		distHist: make([]int32, 8),
-		cur:      make(grid.Node, nw.shape.Dim()),
-		target:   make(grid.Node, nw.shape.Dim()),
+		load:     t.load,
+		loadHist: make([]int32, max(8, st.MaxLink+1)),
+		maxLink:  st.MaxLink,
+		used:     st.UsedLinks,
+		hops:     st.TotalHops,
+		distHist: t.distHist,
+		distSum:  t.distSum,
+		spans:    make([]span, 0, 4*len(nw.shape)),
 		stamp:    make([]int32, len(tg.Edges)),
+	}
+	ls.incOff, ls.incEdges = tg.Incidence()
+	// The bucket counters come from the tally: loadHist[v] counts the
+	// links at load v >= 1, and maxDist is the top occupied distance.
+	for _, v := range t.load {
+		ls.loadHist[v]++
+	}
+	ls.loadHist[0] = 0
+	for d, v := range t.distHist {
+		if v != 0 {
+			ls.maxDist = d
+		}
 	}
 	if compact {
 		ls.p32 = make([]int32, len(p))
@@ -157,7 +164,6 @@ func NewLoadStateMode(nw *Network, tg *taskgraph.Graph, p Placement, mode Mode) 
 	for g := range p {
 		ls.inv[p[g]] = int32(g)
 	}
-	ls.routeInitial()
 	return ls, nil
 }
 
@@ -292,97 +298,6 @@ func (ls *LoadState) Recheck() error {
 	return nil
 }
 
-// initScratch is the pooled per-worker state of the striped initial
-// routing: a slots-sized load slab, a local distance histogram, and the
-// coordinate scratch of the walks.
-type initScratch struct {
-	load        []int32
-	distHist    []int32
-	cur, target grid.Node
-}
-
-// routeInitial routes every task edge of the starting placement. Large
-// graphs stripe edge blocks across the par pool: per-worker slabs merge
-// by link rank and local distance histograms merge by bucket (integer
-// sums, so the merge commutes), and the load-value bucket counters are
-// then derived from the merged load array — the exact state the serial
-// per-edge walk builds.
-func (ls *LoadState) routeInitial() {
-	edges := len(ls.tg.Edges)
-	if edges < loadStripeMinEdges || par.Workers() == 1 {
-		for e := 0; e < edges; e++ {
-			ls.routeEdge(e, +1)
-		}
-		return
-	}
-	slots := len(ls.load)
-	dim := ls.nw.shape.Dim()
-	scratch := sync.Pool{New: func() any {
-		return &initScratch{
-			load:     make([]int32, slots),
-			distHist: make([]int32, 8),
-			cur:      make(grid.Node, dim),
-			target:   make(grid.Node, dim),
-		}
-	}}
-	var mu sync.Mutex
-	par.Blocks(edges, par.Grain(edges, 256), func(lo, hi int) {
-		sc := scratch.Get().(*initScratch)
-		bumpLoad := func(rank int) { sc.load[rank]++ }
-		localHops := 0
-		var localSum int64
-		for i := lo; i < hi; i++ {
-			ed := ls.tg.Edges[i]
-			a, b := ls.host(ed[0]), ls.host(ed[1])
-			d := ls.nw.walkLinks(a, b, sc.cur, sc.target, bumpLoad)
-			ls.nw.walkLinks(b, a, sc.cur, sc.target, bumpLoad)
-			localHops += 2 * d
-			localSum += int64(d)
-			if d > 0 {
-				sc.distHist = bump(sc.distHist, d)
-			}
-		}
-		mu.Lock()
-		ls.hops += localHops
-		ls.distSum += localSum
-		for k, v := range sc.load {
-			if v != 0 {
-				ls.load[k] += v
-				sc.load[k] = 0
-			}
-		}
-		for d, v := range sc.distHist {
-			if v != 0 {
-				for d >= len(ls.distHist) {
-					ls.distHist = append(ls.distHist, make([]int32, len(ls.distHist))...)
-				}
-				ls.distHist[d] += v
-				sc.distHist[d] = 0
-			}
-		}
-		mu.Unlock()
-		scratch.Put(sc)
-	})
-	// Derive the load-value bucket counters — loadHist[v] counts links
-	// at load v — from the merged loads; they depend only on the final
-	// array, not on the merge order.
-	for _, v := range ls.load {
-		if v > 0 {
-			ls.used++
-			ls.loadHist = bump(ls.loadHist, int(v))
-			if int(v) > ls.maxLink {
-				ls.maxLink = int(v)
-			}
-		}
-	}
-	for d := len(ls.distHist) - 1; d > 0; d-- {
-		if ls.distHist[d] != 0 {
-			ls.maxDist = d
-			break
-		}
-	}
-}
-
 // beginMove starts a new move epoch for the touched-edge dedup.
 func (ls *LoadState) beginMove() {
 	ls.epoch++
@@ -398,7 +313,7 @@ func (ls *LoadState) beginMove() {
 // touch marks every edge incident to guest g for re-routing, once per
 // move even when both endpoints moved.
 func (ls *LoadState) touch(g int) {
-	for _, e := range ls.inc[g] {
+	for _, e := range ls.incEdges[ls.incOff[g]:ls.incOff[g+1]] {
 		if ls.stamp[e] != ls.epoch {
 			ls.stamp[e] = ls.epoch
 			ls.touched = append(ls.touched, e)
@@ -421,65 +336,68 @@ func (ls *LoadState) addTouched() {
 // routeEdge adds (delta +1) or removes (delta -1) the two directed
 // routes of task edge e under the current placement, maintaining the
 // load array, the bucket counters, and the dilation aggregates.
-// Removal re-walks the same deterministic route the addition walked:
+// Removal re-routes the same deterministic route the addition routed:
 // routes depend only on the endpoints, so the decrements mirror the
 // increments exactly.
 func (ls *LoadState) routeEdge(e int, delta int32) {
 	ed := ls.tg.Edges[e]
 	a, b := ls.host(ed[0]), ls.host(ed[1])
-	d := ls.walk(a, b, delta)
-	ls.walk(b, a, delta)
+	spans, d := ls.nw.route(ls.spans[:0], a, b)
+	spans, _ = ls.nw.route(spans, b, a)
+	if delta > 0 {
+		ls.addLinks(spans)
+	} else {
+		ls.removeLinks(spans)
+	}
 	ls.hops += int(delta) * 2 * d
 	ls.distSum += int64(delta) * int64(d)
-	if d > 0 {
-		if delta > 0 {
-			ls.distHist = bump(ls.distHist, d)
-			if d > ls.maxDist {
-				ls.maxDist = d
-			}
-		} else {
-			ls.distHist[d]--
-			if d == ls.maxDist && ls.distHist[d] == 0 {
-				for ls.maxDist > 0 && ls.distHist[ls.maxDist] == 0 {
-					ls.maxDist--
-				}
-			}
+	if delta > 0 {
+		ls.distHist[d]++
+		ls.maxDist = max(ls.maxDist, d)
+	} else {
+		ls.distHist[d]--
+		for ls.maxDist > 0 && ls.distHist[ls.maxDist] == 0 {
+			ls.maxDist--
 		}
 	}
 }
 
-// walk applies delta to every link of the dimension-ordered route
-// src -> dst, maintaining per-load bucket counts, UsedLinks and the
-// cheap-decrease MaxLink, and returns the hop count.
-func (ls *LoadState) walk(src, dst int, delta int32) int {
-	return ls.nw.walkLinks(src, dst, ls.cur, ls.target, func(rank int) {
-		old := ls.load[rank]
-		nu := old + delta
-		ls.load[rank] = nu
-		if delta > 0 {
+// addLinks adds one route to every link of the spans, maintaining
+// per-load bucket counts, UsedLinks and MaxLink.
+func (ls *LoadState) addLinks(spans []span) {
+	for _, sp := range spans {
+		for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
+			old := ls.load[r]
+			ls.load[r] = old + 1
 			if old == 0 {
 				ls.used++
 			} else {
 				ls.loadHist[old]--
 			}
-			ls.loadHist = bump(ls.loadHist, int(nu))
-			if int(nu) > ls.maxLink {
-				ls.maxLink = int(nu)
-			}
-		} else {
+			ls.loadHist = bump(ls.loadHist, int(old)+1)
+			ls.maxLink = max(ls.maxLink, int(old)+1)
+		}
+	}
+}
+
+// removeLinks takes one route off every link of the spans; a MaxLink
+// whose bucket empties walks down to the next occupied one.
+func (ls *LoadState) removeLinks(spans []span) {
+	for _, sp := range spans {
+		for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
+			old := ls.load[r]
+			ls.load[r] = old - 1
 			ls.loadHist[old]--
-			if nu == 0 {
+			if old == 1 {
 				ls.used--
 			} else {
-				ls.loadHist[nu]++
-			}
-			if int(old) == ls.maxLink && ls.loadHist[old] == 0 {
-				for ls.maxLink > 0 && ls.loadHist[ls.maxLink] == 0 {
-					ls.maxLink--
-				}
+				ls.loadHist[old-1]++
 			}
 		}
-	})
+	}
+	for ls.maxLink > 0 && ls.loadHist[ls.maxLink] == 0 {
+		ls.maxLink--
+	}
 }
 
 // bump increments hist[v], growing the bucket array as needed.

@@ -2,42 +2,13 @@ package netsim
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"torusmesh/internal/grid"
 	"torusmesh/internal/taskgraph"
 )
-
-// congestionRef is the pre-dense congestion measurement: per-link loads
-// in a map keyed by endpoint pair, routes materialized via routeInto.
-// Kept as the reference implementation the dense path is tested and
-// benchmarked against.
-func congestionRef(nw *Network, tg *taskgraph.Graph, p Placement) CongestionStats {
-	load := map[linkKey]int{}
-	cur := make(grid.Node, nw.shape.Dim())
-	target := make(grid.Node, nw.shape.Dim())
-	stats := CongestionStats{}
-	var buf []int
-	count := func(src, dst int) {
-		buf = nw.routeInto(buf[:0], src, dst, cur, target)
-		stats.TotalHops += len(buf) - 1
-		for i := 0; i+1 < len(buf); i++ {
-			load[linkKey{buf[i], buf[i+1]}]++
-		}
-	}
-	for _, e := range tg.Edges {
-		count(p[e[0]], p[e[1]])
-		count(p[e[1]], p[e[0]])
-	}
-	for _, v := range load {
-		stats.UsedLinks++
-		if v > stats.MaxLink {
-			stats.MaxLink = v
-		}
-	}
-	return stats
-}
 
 var parityCases = []struct {
 	host  grid.Spec
@@ -51,7 +22,7 @@ var parityCases = []struct {
 }
 
 // TestCongestionMatchesReference pins the dense link-rank accumulator to
-// the map-based reference on scrambled placements across kinds and
+// the map-based reference walk on scrambled placements across kinds and
 // dimensions — including wrap routes, where the rank bookkeeping is
 // easiest to get wrong.
 func TestCongestionMatchesReference(t *testing.T) {
@@ -65,7 +36,7 @@ func TestCongestionMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := congestionRef(nw, tg, p); got != want {
+			if want, _ := congestionRef(nw, tg, p); got != want {
 				t.Fatalf("%s on %s trial %d: dense %+v, reference %+v",
 					tc.guest, tc.host, trial, got, want)
 			}
@@ -189,25 +160,36 @@ func TestLoadStateRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestLoadStateHistogramGrowth drives both bucket arrays — per-load
-// link counts and per-distance edge counts — past their initial 8
-// buckets: ten edges folded across a 20-node line all cross the middle
-// link (load 10), and the outermost edge routes 19 hops. The aggregates
-// must stay exact through the growth, both at construction and through
-// a later move.
+// TestLoadStateHistogramGrowth drives the per-load bucket array past its
+// initial 8 buckets through moves: ten edges of a 20-node line start
+// side by side at unit length, then one Permute folds them so that all
+// cross the middle link (load 10) and the outermost routes 19 hops. The
+// aggregates must stay exact through the growth and back.
 func TestLoadStateHistogramGrowth(t *testing.T) {
 	nw := New(grid.LineSpec(20))
 	tg := &taskgraph.Graph{Name: "folded", N: 20}
 	for i := 0; i < 10; i++ {
 		tg.Edges = append(tg.Edges, [2]int{i, 19 - i})
 	}
-	ls, err := NewLoadState(nw, tg, IdentityPlacement(20))
+	side := make(Placement, 20) // edge i on hosts 2i and 2i+1
+	guests := make([]int32, 20)
+	folded := make([]int32, 20) // guest g on host g
+	for i := 0; i < 10; i++ {
+		side[i], side[19-i] = 2*i, 2*i+1
+	}
+	for g := range guests {
+		guests[g], folded[g] = int32(g), int32(g)
+	}
+	ls, err := NewLoadState(nw, tg, side)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls.loadHist) <= 8 || len(ls.distHist) <= 8 {
-		t.Fatalf("histograms did not grow: loadHist %d buckets, distHist %d buckets",
-			len(ls.loadHist), len(ls.distHist))
+	if got := len(ls.loadHist); got != 8 {
+		t.Fatalf("unit-load placement starts with %d load buckets, want 8", got)
+	}
+	ls.Permute(guests, folded)
+	if len(ls.loadHist) <= 8 {
+		t.Fatalf("load histogram did not grow: %d buckets", len(ls.loadHist))
 	}
 	if got := ls.Stats(); got.MaxLink != 10 {
 		t.Fatalf("MaxLink = %d, want 10 (all edges cross the middle link)", got.MaxLink)
@@ -339,18 +321,16 @@ func TestLoadStateCompactWideParity(t *testing.T) {
 	}
 }
 
-// TestLoadStateStripedInitParity builds a LoadState large enough to take
-// the striped construction path (>= loadStripeMinEdges) and pins it to
-// the full batch measurements — the bit-for-bit identity of the
-// parallel merge.
+// TestLoadStateStripedInitParity builds a LoadState on a pool of four
+// workers, so the accumulator splits the edges into many blocks routed
+// into several stripes, and pins it to the full batch measurements
+// taken on one worker — the bit-for-bit identity of the parallel merge.
 func TestLoadStateStripedInitParity(t *testing.T) {
 	host := grid.MeshSpec(16, 16, 16)
 	guest := grid.TorusSpec(16, 16, 16)
 	nw := New(host)
 	tg := taskgraph.FromSpec(guest)
-	if len(tg.Edges) < loadStripeMinEdges {
-		t.Fatalf("test pair has %d edges, below the striping threshold %d", len(tg.Edges), loadStripeMinEdges)
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rd := host.NewRankDistancer()
 	rng := rand.New(rand.NewSource(31))
 	p := Placement(rng.Perm(nw.Size()))
@@ -358,6 +338,7 @@ func TestLoadStateStripedInitParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runtime.GOMAXPROCS(1)
 	assertParity(t, ls, nw, tg, guest, rd)
 }
 
@@ -381,10 +362,9 @@ func TestCongestionHops(t *testing.T) {
 			t.Fatalf("%s on %s: stats with histogram %+v, without %+v", tc.guest, tc.host, stats, plain)
 		}
 		want := map[int]int{}
-		cur := make(grid.Node, nw.shape.Dim())
-		target := make(grid.Node, nw.shape.Dim())
 		for _, e := range tg.Edges {
-			want[nw.walkLinks(p[e[0]], p[e[1]], cur, target, func(int) {})]++
+			_, hops := routeRef(nw, p[e[0]], p[e[1]])
+			want[len(hops)]++
 		}
 		if len(hist) != len(want) {
 			t.Fatalf("%s on %s: histogram %v, want %v", tc.guest, tc.host, hist, want)
@@ -398,7 +378,7 @@ func TestCongestionHops(t *testing.T) {
 }
 
 // BenchmarkCongestion compares the dense link-rank accumulator against
-// the retired map-based measurement on a mid-size pair.
+// the map-based reference walk on a mid-size pair.
 func BenchmarkCongestion(b *testing.B) {
 	nw := New(grid.TorusSpec(16, 16))
 	tg := taskgraph.FromSpec(grid.MeshSpec(16, 16))

@@ -10,13 +10,24 @@
 // FIFO arbitration. It is enough to expose both dilation (path length)
 // and congestion (link contention) effects.
 //
-// Two entry points serve the two kinds of consumers. Simulate runs a
-// timed communication phase (cycles to drain, with link arbitration) —
-// the demonstration path of the experiments. Congestion skips time and
-// statically counts how many task-edge routes cross each directed link
-// on the internal/par pool — the measurement path behind the census's
-// congestion column and the scoring backend of the placement search
-// (internal/place), which calls it once per candidate embedding.
+// Every consumer routes through one router, Network.route. It reads
+// both endpoints' coordinates from a per-network table (built on the
+// first route, never by New), fixes each axis's direction and hop count
+// once — the shorter way round on a torus, ties toward +1 — and returns
+// the route as arithmetic progressions of dense link ranks
+// (grid.LinkRanker), at most two per axis because a torus wrap splits
+// one. Nothing on that path divides.
+//
+// On top of the router sits one load accumulator, accumulate: it
+// stripes task edges over the internal/par pool into per-worker link
+// load slabs and route-length histograms, merges them by index, and
+// leaves every aggregate to be derived after the pass. Congestion and
+// CongestionHops — the census's congestion column and the placement
+// search's scoring backend — and NewLoadState, the annealing pass's
+// incremental state, all start from it. Simulate runs a timed
+// communication phase (cycles to drain, with link arbitration) on node
+// paths derived from the same progressions — the demonstration path of
+// the experiments.
 package netsim
 
 import (
@@ -35,16 +46,22 @@ type Network struct {
 	Spec    grid.Spec
 	n       int
 	shape   grid.Shape
+	torus   bool
 	strides []int           // row-major rank deltas per dimension
 	lr      grid.LinkRanker // dense directed-link ranking
+
+	coordOnce sync.Once
+	coords    []int32 // coords[x·Dim+j] = coordinate j of node x; see coordTable
 }
 
-// New builds a network from a spec.
+// New builds a network from a spec. It allocates nothing proportional
+// to the node count: the coordinate table waits for the first route.
 func New(sp grid.Spec) *Network {
 	return &Network{
 		Spec:    sp,
 		n:       sp.Size(),
 		shape:   sp.Shape,
+		torus:   sp.Kind == grid.Torus,
 		strides: sp.Shape.Strides(),
 		lr:      sp.NewLinkRanker(),
 	}
@@ -54,8 +71,84 @@ func New(sp grid.Spec) *Network {
 func (nw *Network) Size() int { return nw.n }
 
 // LinkSlots returns the size of a dense per-directed-link accumulator
-// for this network — the index space walkLinks ranks into.
+// for this network — the index space the router's link ranks live in.
 func (nw *Network) LinkSlots() int { return nw.lr.Slots(nw.n) }
+
+// coordTable returns the row-major coordinates of every node, built by
+// an odometer walk on first use and shared by concurrent routers.
+func (nw *Network) coordTable() []int32 {
+	nw.coordOnce.Do(nw.buildCoords)
+	return nw.coords
+}
+
+func (nw *Network) buildCoords() {
+	d := len(nw.shape)
+	co := make([]int32, nw.n*d)
+	for x := d; x < len(co); x += d {
+		copy(co[x:x+d], co[x-d:x])
+		for j := d - 1; j >= 0; j-- {
+			if co[x+j]++; int(co[x+j]) < nw.shape[j] {
+				break
+			}
+			co[x+j] = 0
+		}
+	}
+	nw.coords = co
+}
+
+// span is one arithmetic progression of directed-link ranks: the n
+// links first, first+step, …, first+(n-1)·step of a route.
+type span struct{ first, step, n int }
+
+// route is the router: it appends the spans of the dimension-ordered
+// route src -> dst to buf and returns them with the hop count. Axes are
+// corrected in index order. On a torus each axis goes the shorter way
+// round, ties toward increasing coordinates; on a mesh it goes
+// monotonically. Links along one axis are a progression whose step is
+// the axis's link-rank stride, until a torus wrap restarts it at the
+// far end of the axis — so an axis yields one span, or two when it
+// wraps, and a route at most 2·Dim.
+func (nw *Network) route(buf []span, src, dst int) ([]span, int) {
+	co := nw.coordTable()
+	d := len(nw.shape)
+	from, to := co[src*d:src*d+d], co[dst*d:dst*d+d]
+	x, hops := src, 0
+	for j, l := range nw.shape {
+		c, t := int(from[j]), int(to[j])
+		if c == t {
+			continue
+		}
+		n, neg := t-c, t < c
+		if neg {
+			n = -n
+		}
+		if nw.torus {
+			if neg {
+				n = l - n // the forward distance
+			}
+			neg = n > l-n
+			if neg {
+				n = l - n
+			}
+		}
+		stride := nw.strides[j]
+		room, step, wrapTo := l-c, stride, x-c*stride // +1 wraps onto coordinate 0
+		if neg {
+			room, step, wrapTo = c+1, -stride, wrapTo+(l-1)*stride // -1 wraps onto l-1
+		}
+		// Rank is affine in the node: moving step nodes along the axis
+		// moves every link rank by Rank(step, 0, false).
+		linkStep := nw.lr.Rank(step, 0, false)
+		first := min(n, room)
+		buf = append(buf, span{nw.lr.Rank(x, j, neg), linkStep, first})
+		if first < n {
+			buf = append(buf, span{nw.lr.Rank(wrapTo, j, neg), linkStep, n - first})
+		}
+		x += (t - c) * stride
+		hops += n
+	}
+	return buf, hops
+}
 
 // Route returns the dimension-ordered path from src to dst (inclusive of
 // both endpoints) as router indices. In each dimension the torus variant
@@ -63,87 +156,23 @@ func (nw *Network) LinkSlots() int { return nw.lr.Slots(nw.n) }
 // Dimension-ordered routing on these topologies is minimal, so the path
 // length equals the graph distance of Lemmas 5 and 6.
 func (nw *Network) Route(src, dst int) []int {
-	return nw.routeInto(nil, src, dst, make(grid.Node, nw.shape.Dim()), make(grid.Node, nw.shape.Dim()))
-}
-
-// routeInto is Route with caller-provided scratch: the path is appended
-// to buf (which may be nil), and cur/target are reusable coordinate
-// buffers, so parallel route precomputation allocates only the retained
-// paths.
-func (nw *Network) routeInto(buf []int, src, dst int, cur, target grid.Node) []int {
-	nw.shape.NodeInto(cur, src)
-	nw.shape.NodeInto(target, dst)
-	path := append(buf, src)
-	for j, l := range nw.shape {
-		for cur[j] != target[j] {
-			step := 1
-			diff := target[j] - cur[j]
-			if nw.Spec.Kind == grid.Torus {
-				// Choose the shorter wrap direction; break ties toward
-				// increasing coordinates.
-				forward := (target[j] - cur[j] + l) % l
-				if forward <= l-forward {
-					step = 1
-				} else {
-					step = -1
-				}
-			} else if diff < 0 {
-				step = -1
-			}
-			cur[j] = (cur[j] + step + l) % l
-			path = append(path, nw.shape.Index(cur))
-		}
-	}
+	path, _ := nw.path(nil, src, dst)
 	return path
 }
 
-// walkLinks traverses the dimension-ordered route from src to dst —
-// the exact hop sequence of routeInto — calling visit once per directed
-// link with its dense rank (grid.LinkRanker over this network), and
-// returns the hop count. Unlike routeInto it never materializes the
-// path: ranks are maintained incrementally from the strides, which is
-// what makes it the shared inner loop of the dense congestion
-// accumulator and the incremental LoadState. cur and target are
-// caller-provided coordinate scratch of length Dim.
-func (nw *Network) walkLinks(src, dst int, cur, target grid.Node, visit func(rank int)) int {
-	nw.shape.NodeInto(cur, src)
-	nw.shape.NodeInto(target, dst)
-	hops := 0
-	x := src
-	for j, l := range nw.shape {
-		stride := nw.strides[j]
-		for cur[j] != target[j] {
-			step := 1
-			diff := target[j] - cur[j]
-			if nw.Spec.Kind == grid.Torus {
-				// Choose the shorter wrap direction; break ties toward
-				// increasing coordinates — routeInto's rule exactly.
-				forward := (diff + l) % l
-				if forward <= l-forward {
-					step = 1
-				} else {
-					step = -1
-				}
-			} else if diff < 0 {
-				step = -1
-			}
-			visit(nw.lr.Rank(x, j, step < 0))
-			c := cur[j] + step
-			switch {
-			case c < 0: // wrap below: the -1 step lands on coordinate l-1
-				c = l - 1
-				x += (l - 1) * stride
-			case c >= l: // wrap above: the +1 step lands on coordinate 0
-				c = 0
-				x -= (l - 1) * stride
-			default:
-				x += step * stride
-			}
-			cur[j] = c
-			hops++
+// path derives a route's node sequence from the router's spans: the
+// source node of every link in order, then dst. spans is routing
+// scratch, returned for reuse.
+func (nw *Network) path(spans []span, src, dst int) ([]int, []span) {
+	spans, hops := nw.route(spans[:0], src, dst)
+	path := make([]int, 0, hops+1)
+	for _, sp := range spans {
+		for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
+			node, _, _ := nw.lr.Unrank(r)
+			path = append(path, node)
 		}
 	}
-	return hops
+	return append(path, dst), spans
 }
 
 // Placement maps task index to router index.
@@ -215,14 +244,14 @@ func (nw *Network) routeAll(tg *taskgraph.Graph, p Placement) (packets []*packet
 	packets = make([]*packet, 2*len(tg.Edges))
 	var mu sync.Mutex
 	par.Blocks(len(tg.Edges), par.Grain(len(tg.Edges), 256), func(lo, hi int) {
-		cur := make(grid.Node, nw.shape.Dim())
-		target := make(grid.Node, nw.shape.Dim())
+		var spans []span
 		localTotal, localMax := 0, 0
 		for i := lo; i < hi; i++ {
 			e := tg.Edges[i]
 			a, b := p[e[0]], p[e[1]]
-			fwd := nw.routeInto(nil, a, b, cur, target)
-			bwd := nw.routeInto(nil, b, a, cur, target)
+			var fwd, bwd []int
+			fwd, spans = nw.path(spans, a, b)
+			bwd, spans = nw.path(spans, b, a)
 			packets[2*i] = &packet{path: fwd}
 			packets[2*i+1] = &packet{path: bwd}
 			localTotal += (len(fwd) - 1) + (len(bwd) - 1)

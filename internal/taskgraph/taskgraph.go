@@ -103,27 +103,30 @@ func (g *Graph) Validate() error {
 // Incidence returns, for every task, the indices into Edges of the
 // edges incident to it — the adjacency the incremental placement
 // evaluator walks to find the O(degree) routes a node move touches.
-// Entries are in Edges order; an edge appears once under each endpoint.
-func (g *Graph) Incidence() [][]int32 {
-	deg := make([]int, g.N)
+// The lists are packed: task t's edges are edges[off[t]:off[t+1]], in
+// Edges order, and an edge appears once under each endpoint. Two
+// pointer-free arrays, whatever the graph's size.
+func (g *Graph) Incidence() (off, edges []int32) {
+	off = make([]int32, g.N+1)
 	for _, e := range g.Edges {
-		deg[e[0]]++
-		deg[e[1]]++
+		off[e[0]+1]++
+		off[e[1]+1]++
 	}
-	// One backing array, sliced per task, so the structure is two
-	// allocations regardless of size.
-	backing := make([]int32, 2*len(g.Edges))
-	inc := make([][]int32, g.N)
-	off := 0
-	for t, d := range deg {
-		inc[t] = backing[off : off : off+d]
-		off += d
+	for t := 1; t <= g.N; t++ {
+		off[t] += off[t-1]
 	}
+	edges = make([]int32, off[g.N])
 	for i, e := range g.Edges {
-		inc[e[0]] = append(inc[e[0]], int32(i))
-		inc[e[1]] = append(inc[e[1]], int32(i))
+		a, b := e[0], e[1]
+		edges[off[a]] = int32(i) // off[t] doubles as task t's cursor
+		off[a]++
+		edges[off[b]] = int32(i)
+		off[b]++
 	}
-	return inc
+	// Each cursor stopped at its task's end, the next task's start.
+	copy(off[1:], off[:g.N])
+	off[0] = 0
+	return off, edges
 }
 
 // MaxDegree returns the maximum task degree.

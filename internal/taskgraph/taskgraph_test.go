@@ -69,12 +69,13 @@ func TestIncidence(t *testing.T) {
 		FromSpec(grid.TorusSpec(3, 4)),
 		FromSpec(grid.MeshSpec(2, 2, 3)),
 	} {
-		inc := g.Incidence()
-		if len(inc) != g.N {
-			t.Fatalf("%s: incidence covers %d tasks, want %d", g.Name, len(inc), g.N)
+		off, all := g.Incidence()
+		if len(off) != g.N+1 {
+			t.Fatalf("%s: incidence covers %d tasks, want %d", g.Name, len(off)-1, g.N)
 		}
 		total := 0
-		for task, edges := range inc {
+		for task := 0; task < g.N; task++ {
+			edges := all[off[task]:off[task+1]]
 			last := int32(-1)
 			for _, ei := range edges {
 				if ei <= last {
