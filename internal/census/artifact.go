@@ -76,13 +76,17 @@ func (c *Census) WriteFile(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Decode reads one artifact, rejecting incompatible schema versions and
-// structurally invalid documents.
+// Decode reads one artifact, rejecting incompatible schema versions,
+// structurally invalid documents and anything but whitespace after the
+// document.
 func Decode(r io.Reader) (*Census, error) {
 	var c Census
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("census: decode: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("census: decode: trailing data after the artifact")
 	}
 	if c.Version != ArtifactVersion {
 		return nil, fmt.Errorf("census: artifact version %d is incompatible (want %d)", c.Version, ArtifactVersion)

@@ -486,26 +486,10 @@ type evaluator struct {
 	distancers map[string]*grid.RankDistancer // host spec string -> compiled distance
 	graphs     map[string]*taskgraph.Graph    // guest spec string -> edge list
 	networks   map[string]*netsim.Network     // host spec string -> routing machine
-	scratch    sync.Pool                      // *pairScratch
-}
-
-// pairScratch is the reusable per-worker buffer set of the fast
-// measurement path.
-type pairScratch struct {
-	ha, hb []int    // gathered host ranks of one edge block
-	seen   []uint32 // bitset of claimed host ranks (verification)
 }
 
 func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
 	ev := &evaluator{cfg: cfg}
-	words := (cfg.Size + 31) / 32
-	ev.scratch.New = func() any {
-		return &pairScratch{
-			ha:   make([]int, grid.DefaultEdgeBlock),
-			hb:   make([]int, grid.DefaultEdgeBlock),
-			seen: make([]uint32, words),
-		}
-	}
 	if len(specs) == 0 {
 		return ev
 	}
@@ -586,10 +570,7 @@ func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec)
 		ev.measureSlow(pr, e, g, h)
 		return
 	}
-	n := g.Size()
-	sc := ev.scratch.Get().(*pairScratch)
-	defer ev.scratch.Put(sc)
-	if bad := table.CheckInjection(n, sc.seen); bad != nil {
+	if bad := table.CheckInjection(g.Size()); bad != nil {
 		if bad.OutOfBounds {
 			pr.Failure = fmt.Sprintf("%s: image of node %s (host rank %d) out of bounds for host %s",
 				e.Strategy, g.Shape.NodeAt(bad.GuestRank), bad.HostRank, h)
@@ -608,7 +589,7 @@ func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec)
 			// a precomputed distancer; a one-off compile is still cheap.
 			rd = h.NewRankDistancer()
 		}
-		pr.Dilation, pr.AvgDilation = g.EdgeDilation(table, rd, sc.ha, sc.hb)
+		pr.Dilation, pr.AvgDilation = g.EdgeDilation(table, rd)
 		if !checkPredicted(pr, e, pr.Dilation, g, h) {
 			return
 		}

@@ -126,13 +126,21 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsBadArtifacts covers version and structural checks.
+// TestDecodeRejectsBadArtifacts covers version and structural checks,
+// and that only whitespace may follow the document.
 func TestDecodeRejectsBadArtifacts(t *testing.T) {
+	valid := fmt.Sprintf(`{"version": %d, "shards": 1}`, census.ArtifactVersion)
+	if _, err := census.Decode(strings.NewReader(valid + " \r\n\t")); err != nil {
+		t.Fatalf("decode rejected a valid document with trailing whitespace: %v", err)
+	}
 	bad := []struct{ name, doc string }{
 		{"wrong version", `{"version": 999, "shards": 1}`},
 		{"zero version", `{"shards": 1}`},
 		{"invalid shard", fmt.Sprintf(`{"version": %d, "shard": 5, "shards": 2}`, census.ArtifactVersion)},
 		{"not json", `not json at all`},
+		{"trailing junk", valid + "\nTRAILING JUNK"},
+		{"second document", valid + "\n" + valid},
+		{"stray delimiter", valid + "]"},
 	}
 	for _, tc := range bad {
 		if _, err := census.Decode(strings.NewReader(tc.doc)); err == nil {

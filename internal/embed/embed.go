@@ -105,23 +105,11 @@ func (e *Embedding) Table() []int {
 	return Materialize(e.cachedKernel(), e.From.Size())
 }
 
-// rankBufs is a pooled pair of block-sized rank buffers for the
-// measurement paths: workers borrow a pair per span instead of
-// allocating, so sweeps measuring thousands of embeddings stay at
-// near-zero steady-state allocation.
-type rankBufs struct{ a, b []int }
-
-var rankBufPool = sync.Pool{New: func() any {
-	return &rankBufs{
-		a: make([]int, grid.DefaultEdgeBlock),
-		b: make([]int, grid.DefaultEdgeBlock),
-	}
-}}
-
 // Dilation measures the exact dilation cost on the batch path: edge
 // blocks of the guest (VisitEdgesBatchRange) are striped across
-// workers, endpoint ranks are pushed through the compiled kernel, and
-// host distances use the rank-native closed forms of Lemmas 5 and 6.
+// workers, the compiled kernel rewrites each block's endpoint ranks in
+// place into host ranks, and host distances use the rank-native closed
+// forms of Lemmas 5 and 6.
 func (e *Embedding) Dilation() int {
 	k := e.Kernel()
 	n := e.From.Size()
@@ -130,16 +118,13 @@ func (e *Embedding) Dilation() int {
 	max := 0
 	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
 		local := 0
-		bufs := rankBufPool.Get().(*rankBufs)
-		ha, hb := bufs.a, bufs.b
 		e.From.VisitEdgesBatchRange(lo, hi, grid.DefaultEdgeBlock, func(a, b []int) {
-			k.EvalBatch(ha[:len(a)], a)
-			k.EvalBatch(hb[:len(b)], b)
-			if d := rd.Max(ha[:len(a)], hb[:len(b)]); d > local {
+			k.EvalBatch(a, a)
+			k.EvalBatch(b, b)
+			if d := rd.Max(a, b); d > local {
 				local = d
 			}
 		})
-		rankBufPool.Put(bufs)
 		mu.Lock()
 		if local > max {
 			max = local
@@ -167,7 +152,7 @@ func (e *Embedding) DilationPerNode() int {
 
 // AverageDilation returns the mean host distance over all guest edges, a
 // secondary proximity measure used in the experiment reports. Runs on
-// the batch path with per-worker partial sums.
+// the batch path, in place like Dilation, with per-worker partial sums.
 func (e *Embedding) AverageDilation() float64 {
 	k := e.Kernel()
 	n := e.From.Size()
@@ -176,15 +161,12 @@ func (e *Embedding) AverageDilation() float64 {
 	var sum, count int64
 	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
 		var localSum, localCount int64
-		bufs := rankBufPool.Get().(*rankBufs)
-		ha, hb := bufs.a, bufs.b
 		e.From.VisitEdgesBatchRange(lo, hi, grid.DefaultEdgeBlock, func(a, b []int) {
-			k.EvalBatch(ha[:len(a)], a)
-			k.EvalBatch(hb[:len(b)], b)
-			localSum += rd.Sum(ha[:len(a)], hb[:len(b)])
+			k.EvalBatch(a, a)
+			k.EvalBatch(b, b)
+			localSum += rd.Sum(a, b)
 			localCount += int64(len(a))
 		})
-		rankBufPool.Put(bufs)
 		mu.Lock()
 		sum += localSum
 		count += localCount
@@ -213,7 +195,8 @@ func (e *Embedding) AverageDilationPerNode() float64 {
 // Verify checks that the embedding is a well-formed injection: every
 // image is in bounds and no two guest nodes share an image. Since guest
 // and host have equal size, injectivity implies bijectivity. Images are
-// evaluated in parallel blocks and claimed in a shared atomic bitset.
+// evaluated in place over one block of ranks per span and claimed in a
+// shared atomic bitset.
 func (e *Embedding) Verify() error {
 	k := e.Kernel()
 	n := e.From.Size()
@@ -230,23 +213,16 @@ func (e *Embedding) Verify() error {
 		failed.Store(true)
 	}
 	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
-		bufs := rankBufPool.Get().(*rankBufs)
-		defer rankBufPool.Put(bufs)
-		dst, src := bufs.a, bufs.b
+		buf := make([]int, min(hi-lo, grid.DefaultEdgeBlock))
 		for blockLo := lo; blockLo < hi; blockLo += grid.DefaultEdgeBlock {
 			if failed.Load() {
 				return
 			}
-			blockHi := blockLo + grid.DefaultEdgeBlock
-			if blockHi > hi {
-				blockHi = hi
+			d := buf[:min(hi-blockLo, len(buf))]
+			for i := range d {
+				d[i] = blockLo + i
 			}
-			s := src[:blockHi-blockLo]
-			d := dst[:blockHi-blockLo]
-			for i := range s {
-				s[i] = blockLo + i
-			}
-			k.EvalBatch(d, s)
+			k.EvalBatch(d, d)
 			for i, v := range d {
 				if v < 0 || v >= n {
 					record(fmt.Errorf("embed: %s: image of node %s (host rank %d) out of bounds for host %s",

@@ -34,7 +34,9 @@ import (
 // Kernel evaluates an embedding over row-major ranks in batches.
 // Implementations must be safe for concurrent EvalBatch calls and must
 // tolerate dst and src aliasing the same slice (every implementation
-// reads src[i] before writing dst[i]).
+// reads src[i] before writing dst[i]). The package relies on it:
+// Materialize, Dilation, AverageDilation and Verify evaluate every
+// block in place, as EvalBatch(x, x), so they need no rank scratch.
 type Kernel interface {
 	// EvalBatch writes the host rank of guest rank src[i] into dst[i]
 	// for every i. len(dst) must equal len(src).
@@ -81,14 +83,12 @@ type InjectionViolation struct {
 }
 
 // CheckInjection scans the table as a candidate injection into [0, n)
-// and returns the first violation, or nil. seen is caller-provided
-// bitset scratch of at least (n+31)/32 words (cleared here), so the
-// measurement engines — the census fast path and the placement
-// search's candidate gate — share one scan without allocating per
-// table.
-func (t Table) CheckInjection(n int, seen []uint32) *InjectionViolation {
-	words := (n + 31) / 32
-	clear(seen[:words])
+// and returns the first violation, or nil. The claimed host ranks go
+// into a bitset allocated per call: n/8 bytes beside the table's 8n.
+// The census fast path and the placement search's candidate gate share
+// this one scan.
+func (t Table) CheckInjection(n int) *InjectionViolation {
+	seen := make([]uint32, (n+31)/32)
 	for i, v := range t {
 		if v < 0 || v >= n {
 			return &InjectionViolation{GuestRank: i, HostRank: v, OutOfBounds: true}
@@ -304,8 +304,10 @@ func PostCompose(base *Embedding, to grid.Spec, strategy string, predicted int, 
 }
 
 // Materialize evaluates k over [0, n) in parallel blocks and returns
-// the resulting table. When k is already a Table it is returned as is
-// (not copied); callers handing the result to user code must copy.
+// the resulting table. Each block of the table is filled with its own
+// guest ranks and evaluated in place, so the table is the only
+// allocation. When k is already a Table it is returned as is (not
+// copied); callers handing the result to user code must copy.
 func Materialize(k Kernel, n int) Table {
 	if t, ok := k.(Table); ok {
 		return t
@@ -313,17 +315,12 @@ func Materialize(k Kernel, n int) Table {
 	tablesMaterialized.Inc()
 	out := make(Table, n)
 	par.Blocks(n, par.Grain(n, 4096), func(lo, hi int) {
-		src := make([]int, 0, grid.DefaultEdgeBlock)
 		for blockLo := lo; blockLo < hi; blockLo += grid.DefaultEdgeBlock {
-			blockHi := blockLo + grid.DefaultEdgeBlock
-			if blockHi > hi {
-				blockHi = hi
+			blk := out[blockLo:min(blockLo+grid.DefaultEdgeBlock, hi)]
+			for i := range blk {
+				blk[i] = blockLo + i
 			}
-			src = src[:blockHi-blockLo]
-			for i := range src {
-				src[i] = blockLo + i
-			}
-			k.EvalBatch(out[blockLo:blockHi], src)
+			k.EvalBatch(blk, blk)
 		}
 	})
 	return out

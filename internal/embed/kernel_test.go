@@ -19,11 +19,70 @@ func TestTableKernelEvalBatch(t *testing.T) {
 			t.Fatalf("dst = %v, want %v", dst, want)
 		}
 	}
-	// Aliased dst/src must work (chain stages evaluate in place).
-	k.EvalBatch(src, src)
-	for i := range want {
-		if src[i] != want[i] {
-			t.Fatalf("in-place dst = %v, want %v", src, want)
+}
+
+// TestKernelsEvaluateInPlace pins the aliasing half of the Kernel
+// contract for every implementation: Materialize and the measurement
+// passes call EvalBatch(x, x), so evaluating a block in place must
+// give exactly what evaluating it into a separate slice gives —
+// including the -1 out-of-bounds sentinel and a chain stage fed it.
+func TestKernelsEvaluateInPlace(t *testing.T) {
+	from := grid.MustSpec(grid.Mesh, grid.Shape{4, 2, 3})
+	to := grid.MustSpec(grid.Mesh, grid.Shape{3, 4, 2})
+	n := from.Size()
+	p := perm.Perm{2, 0, 1}
+	permute := func(v grid.Node) grid.Node { return grid.Node(perm.Apply(p, v)) }
+	// Shifting the permuted node's middle coordinate leaves the host
+	// for every guest node whose first coordinate is 3.
+	escape := nodeMapKernel{from: from, to: to, fn: func(v grid.Node) grid.Node {
+		out := permute(v)
+		out[1]++
+		return out
+	}}
+	table := make(Table, n)
+	for x := range table {
+		table[x] = (5*x + 3) % n
+	}
+	kernels := []struct {
+		name    string
+		k       Kernel
+		escapes bool
+	}{
+		{"Table", table, false},
+		{"IndexFunc", IndexFunc(func(x int) int { return (7*x + 1) % n }), false},
+		{"identityKernel", identityKernel{}, false},
+		{"DigitKernel", CompileSeparable(from, to, permute), false},
+		{"nodeMapKernel out of bounds", escape, true},
+		{"chainKernel fed the sentinel", chainKernel{steps: []Kernel{escape, table, IndexFunc(func(x int) int { return n - 1 - x })}}, true},
+	}
+	// A scrambled block with repeats, so a kernel that reads src[j]
+	// after writing dst[i] for some j != i sees an overwritten rank.
+	src := make([]int, 2*n)
+	for i := range src {
+		src[i] = (11*i + 4) % n
+	}
+	for _, tc := range kernels {
+		want := make([]int, len(src))
+		in := append([]int(nil), src...)
+		tc.k.EvalBatch(want, in)
+		for i := range in {
+			if in[i] != src[i] {
+				t.Fatalf("%s: out-of-place evaluation modified src", tc.name)
+			}
+		}
+		got := append([]int(nil), src...)
+		tc.k.EvalBatch(got, got)
+		sentinels := 0
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: in place rank %d -> %d, out of place -> %d", tc.name, src[i], got[i], want[i])
+			}
+			if want[i] == -1 {
+				sentinels++
+			}
+		}
+		if tc.escapes != (sentinels > 0) {
+			t.Errorf("%s: %d sentinel images, want some: %v", tc.name, sentinels, tc.escapes)
 		}
 	}
 }

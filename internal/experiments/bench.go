@@ -1,9 +1,10 @@
 // The reproducible benchmark runner behind `experiments -bench`: it
 // drives the performance-critical kernels of the annealing evaluation
 // stack — LoadState construction, dense congestion, striped edge
-// dilation, and the per-move swap — through testing.Benchmark at one
-// worker and at the machine's full worker count, and renders the
-// results as a versioned BENCH.json. The artifact is the repo's
+// dilation, and the per-move swap — and two small-pair passes (one
+// size-120 census, one default placement search) through
+// testing.Benchmark at one worker and at the machine's full worker
+// count, and renders the results as a versioned BENCH.json. The artifact is the repo's
 // recorded perf trajectory: CI runs the runner as a smoke (the numbers
 // themselves are machine-dependent; the alloc gates live in the test
 // suites), and a committed BENCH.json documents the shape of the
@@ -18,10 +19,14 @@ import (
 	"runtime"
 	"testing"
 
+	"torusmesh/internal/catalog"
+	"torusmesh/internal/census"
+	"torusmesh/internal/core"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/netsim"
 	"torusmesh/internal/obs"
 	"torusmesh/internal/par"
+	"torusmesh/internal/place"
 	"torusmesh/internal/taskgraph"
 )
 
@@ -105,8 +110,8 @@ func runScaling(report *BenchReport, name string, fn func(b *testing.B)) {
 	}
 }
 
-// RunBench measures the annealing evaluation kernels and returns the
-// report.
+// RunBench measures the annealing evaluation kernels and the
+// small-pair passes and returns the report.
 func RunBench() (*BenchReport, error) {
 	nw, tg, guest, p := benchPair()
 	pairName := fmt.Sprintf("%s->%s", guest, nw.Spec)
@@ -189,6 +194,40 @@ func RunBench() (*BenchReport, error) {
 				obsAccepted.Inc()
 			} else {
 				obsRejected.Inc()
+			}
+		}
+	})
+
+	// Small pairs: the census and the placement search measure
+	// thousands of 120–360-node pairs, where per-pair allocation rather
+	// than per-edge work sets the pace. One size-120 census pass with
+	// every measurement on, and one search at the place CLI's defaults.
+	censusCfg := census.Config{
+		Size:       120,
+		MaxDim:     3,
+		Shapes:     catalog.CanonicalShapesOfSize(120, 3),
+		Metrics:    true,
+		Congestion: true,
+		Embed:      core.Embed,
+	}
+	runScaling(report, "census-pass/size=120,maxdim=3", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := census.Run(censusCfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	searchCfg := place.Config{
+		Guest:       grid.TorusSpec(8, 2),
+		Host:        grid.MeshSpec(4, 4),
+		CapDilation: true,
+		Rotations:   true,
+		Strategies:  place.DefaultStrategies(),
+	}
+	runScaling(report, fmt.Sprintf("place-search/%s->%s", searchCfg.Guest, searchCfg.Host), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := place.Search(searchCfg); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

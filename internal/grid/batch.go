@@ -261,18 +261,13 @@ func maxSum[T int | int32](rd *RankDistancer, ha, hb []T) (max int, sum int64) {
 // the relabeled endpoints table[a] and table[b] of every edge (a, b) of
 // the graph — the fused single-pass measurement of a placement table's
 // dilation and average dilation, shared by the census and placement
-// engines. ha and hb are caller-provided gather buffers of at least
-// DefaultEdgeBlock entries (both engines pool them). Every table entry
-// must be a valid rank for rd; callers validate the table first.
-func (sp Spec) EdgeDilation(table []int, rd *RankDistancer, ha, hb []int) (max int, avg float64) {
+// engines. The relabeled ranks overwrite the edge visitor's own pooled
+// blocks, so the pass needs no gather buffers of its own. Every table
+// entry must be a valid rank for rd; callers validate the table first.
+func (sp Spec) EdgeDilation(table []int, rd *RankDistancer) (max int, avg float64) {
 	sum, edges := int64(0), int64(0)
 	sp.VisitEdgesBatchRange(0, sp.Size(), DefaultEdgeBlock, func(a, b []int) {
-		ga, gb := ha[:len(a)], hb[:len(b)]
-		for i := range a {
-			ga[i] = table[a[i]]
-			gb[i] = table[b[i]]
-		}
-		m, s := rd.MaxSum(ga, gb)
+		m, s := rd.MaxSum(relabel(a, table), relabel(b, table))
 		if m > max {
 			max = m
 		}
@@ -286,70 +281,61 @@ func (sp Spec) EdgeDilation(table []int, rd *RankDistancer, ha, hb []int) (max i
 }
 
 // EdgeDilationStriped is the parallel form of EdgeDilation: source-rank
-// ranges stripe across the internal/par pool, each worker reducing its
-// own edge blocks with pooled gather buffers, and the per-range
+// ranges stripe across the internal/par pool, each worker relabeling
+// its own pooled edge blocks in place, and the per-range
 // (max, sum, edges) triples merge commutatively — so the result is
 // bit-identical to EdgeDilation regardless of worker count or
 // scheduling. When both the guest's ranks and the host's (rd's shape)
-// fit int32, the blocks and gather buffers take the compact int32 form,
-// halving the per-worker buffer bytes. This is the re-validation pass
-// of the annealing engine, where the table is large and the check sits
-// on the serial path of the anneal loop.
+// fit int32, the blocks take the compact int32 form, halving the
+// per-worker block bytes. This is the re-validation pass of the
+// annealing engine, where the table is large and the check sits on the
+// serial path of the anneal loop.
 func (sp Spec) EdgeDilationStriped(table []int, rd *RankDistancer) (max int, avg float64) {
 	n := sp.Size()
 	var mu sync.Mutex
 	var sum, edges int64
 	compact := sp.FitsInt32() && rd.shape.Size() <= math.MaxInt32
-	merge := func(m int, s, e int64) {
-		mu.Lock()
-		if m > max {
-			max = m
-		}
-		sum += s
-		edges += e
-		mu.Unlock()
-	}
 	par.Blocks(n, par.Grain(n, 4096), func(lo, hi int) {
 		lmax, lsum, ledges := 0, int64(0), int64(0)
-		if compact {
-			bufs := edgeBuf32Pool.Get().(*edgeBufs32)
-			sp.VisitEdgesBatchRange32(lo, hi, DefaultEdgeBlock, func(a, b []int32) {
-				ga, gb := bufs.a[:len(a)], bufs.b[:len(b)]
-				for i := range a {
-					ga[i] = int32(table[a[i]])
-					gb[i] = int32(table[b[i]])
-				}
-				m, s := rd.MaxSum32(ga, gb)
-				if m > lmax {
-					lmax = m
-				}
-				lsum += s
-				ledges += int64(len(a))
-			})
-			edgeBuf32Pool.Put(bufs)
-		} else {
-			bufs := edgeBufPool.Get().(*edgeBufs)
-			sp.VisitEdgesBatchRange(lo, hi, DefaultEdgeBlock, func(a, b []int) {
-				ga, gb := bufs.a[:len(a)], bufs.b[:len(b)]
-				for i := range a {
-					ga[i] = table[a[i]]
-					gb[i] = table[b[i]]
-				}
-				m, s := rd.MaxSum(ga, gb)
-				if m > lmax {
-					lmax = m
-				}
-				lsum += s
-				ledges += int64(len(a))
-			})
-			edgeBufPool.Put(bufs)
+		reduce := func(m int, s int64, e int) {
+			if m > lmax {
+				lmax = m
+			}
+			lsum += s
+			ledges += int64(e)
 		}
-		merge(lmax, lsum, ledges)
+		if compact {
+			sp.VisitEdgesBatchRange32(lo, hi, DefaultEdgeBlock, func(a, b []int32) {
+				m, s := rd.MaxSum32(relabel(a, table), relabel(b, table))
+				reduce(m, s, len(a))
+			})
+		} else {
+			sp.VisitEdgesBatchRange(lo, hi, DefaultEdgeBlock, func(a, b []int) {
+				m, s := rd.MaxSum(relabel(a, table), relabel(b, table))
+				reduce(m, s, len(a))
+			})
+		}
+		mu.Lock()
+		if lmax > max {
+			max = lmax
+		}
+		sum += lsum
+		edges += ledges
+		mu.Unlock()
 	})
 	if edges > 0 {
 		avg = float64(sum) / float64(edges)
 	}
 	return max, avg
+}
+
+// relabel overwrites a block of guest ranks with their table images
+// and returns it.
+func relabel[T int | int32](blk []T, table []int) []T {
+	for i, x := range blk {
+		blk[i] = T(table[x])
+	}
+	return blk
 }
 
 // EdgeCountRange returns the number of edges VisitEdgesBatchRange
@@ -375,7 +361,10 @@ func (sp Spec) VisitEdgesBatch(blockSize int, fn func(a, b []int)) {
 // (the lower endpoint in VisitEdges order) has rank in [lo, hi). The
 // ranges {[r_i, r_{i+1})} of a partition of [0, Size()) enumerate every
 // edge exactly once between them, which is what lets the measurement
-// paths stripe edge blocks across workers without coordination.
+// paths stripe edge blocks across workers without coordination. fn may
+// overwrite a and b: the enumeration refills both blocks from its own
+// odometer after every call, so the measurement passes rewrite
+// endpoint ranks into host ranks where they lie.
 func (sp Spec) VisitEdgesBatchRange(lo, hi, blockSize int, fn func(a, b []int)) {
 	// Default-sized endpoint buffers come from a pool: callers like the
 	// census engine enumerate the edges of thousands of graphs back to

@@ -185,7 +185,7 @@ func TestEdgeDilationStripedParity(t *testing.T) {
 		for i := range table {
 			table[i] = (i*7 + 3) % n
 		}
-		wantMax, wantAvg := sp.EdgeDilation(table, rd, make([]int, DefaultEdgeBlock), make([]int, DefaultEdgeBlock))
+		wantMax, wantAvg := sp.EdgeDilation(table, rd)
 		gotMax, gotAvg := sp.EdgeDilationStriped(table, rd)
 		if gotMax != wantMax || gotAvg != wantAvg {
 			t.Fatalf("%s: striped (%d, %v), serial (%d, %v)", sp, gotMax, gotAvg, wantMax, wantAvg)

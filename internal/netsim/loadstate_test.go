@@ -133,9 +133,7 @@ func assertParity(t *testing.T, ls *LoadState, nw *Network, tg *taskgraph.Graph,
 	if got := ls.Stats(); got != want {
 		t.Errorf("stats: incremental %+v, full %+v", got, want)
 	}
-	ha := make([]int, grid.DefaultEdgeBlock)
-	hb := make([]int, grid.DefaultEdgeBlock)
-	wantMax, wantAvg := guest.EdgeDilation(tab, rd, ha, hb)
+	wantMax, wantAvg := guest.EdgeDilation(tab, rd)
 	gotMax, gotAvg := ls.Dilation()
 	if gotMax != wantMax || gotAvg != wantAvg {
 		t.Errorf("dilation: incremental (%d, %v), full (%d, %v)", gotMax, gotAvg, wantMax, wantAvg)

@@ -64,13 +64,18 @@ func (r *Result) WriteFile(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Decode reads one artifact, rejecting incompatible schema versions.
-// Decoded results carry costs only — the winning embedding itself is
-// not serialized and must be rebuilt by a fresh Search.
+// Decode reads one artifact, rejecting incompatible schema versions
+// and anything but whitespace after the document. Decoded results
+// carry costs only — the winning embedding itself is not serialized
+// and must be rebuilt by a fresh Search.
 func Decode(r io.Reader) (*Result, error) {
 	var res Result
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&res); err != nil {
 		return nil, fmt.Errorf("place: decode: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("place: decode: trailing data after the artifact")
 	}
 	if res.Version != ArtifactVersion {
 		return nil, fmt.Errorf("place: artifact version %d is incompatible (want %d)", res.Version, ArtifactVersion)

@@ -564,12 +564,11 @@ func (r *Result) Improved() bool { return r.Best.Score < r.Baseline.Score }
 // searcher carries the immutable per-search state the candidate workers
 // share, plus the construction caches.
 type searcher struct {
-	cfg     *Config
-	tg      *taskgraph.Graph    // guest edge list, routed through the host
-	nw      *netsim.Network     // the host machine
-	rd      *grid.RankDistancer // compiled host distance
-	cap     int                 // dilation cap (0 = none)
-	scratch sync.Pool           // *measureBufs
+	cfg *Config
+	tg  *taskgraph.Graph    // guest edge list, routed through the host
+	nw  *netsim.Network     // the host machine
+	rd  *grid.RankDistancer // compiled host distance
+	cap int                 // dilation cap (0 = none)
 
 	// bases caches the construction half of variants (buildBase) per
 	// baseKey; posts caches the host-side relabeling tables per
@@ -595,14 +594,6 @@ type postEntry struct {
 	err  error
 }
 
-// measureBufs is the per-worker scratch of the candidate pipeline: the
-// gather buffer pair of the fused measurement pass and the bitset of
-// the injectivity scan.
-type measureBufs struct {
-	a, b []int
-	seen []uint32
-}
-
 func newSearcher(cfg *Config) *searcher {
 	s := &searcher{
 		cfg:   cfg,
@@ -619,14 +610,6 @@ func newSearcher(cfg *Config) *searcher {
 	// (same gate as the census engine).
 	if cfg.Guest.Size() <= embed.MaterializeThreshold() {
 		s.rd.Materialize()
-	}
-	words := (cfg.Guest.Size() + 31) / 32
-	s.scratch.New = func() any {
-		return &measureBufs{
-			a:    make([]int, grid.DefaultEdgeBlock),
-			b:    make([]int, grid.DefaultEdgeBlock),
-			seen: make([]uint32, words),
-		}
 	}
 	return s
 }
@@ -686,9 +669,7 @@ func (s *searcher) validate(e *embed.Embedding) error {
 	if table == nil {
 		return e.Verify()
 	}
-	sc := s.scratch.Get().(*measureBufs)
-	defer s.scratch.Put(sc)
-	if bad := table.CheckInjection(s.cfg.Guest.Size(), sc.seen); bad != nil {
+	if bad := table.CheckInjection(s.cfg.Guest.Size()); bad != nil {
 		if bad.OutOfBounds {
 			return fmt.Errorf("%s: image of guest rank %d (host rank %d) out of bounds for %s",
 				e.Strategy, bad.GuestRank, bad.HostRank, s.cfg.Host)
@@ -707,9 +688,7 @@ func (s *searcher) measure(e *embed.Embedding) (int, float64) {
 	if table == nil {
 		return e.Dilation(), e.AverageDilation()
 	}
-	sc := s.scratch.Get().(*measureBufs)
-	defer s.scratch.Put(sc)
-	return s.cfg.Guest.EdgeDilation(table, s.rd, sc.a, sc.b)
+	return s.cfg.Guest.EdgeDilation(table, s.rd)
 }
 
 // congest routes the guest's edges through the host under the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"torusmesh/internal/core"
@@ -89,7 +90,7 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 // TestArtifactRoundTrip: decode(encode(r)) re-encodes to the same
-// bytes, and incompatible versions are rejected.
+// bytes, and incompatible versions and trailing data are rejected.
 func TestArtifactRoundTrip(t *testing.T) {
 	res, err := Search(Config{
 		Guest:      grid.MeshSpec(6, 4),
@@ -123,6 +124,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(badData)); err == nil {
 		t.Error("decode accepted an incompatible artifact version")
+	}
+	for _, tail := range []string{" \r\n\t", "TRAILING JUNK", "\n" + string(data)} {
+		_, err := Decode(strings.NewReader(string(data) + tail))
+		if want := strings.TrimSpace(tail) == ""; (err == nil) != want {
+			t.Errorf("decode with tail %q: err = %v, want accepted: %v", tail, err, want)
+		}
 	}
 }
 

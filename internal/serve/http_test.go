@@ -324,13 +324,19 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /place = %d, want 405", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/warm", "application/json", strings.NewReader("not a census"))
+	valid, err := (&census.Census{Version: census.ArtifactVersion, Size: 8, Shards: 1}).EncodeBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST /warm garbage = %d, want 400", resp.StatusCode)
+	for _, body := range []string{"not a census", string(valid) + "TRAILING JUNK"} {
+		resp, err = http.Post(ts.URL+"/warm", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /warm %.20q... = %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	bsrv := newTestServer(t, broken)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -352,6 +354,42 @@ func TestCachePersistence(t *testing.T) {
 	cfg3.Place.Budget = 32
 	if _, err := New(cfg3); err == nil {
 		t.Fatal("cache dir reopened under different search settings must fail")
+	}
+}
+
+// TestCacheSkipsTrailingData: a cached artifact with bytes appended is
+// skipped and counted as a load error, so the pair is searched afresh
+// instead of serving bytes that differ from the batch search's.
+func TestCacheSkipsTrailingData(t *testing.T) {
+	g, h := grid.TorusSpec(4, 2), grid.MeshSpec(4, 2)
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.CacheDir = dir
+	srv1 := newTestServer(t, cfg)
+	a, err := srv1.Place(context.Background(), g, h, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.Close()
+	path := filepath.Join(dir, fileName(a.Key.String()))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, "TRAILING JUNK"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := newTestServer(t, cfg)
+	if st := srv2.Status(); st.CacheLoaded != 0 || st.CacheLoadErrors != 1 {
+		t.Fatalf("restart status = %+v, want cache_loaded 0 and cache_load_errors 1", st)
+	}
+	b, err := srv2.Place(context.Background(), g, h, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Artifact, a.Artifact) {
+		t.Fatal("re-searched artifact differs from the original")
 	}
 }
 
