@@ -6,10 +6,8 @@
 package catalog
 
 import (
-	"fmt"
 	"sort"
 
-	"torusmesh/internal/census"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/perm"
 )
@@ -109,47 +107,4 @@ func AxisOrderings(s grid.Shape) []perm.Perm {
 		out = append(out, p)
 	}
 	return out
-}
-
-// Census summarizes how many ordered pairs of canonical shapes of size n
-// each embedding strategy covers.
-type Census struct {
-	Size       int
-	Shapes     int
-	Pairs      int            // ordered pairs of (canonical shape, kind) x (canonical shape, kind)
-	Embeddable int            // pairs for which some construction applies
-	ByStrategy map[string]int // strategy prefix -> count
-}
-
-// Coverage runs the census for size n using the given embed function
-// (typically core.Embed). Strategy names are truncated at the first '/'
-// or '[' (census.StrategyKey) so variants group together. It is a thin
-// veneer over the sharded census engine: a single-shard, metrics-off
-// census.Run whose rich features (sharding, per-pair dilation and
-// congestion metrics, mergeable JSON artifacts) live in internal/census.
-//
-// The engine stripes pairs across a worker pool, so embed is called
-// concurrently and must be safe for concurrent use (core.Embed is);
-// closures must not mutate shared state without synchronization.
-func Coverage(n, maxDim int, embed func(g, h grid.Spec) (string, error)) Census {
-	shapes := CanonicalShapesOfSize(n, maxDim)
-	c, err := census.Run(census.Config{
-		Size:     n,
-		MaxDim:   maxDim,
-		Shapes:   shapes,
-		Strategy: embed,
-	})
-	if err != nil {
-		// Run fails only on misconfiguration, which this veneer cannot
-		// produce: the shapes come from the enumeration it validates
-		// against.
-		panic(fmt.Sprintf("catalog: coverage census misconfigured: %v", err))
-	}
-	return Census{
-		Size:       n,
-		Shapes:     len(shapes),
-		Pairs:      c.Pairs,
-		Embeddable: c.Embeddable,
-		ByStrategy: c.ByStrategy,
-	}
 }

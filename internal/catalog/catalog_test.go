@@ -3,7 +3,6 @@ package catalog
 import (
 	"testing"
 
-	"torusmesh/internal/core"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/perm"
 )
@@ -48,38 +47,6 @@ func TestCanonicalShapesOfSize(t *testing.T) {
 				t.Errorf("shape %s not non-increasing", s)
 			}
 		}
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	census := Coverage(16, 0, func(g, h grid.Spec) (string, error) {
-		e, err := core.Embed(g, h)
-		if err != nil {
-			return "", err
-		}
-		return e.Strategy, nil
-	})
-	if census.Shapes != 5 {
-		// 16 | 8x2 | 4x4 | 4x2x2 | 2x2x2x2
-		t.Errorf("census shapes = %d, want 5", census.Shapes)
-	}
-	if census.Pairs != 5*5*4 {
-		t.Errorf("census pairs = %d, want 100", census.Pairs)
-	}
-	// Power-of-two sizes are fully covered: every pair is expandable,
-	// reducible or square (hypercube glue).
-	if census.Embeddable != census.Pairs {
-		t.Errorf("census embeddable = %d of %d; power-of-two families should be total", census.Embeddable, census.Pairs)
-	}
-	if len(census.ByStrategy) == 0 {
-		t.Error("census recorded no strategies")
-	}
-	total := 0
-	for _, c := range census.ByStrategy {
-		total += c
-	}
-	if total != census.Embeddable {
-		t.Errorf("strategy counts sum to %d, want %d", total, census.Embeddable)
 	}
 }
 

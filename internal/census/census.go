@@ -69,14 +69,6 @@ type PlaceSummary struct {
 	Error string `json:"error,omitempty"`
 }
 
-// StrategyFunc is the legacy strategy-only evaluator of the catalog
-// coverage path: it returns the name of the construction that carried
-// the pair, or an error when none applies. It must be safe for
-// concurrent calls. Strategy-mode censuses record no metrics, and their
-// failures cannot be split by stage (they count as construction
-// failures).
-type StrategyFunc func(g, h grid.Spec) (string, error)
-
 // Config describes one census run.
 type Config struct {
 	// Size is the number of nodes; every shape must multiply out to it.
@@ -109,12 +101,9 @@ type Config struct {
 	// searched under different settings — which would silently break
 	// the bit-for-bit merge invariant — are rejected.
 	PlaceSpec string
-	// Embed is the rich evaluator; exactly one of Embed and Strategy
-	// must be set. Rich-mode pairs are always verified for injectivity.
+	// Embed builds each pair's embedding; it is required. Every
+	// embedding is verified for injectivity.
 	Embed EmbedFunc
-	// Strategy is the legacy strategy-only evaluator; it implies
-	// Metrics == false and Congestion == false.
-	Strategy StrategyFunc
 	// Skip, when set, drops pairs it reports as already evaluated
 	// before they are scheduled — the resume filter. A skipping run
 	// covers only part of its stripe, so its census is not a complete
@@ -146,8 +135,7 @@ var ErrInterrupted = errors.New("census: run interrupted")
 
 // Failure stages of a PairResult.
 const (
-	// StageConstruct marks pairs no construction covers (or, in
-	// strategy mode, any evaluator error).
+	// StageConstruct marks pairs no construction covers.
 	StageConstruct = "construct"
 	// StageVerify marks pairs whose construction succeeded but whose
 	// embedding failed verification or broke its dilation guarantee —
@@ -219,7 +207,8 @@ type Census struct {
 	// strategy key, how many embeddable pairs it carried at each
 	// measured dilation (metrics censuses) and at each peak link load
 	// (congestion censuses). Derived from Results like the other
-	// aggregates; absent from strategy-only censuses.
+	// aggregates; absent from censuses with neither metrics nor
+	// congestion.
 	Histograms map[string]*StrategyHistogram `json:"histograms,omitempty"`
 	Results    []PairResult                  `json:"results"`
 	// Elapsed is the run's wall time, excluded from the artifact for
@@ -229,8 +218,8 @@ type Census struct {
 
 // StrategyKey truncates a strategy name at the first '/' or '[' so
 // construction variants group together in coverage tallies — the single
-// home of the truncation rule shared by the census aggregates, the
-// sweep reports and the legacy catalog coverage path.
+// home of the truncation rule shared by the census aggregates and the
+// sweep reports.
 func StrategyKey(strategy string) string {
 	for i := 0; i < len(strategy); i++ {
 		if strategy[i] == '/' || strategy[i] == '[' {
@@ -280,11 +269,8 @@ func (cfg *Config) validate() error {
 	if cfg.Shards < 1 || cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return fmt.Errorf("census: shard %d/%d out of range", cfg.Shard, cfg.Shards)
 	}
-	if (cfg.Embed == nil) == (cfg.Strategy == nil) {
-		return fmt.Errorf("census: exactly one of Embed and Strategy must be set")
-	}
-	if cfg.Strategy != nil && (cfg.Metrics || cfg.Congestion) {
-		return fmt.Errorf("census: metrics and congestion require the rich Embed evaluator")
+	if cfg.Embed == nil {
+		return fmt.Errorf("census: Embed must be set")
 	}
 	if cfg.Place != nil && !cfg.Congestion {
 		return fmt.Errorf("census: placement search requires the congestion baseline")
@@ -535,16 +521,6 @@ func (ev *evaluator) pair(idx int, g, h grid.Spec) PairResult {
 	now := ev.cfg.Clock
 	start := now()
 	pr := PairResult{Index: idx, Guest: g.String(), Host: h.String()}
-	if ev.cfg.Strategy != nil {
-		strategy, err := ev.cfg.Strategy(g, h)
-		if err != nil {
-			pr.Failure, pr.FailureStage = err.Error(), StageConstruct
-		} else {
-			pr.Strategy = strategy
-		}
-		pr.Wall = now().Sub(start)
-		return pr
-	}
 	e, err := ev.cfg.Embed(g, h)
 	if err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageConstruct
@@ -560,10 +536,11 @@ func (ev *evaluator) pair(idx int, g, h grid.Spec) PairResult {
 // measure verifies the embedding and fills in the requested metrics.
 // Guests at or below the materialization threshold take the fast path:
 // the kernel's lookup table is scanned directly (plain bitset, no
-// atomics — pairs are the unit of parallelism here) and dilation and
-// average dilation come from one fused pass over the guest's edge
-// blocks. Larger guests fall back to the embedding's own parallel
-// measurement paths.
+// atomics — pairs are the unit of parallelism here), dilation and
+// average dilation come from the digit kernel's closed form when it is
+// carry-free and otherwise from one fused pass over the guest's edge
+// blocks, and the table feeds the congestion pass. Larger guests fall
+// back to the embedding's own parallel measurement paths.
 func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec) {
 	table, _ := e.Kernel().(embed.Table)
 	if table == nil {
@@ -589,12 +566,24 @@ func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec)
 			// a precomputed distancer; a one-off compile is still cheap.
 			rd = h.NewRankDistancer()
 		}
-		pr.Dilation, pr.AvgDilation = g.EdgeDilation(table, rd)
+		pr.Dilation, pr.AvgDilation = edgeDilation(e, g, table, rd)
 		if !checkPredicted(pr, e, pr.Dilation, g, h) {
 			return
 		}
 	}
 	ev.congest(pr, g, h, netsim.Placement(table))
+}
+
+// edgeDilation returns the dilation and average dilation of the
+// embedding's table: in closed form from the axis images when its
+// digit kernel is carry-free, else by the fused edge pass.
+func edgeDilation(e *embed.Embedding, g grid.Spec, table embed.Table, rd *grid.RankDistancer) (int, float64) {
+	if k := e.Digits(); k != nil {
+		if dil, avg, ok := k.EdgeDilation(g, rd); ok {
+			return dil, avg
+		}
+	}
+	return g.EdgeDilation(table, rd)
 }
 
 // measureSlow is the above-threshold fallback: the embedding's own

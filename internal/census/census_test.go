@@ -271,43 +271,42 @@ func TestMetricsContent(t *testing.T) {
 	}
 }
 
-// TestStrategyModeMatchesLegacyCoverage: the strategy-only engine mode
-// behind catalog.Coverage agrees with the rich mode on coverage counts.
-func TestStrategyModeMatchesLegacyCoverage(t *testing.T) {
-	rich := mustRun(t, richConfig(36, 0))
-	legacy := catalog.Coverage(36, 0, func(g, h grid.Spec) (string, error) {
-		e, err := core.Embed(g, h)
-		if err != nil {
-			return "", err
-		}
-		return e.Strategy, nil
-	})
-	if legacy.Pairs != rich.Pairs || legacy.Embeddable != rich.Embeddable {
-		t.Errorf("legacy coverage %d/%d, rich census %d/%d",
-			legacy.Embeddable, legacy.Pairs, rich.Embeddable, rich.Pairs)
+// TestEmbedModeCoverage: the size-16 pair space has 5 canonical shapes
+// (16, 8x2, 4x4, 4x2x2, 2x2x2x2) and 100 ordered pairs, every one
+// embeddable — power-of-two families are total: each pair is
+// expandable, reducible or square (hypercube glue) — and the
+// per-strategy counts sum to the embeddable count.
+func TestEmbedModeCoverage(t *testing.T) {
+	c := mustRun(t, census.Config{Size: 16, Shapes: catalog.CanonicalShapesOfSize(16, 0), Embed: core.Embed})
+	if len(c.Shapes) != 5 {
+		t.Errorf("census shapes = %d, want 5", len(c.Shapes))
 	}
-	if len(legacy.ByStrategy) != len(rich.ByStrategy) {
-		t.Errorf("strategy keys differ: %v vs %v", legacy.ByStrategy, rich.ByStrategy)
+	if c.Pairs != 5*5*4 {
+		t.Errorf("census pairs = %d, want 100", c.Pairs)
 	}
-	for k, v := range rich.ByStrategy {
-		if legacy.ByStrategy[k] != v {
-			t.Errorf("strategy %s: legacy %d, rich %d", k, legacy.ByStrategy[k], v)
-		}
+	if c.Embeddable != c.Pairs {
+		t.Errorf("census embeddable = %d of %d; power-of-two families should be total", c.Embeddable, c.Pairs)
+	}
+	if len(c.ByStrategy) == 0 {
+		t.Error("census recorded no strategies")
+	}
+	total := 0
+	for _, n := range c.ByStrategy {
+		total += n
+	}
+	if total != c.Embeddable {
+		t.Errorf("strategy counts sum to %d, want %d", total, c.Embeddable)
 	}
 }
 
 // TestConfigValidation covers Run's misconfiguration errors.
 func TestConfigValidation(t *testing.T) {
 	shapes := catalog.CanonicalShapesOfSize(12, 0)
-	strategyFn := func(g, h grid.Spec) (string, error) { return "x", nil }
 	bad := []struct {
 		name string
 		cfg  census.Config
 	}{
 		{"no evaluator", census.Config{Size: 12, Shapes: shapes}},
-		{"two evaluators", census.Config{Size: 12, Shapes: shapes, Embed: core.Embed, Strategy: strategyFn}},
-		{"metrics with strategy mode", census.Config{Size: 12, Shapes: shapes, Strategy: strategyFn, Metrics: true}},
-		{"congestion with strategy mode", census.Config{Size: 12, Shapes: shapes, Strategy: strategyFn, Congestion: true}},
 		{"shard out of range", census.Config{Size: 12, Shapes: shapes, Embed: core.Embed, Shard: 3, Shards: 2}},
 		{"negative shard", census.Config{Size: 12, Shapes: shapes, Embed: core.Embed, Shard: -1, Shards: 2}},
 		{"shape size mismatch", census.Config{Size: 13, Shapes: shapes, Embed: core.Embed}},

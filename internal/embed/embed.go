@@ -12,9 +12,13 @@
 // AverageDilation, Verify — drive over blocked edge enumeration striped
 // across GOMAXPROCS workers. Constructions register their closed forms
 // with NewSeparable/NewIndexed/NewKernel; closures registered with New
-// fall back to a decode-map-encode adapter. Kernels of guests at or
-// below MaterializeThreshold() are materialized into lookup tables on
-// first use, and composing materialized steps fuses their tables.
+// fall back to a decode-map-encode adapter. Compositions of digit
+// kernels compile into one digit kernel when each stage but the last is
+// disjoint, and a digit kernel's closed forms (digits.go) measure its
+// dilation and prove its injectivity from its axis images. Kernels of
+// guests at or below MaterializeThreshold() are materialized into
+// lookup tables on first use, and composing materialized steps fuses
+// their tables.
 package embed
 
 import (
@@ -86,6 +90,18 @@ func (e *Embedding) cachedKernel() Kernel {
 		return e.matTable
 	}
 	return e.kernel
+}
+
+// Digits returns the embedding's compiled digit kernel, whose closed
+// forms (DigitKernel.EdgeDilation, Bijective) measure the embedding
+// from its axis images, or nil when the kernel is not one: a table, a
+// chain of stages that do not collapse, or a closure adapter.
+func (e *Embedding) Digits() *DigitKernel {
+	k, ok := e.kernel.(*DigitKernel)
+	if !ok || !k.host.Equal(e.To.Shape) || !e.From.Shape.Equal(k.lengths) {
+		return nil
+	}
+	return k
 }
 
 // Table materializes the embedding as a slice indexed by guest row-major
@@ -265,8 +281,13 @@ func (e *Embedding) CheckPredicted() (int, error) {
 // at most first.Predicted steps in the middle graph, each of which
 // spreads to at most second.Predicted steps in the host), so the
 // composite guarantee is the product when both parts carry one. Kernels
-// compose too: already-materialized steps fuse into a single table;
-// otherwise the stages chain and fuse on first materialization.
+// compose too: already-materialized steps fuse into a single table. Two
+// digit kernels compile into one digit kernel when the first is
+// disjoint over the intermediate (each intermediate digit moves with at
+// most one guest axis): the new contributions are the second kernel
+// evaluated at the first's axis images, so a whole construction
+// pipeline evaluates as one sum per rank. Anything else chains stage by
+// stage until first materialization.
 func Compose(first, second *Embedding) (*Embedding, error) {
 	if first.To.Kind != second.From.Kind || !first.To.Shape.Equal(second.From.Shape) {
 		return nil, fmt.Errorf("embed: cannot compose %s -> %s with %s -> %s: intermediate specs differ",

@@ -10,18 +10,23 @@ package embed
 //
 // Three compiled forms cover every construction in the paper:
 //
+//   - DigitKernel (digits.go): the closed form for every one of Ma &
+//     Tao's constructions. Each guest coordinate independently
+//     determines a fixed set of host digits, so the host rank is a sum
+//     of per-coordinate contributions: host(x) = Σ_i contrib[i][digit_i(x)].
+//     CompileSeparable builds the tables by probing the node map once
+//     per (dimension, digit value) — Σ l_i probes in total — and a
+//     composition of digit kernels compiles to one digit kernel
+//     whenever each stage but the last is disjoint.
 //   - Table: the fully materialized map. Any kernel over a guest of at
 //     most MaterializeThreshold() nodes is materialized into a Table on
-//     first use, and composing two materialized steps fuses them into a
-//     single table instead of chaining evaluations.
-//   - DigitKernel: the closed form for every one of Ma & Tao's
-//     constructions. Each guest coordinate independently determines a
-//     fixed set of host digits, so the host rank is a sum of
-//     per-coordinate contributions: host(x) = Σ_i contrib[i][digit_i(x)].
-//     CompileSeparable builds the tables by probing the node map once
-//     per (dimension, digit value) — Σ l_i probes in total.
-//   - chainKernel: composition fallback for oversized intermediates;
-//     stages evaluate in place over the same block.
+//     first use (a digit kernel by an odometer fill, without division),
+//     and composing two materialized steps that do not collapse fuses
+//     them into a single table instead of chaining evaluations.
+//   - chainKernel: the fallback for stages that do not collapse (a
+//     closure, a table or a non-disjoint digit kernel followed by
+//     another stage); stages evaluate in place over the same block, and
+//     a chain under the threshold is materialized on first use.
 
 import (
 	"fmt"
@@ -120,63 +125,6 @@ type identityKernel struct{}
 
 func (identityKernel) EvalBatch(dst, src []int) { copy(dst, src) }
 
-// DigitKernel is the compiled form of a digit-separable node map: each
-// guest coordinate independently determines a fixed set of host
-// digits, so the host rank decomposes as
-//
-//	host(x) = Σ_i contrib[i][digit_i(x)]
-//
-// where digit_i(x) is the i-th row-major digit of guest rank x. All of
-// the paper's construction maps (permutations, T_L, F_V/G_V/H_V, U_V,
-// and the general-reduction supernode maps) are of this shape.
-type DigitKernel struct {
-	lengths []int   // guest dimension lengths, leftmost first
-	contrib [][]int // contrib[i][v]: host-rank contribution of digit v at dim i
-}
-
-// EvalBatch implements Kernel: decode digits right-to-left and sum the
-// per-dimension contributions. Allocation-free.
-func (k *DigitKernel) EvalBatch(dst, src []int) {
-	lengths, contrib := k.lengths, k.contrib
-	for i, x := range src {
-		sum := 0
-		for j := len(lengths) - 1; j >= 0; j-- {
-			l := lengths[j]
-			sum += contrib[j][x%l]
-			x /= l
-		}
-		dst[i] = sum
-	}
-}
-
-// CompileSeparable compiles a digit-separable node map into a
-// DigitKernel by probing fn at the all-zeros guest node and at each
-// single-coordinate value — Σ_i l_i + 1 evaluations in total. fn MUST
-// map each guest coordinate independently to a fixed set of host digit
-// positions (true for every construction in the paper); the compiled
-// kernel is only guaranteed to agree with fn under that condition, and
-// the package's parity tests enforce it for every producer.
-func CompileSeparable(from, to grid.Spec, fn func(grid.Node) grid.Node) *DigitKernel {
-	d := from.Dim()
-	probe := make(grid.Node, d)
-	base := to.Shape.Index(fn(probe))
-	contrib := make([][]int, d)
-	for i, l := range from.Shape {
-		row := make([]int, l)
-		for v := 1; v < l; v++ {
-			probe[i] = v
-			row[v] = to.Shape.Index(fn(probe)) - base
-		}
-		probe[i] = 0
-		contrib[i] = row
-	}
-	// Fold the base offset into dimension 0 so evaluation is a pure sum.
-	for v := range contrib[0] {
-		contrib[0][v] += base
-	}
-	return &DigitKernel{lengths: append([]int(nil), from.Shape...), contrib: contrib}
-}
-
 // nodeMapKernel adapts a per-node closure to the batch interface: it
 // decodes each rank into a reused coordinate buffer, applies the map,
 // and re-encodes. Out-of-bounds images encode as rank -1 so Verify
@@ -237,8 +185,10 @@ func (k chainKernel) EvalBatch(dst, src []int) {
 	}
 }
 
-// composeKernels chains two kernels, flattening nested chains and
-// fusing adjacent materialized tables into one.
+// composeKernels chains two kernels: adjacent digit kernels that
+// collapse become one digit kernel, identity stages drop out, adjacent
+// materialized tables fuse into one, and anything else chains, with
+// nested chains flattened.
 func composeKernels(first, second Kernel) Kernel {
 	if t1, ok := first.(Table); ok {
 		if t2, ok := second.(Table); ok {
@@ -246,12 +196,32 @@ func composeKernels(first, second Kernel) Kernel {
 		}
 	}
 	var steps []Kernel
+	push := func(k Kernel) {
+		if _, ok := k.(identityKernel); ok {
+			return
+		}
+		if n := len(steps); n > 0 {
+			if c := collapse(steps[n-1], k); c != nil {
+				steps[n-1] = c
+				return
+			}
+		}
+		steps = append(steps, k)
+	}
 	for _, k := range []Kernel{first, second} {
 		if c, ok := k.(chainKernel); ok {
-			steps = append(steps, c.steps...)
+			for _, s := range c.steps {
+				push(s)
+			}
 		} else {
-			steps = append(steps, k)
+			push(k)
 		}
+	}
+	switch len(steps) {
+	case 0:
+		return identityKernel{}
+	case 1:
+		return steps[0]
 	}
 	return chainKernel{steps: steps}
 }
@@ -275,46 +245,52 @@ func FuseTables(first, second Table) Table {
 	return fused
 }
 
-// PostCompose returns the embedding followed by a pure relabeling of
-// the host's ranks: the image of guest rank x becomes post[base(x)].
-// post must cover every host rank, and to must have the host's size
-// (only the kind and axis labeling may differ — the relabeled host).
+// PostCompose returns the embedding followed by post, a pure
+// relabeling of the host's ranks: the image of guest rank x becomes
+// post(base(x)). post maps a graph of base's host shape onto the final
+// host, which may differ from base's host in kind and axis labeling.
 //
 // This is the cheap half of candidate generation in the placement
-// search: a base construction is built (and materialized) once, and
-// each host symmetry — an axis permutation back from the permuted
-// host, a coordinate rotation — is applied as a single table fusion
-// instead of re-running the construction. post is not required to be
-// distance-preserving (mesh rotations are not), so no dilation
-// guarantee is carried over; predicted records the caller's bound, or
-// 0 to force measurement.
-func PostCompose(base *Embedding, to grid.Spec, strategy string, predicted int, post Table) (*Embedding, error) {
-	if len(post) != base.To.Size() {
-		return nil, fmt.Errorf("embed: post-compose table has %d entries, want %d", len(post), base.To.Size())
+// search: a base construction is built once, and each host symmetry —
+// an axis permutation back from the permuted host, a coordinate
+// rotation — is applied to it instead of re-running the construction.
+// When both kernels are digit kernels and the base is disjoint, the
+// two compile into one digit kernel and nothing is materialized;
+// otherwise the base and post are materialized (each once, cached in
+// its embedding) and fused into a single table, or chained above the
+// threshold. post is not required to be distance-preserving (mesh
+// rotations are not), so no dilation guarantee is carried over;
+// predicted records the caller's bound, or 0 to force measurement.
+func PostCompose(base, post *Embedding, strategy string, predicted int) (*Embedding, error) {
+	if !post.From.Shape.Equal(base.To.Shape) {
+		return nil, fmt.Errorf("embed: post-compose relabeling of %s does not apply to host %s", post.From, base.To)
 	}
-	if to.Size() != base.To.Size() {
-		return nil, fmt.Errorf("embed: post-compose host %s has %d nodes, want %d", to, to.Size(), base.To.Size())
+	if c := collapse(base.kernel, post.kernel); c != nil {
+		return NewKernel(base.From, post.To, strategy, predicted, c)
 	}
-	// composeKernels fuses a materialized base with post into one lookup
-	// table — the common placement-search case (Kernel materializes and
-	// caches guests under the threshold on first use) — and otherwise
-	// chains the stages.
-	k := composeKernels(base.Kernel(), post)
-	return NewKernel(base.From, to, strategy, predicted, k)
+	return NewKernel(base.From, post.To, strategy, predicted, composeKernels(base.Kernel(), post.Kernel()))
 }
 
 // Materialize evaluates k over [0, n) in parallel blocks and returns
-// the resulting table. Each block of the table is filled with its own
-// guest ranks and evaluated in place, so the table is the only
-// allocation. When k is already a Table it is returned as is (not
-// copied); callers handing the result to user code must copy.
+// the resulting table, the only allocation. A digit kernel fills each
+// block by odometer (DigitKernel.fill): it decodes the block's first
+// rank and then adds one contribution difference per carried digit,
+// with no division. Any other kernel gets each block filled with its
+// own guest ranks and evaluated in place. When k is already a Table it
+// is returned as is (not copied); callers handing the result to user
+// code must copy.
 func Materialize(k Kernel, n int) Table {
 	if t, ok := k.(Table); ok {
 		return t
 	}
 	tablesMaterialized.Inc()
 	out := make(Table, n)
+	d, digits := k.(*DigitKernel)
 	par.Blocks(n, par.Grain(n, 4096), func(lo, hi int) {
+		if digits {
+			d.fill(out[lo:hi], lo)
+			return
+		}
 		for blockLo := lo; blockLo < hi; blockLo += grid.DefaultEdgeBlock {
 			blk := out[blockLo:min(blockLo+grid.DefaultEdgeBlock, hi)]
 			for i := range blk {

@@ -340,9 +340,10 @@ func BenchmarkVerifyBatch(b *testing.B) {
 	}
 }
 
-// TestPostCompose: fusing a host-rank relabeling onto a base embedding
-// must agree with the reference composition of the two embeddings, for
-// both materialized and chained (above-threshold) bases.
+// TestPostCompose: post-composing a host relabeling onto a base
+// embedding must agree with the reference composition of the two
+// embeddings, whether the kernels collapse into one digit kernel, fuse
+// into one table, or chain above the materialization threshold.
 func TestPostCompose(t *testing.T) {
 	g := grid.MustSpec(grid.Torus, grid.Shape{8, 2})
 	h := grid.MustSpec(grid.Mesh, grid.Shape{4, 4})
@@ -359,18 +360,13 @@ func TestPostCompose(t *testing.T) {
 		}
 		return base
 	}
-	// The relabeling under test: a rotation of the host, whose table is
-	// a pure host-rank permutation.
+	// The relabeling under test: a rotation of the host, a pure
+	// host-rank permutation.
 	rot, err := Rotate(h, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := Materialize(rot.Kernel(), h.Size())
-	want, err := Compose(newBase(), rot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(got *Embedding) {
+	check := func(want, got *Embedding) {
 		t.Helper()
 		wt, gt := want.Table(), got.Table()
 		for i := range wt {
@@ -385,16 +381,47 @@ func TestPostCompose(t *testing.T) {
 			}
 		}
 	}
-	got, err := PostCompose(newBase(), h, "fused", 0, post)
+	want, err := Compose(newBase(), rot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(got)
-	if _, ok := got.Kernel().(Table); !ok {
-		t.Error("materialized base did not fuse to a single table")
+	got, err := PostCompose(newBase(), rot, "fused", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(want, got)
+	if _, ok := got.kernel.(Table); !ok {
+		t.Errorf("materialized base fused to %T, want a single table", got.kernel)
+	}
+	// A disjoint digit-kernel base collapses with the relabeling into
+	// one digit kernel, materializing nothing.
+	mesh := grid.MustSpec(grid.Mesh, grid.Shape{4, 4})
+	sw, err := Permute(mesh, perm.Perm{1, 0}, grid.Mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tablesMaterialized.Value()
+	one, err := PostCompose(sw, rot, "collapsed", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Digits() == nil {
+		t.Fatalf("digit-kernel base post-composed to %T, want one digit kernel", one.kernel)
+	}
+	if d := tablesMaterialized.Value() - before; d != 0 {
+		t.Errorf("collapsing post-composition materialized %d tables", d)
+	}
+	ref, err := Compose(sw, rot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < n; x++ {
+		if a, b := one.MapIndex(x), rot.MapIndex(sw.MapIndex(x)); a != b || ref.MapIndex(x) != b {
+			t.Fatalf("collapsed(%d) = %d, want %d", x, a, b)
+		}
 	}
 	// Above the materialization threshold the base stays a chain; the
-	// fused embedding must still agree.
+	// composed embedding must still agree.
 	old := MaterializeThreshold()
 	SetMaterializeThreshold(0)
 	defer SetMaterializeThreshold(old)
@@ -402,19 +429,20 @@ func TestPostCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := PostCompose(fnBase, h, "chained", 0, post)
+	got2, err := PostCompose(fnBase, rot, "chained", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := got2.cachedKernel().(Table); ok {
 		t.Error("above-threshold base should chain, not materialize")
 	}
-	check(got2)
-	// Size mismatches are rejected.
-	if _, err := PostCompose(newBase(), h, "bad", 0, post[:4]); err == nil {
-		t.Error("short post table accepted")
+	check(want, got2)
+	// A relabeling of a differently shaped host is rejected.
+	other, err := Rotate(grid.MustSpec(grid.Mesh, grid.Shape{8, 2}), []int{1, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := PostCompose(newBase(), grid.MustSpec(grid.Mesh, grid.Shape{4, 2}), "bad", 0, post); err == nil {
-		t.Error("wrong-size host accepted")
+	if _, err := PostCompose(newBase(), other, "bad", 0); err == nil {
+		t.Error("relabeling of a 8x2 host accepted for a 4x4 host")
 	}
 }

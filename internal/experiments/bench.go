@@ -1,10 +1,12 @@
 // The reproducible benchmark runner behind `experiments -bench`: it
 // drives the performance-critical kernels of the annealing evaluation
 // stack — LoadState construction, dense congestion, striped edge
-// dilation, and the per-move swap — and two small-pair passes (one
-// size-120 census, one default placement search) through
-// testing.Benchmark at one worker and at the machine's full worker
-// count, and renders the results as a versioned BENCH.json. The artifact is the repo's
+// dilation, and the per-move swap — the small-pair and search passes
+// (one size-120 census, default placement searches of a 16-node and a
+// 4096-node pair) and one construction (a mid-rotated prime refinement
+// of the 32³ pair, built and materialized) through testing.Benchmark at
+// one worker and at the machine's full worker count, and renders the
+// results as a versioned BENCH.json. The artifact is the repo's
 // recorded perf trajectory: CI runs the runner as a smoke (the numbers
 // themselves are machine-dependent; the alloc gates live in the test
 // suites), and a committed BENCH.json documents the shape of the
@@ -22,6 +24,7 @@ import (
 	"torusmesh/internal/catalog"
 	"torusmesh/internal/census"
 	"torusmesh/internal/core"
+	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/netsim"
 	"torusmesh/internal/obs"
@@ -200,8 +203,8 @@ func RunBench() (*BenchReport, error) {
 
 	// Small pairs: the census and the placement search measure
 	// thousands of 120–360-node pairs, where per-pair allocation rather
-	// than per-edge work sets the pace. One size-120 census pass with
-	// every measurement on, and one search at the place CLI's defaults.
+	// than per-edge work sets the pace: one size-120 census pass with
+	// every measurement on.
 	censusCfg := census.Config{
 		Size:       120,
 		MaxDim:     3,
@@ -217,18 +220,43 @@ func RunBench() (*BenchReport, error) {
 			}
 		}
 	})
-	searchCfg := place.Config{
-		Guest:       grid.TorusSpec(8, 2),
-		Host:        grid.MeshSpec(4, 4),
-		CapDilation: true,
-		Rotations:   true,
-		Strategies:  place.DefaultStrategies(),
+	// Searches at the place CLI's defaults (annealing off): the small
+	// pair, and the 16³ pair, whose candidates the dilation cap mostly
+	// discards — measured in closed form, they are never materialized.
+	for _, pair := range [][2]grid.Spec{
+		{grid.TorusSpec(8, 2), grid.MeshSpec(4, 4)},
+		{grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16)},
+	} {
+		searchCfg := place.Config{
+			Guest:       pair[0],
+			Host:        pair[1],
+			CapDilation: true,
+			Rotations:   true,
+			Strategies:  place.DefaultStrategies(),
+		}
+		runScaling(report, fmt.Sprintf("place-search/%s->%s", searchCfg.Guest, searchCfg.Host), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := place.Search(searchCfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	runScaling(report, fmt.Sprintf("place-search/%s->%s", searchCfg.Guest, searchCfg.Host), func(b *testing.B) {
+
+	// One construction layer row: build the 32³ pair's prime refinement
+	// around a rotated intermediate (expansion, rotation, reduction —
+	// compiled into one digit kernel) and materialize its table.
+	bigGuest, bigHost := grid.TorusSpec(32, 32, 32), grid.MeshSpec(32, 32, 32)
+	midRot := make([]int, core.PrimeIntermediate(bigGuest, bigHost).Dim())
+	midRot[0] = 1
+	rotate := func(mid grid.Spec) (*embed.Embedding, error) { return embed.Rotate(mid, midRot) }
+	runScaling(report, fmt.Sprintf("construct/primes-midrot/%s->%s", bigGuest, bigHost), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := place.Search(searchCfg); err != nil {
+			e, err := core.EmbedViaPrimesMid(bigGuest, bigHost, rotate)
+			if err != nil {
 				b.Fatal(err)
 			}
+			e.Kernel()
 		}
 	})
 

@@ -14,6 +14,7 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -73,7 +74,8 @@ func (s Shape) Size() int {
 	return n
 }
 
-// Validate checks that the shape is non-empty and every length is >= 2.
+// Validate checks that the shape is non-empty, every length is >= 2,
+// and the node count fits an int (so Size is exact).
 func (s Shape) Validate() error {
 	if len(s) == 0 {
 		return errors.New("grid: empty shape")
@@ -82,6 +84,13 @@ func (s Shape) Validate() error {
 		if l < 2 {
 			return fmt.Errorf("grid: dimension %d has length %d; every length must be >= 2", i+1, l)
 		}
+	}
+	n := 1
+	for _, l := range s {
+		if n > math.MaxInt/l {
+			return fmt.Errorf("grid: shape %s has more than %d nodes", s, math.MaxInt)
+		}
+		n *= l
 	}
 	return nil
 }

@@ -241,6 +241,12 @@ func TestSpecParse(t *testing.T) {
 	if _, err := ParseSpec("mesh"); err == nil {
 		t.Error("missing shape should fail")
 	}
+	// Node counts past an int would make Size wrap (to 0, or negative).
+	for _, spec := range []string{"torus:4294967296x4294967296", "torus:3037000500x3037000500"} {
+		if sp, err := ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%s) accepted a shape of %d nodes", spec, sp.Size())
+		}
+	}
 	if got := RingSpec(8).String(); got != "ring(8)" {
 		t.Errorf("RingSpec String = %q", got)
 	}

@@ -17,10 +17,12 @@
 // distinct (strategy, guest symmetries, mid rotation, permuted host
 // shape), and the host-side symmetries — the permutation back from the
 // permuted host and the host rotation — are pure relabelings of host
-// ranks, post-composed onto the cached base as a single table fusion
-// (embed.PostCompose). On hosts with equal-length axes every member of
-// the host permutation group targets the same permuted shape, so the
-// whole tier shares one construction.
+// ranks, post-composed onto the cached base (embed.PostCompose): as one
+// digit kernel when the base is disjoint, so the candidate has no table
+// until it is scored, and otherwise as a single table fusion. On hosts
+// with equal-length axes every member of the host permutation group
+// targets the same permuted shape, so the whole tier shares one
+// construction.
 
 package place
 
@@ -281,7 +283,7 @@ func permutedHost(h grid.Spec, hperm perm.Perm) grid.Spec {
 // baseKey identifies the construction half of a variant: the strategy,
 // the guest-side pre-symmetries, the mid rotation, and the permuted
 // host shape the construction targets. Variants sharing a key share
-// one constructed (and materialized) embedding.
+// one constructed embedding.
 func (v variantSpec) baseKey(hp grid.Spec) string {
 	return fmt.Sprintf("%d|%v|%v|%v|%s", v.strategy, v.gperm, v.grot, v.midrot, hp.Shape)
 }
@@ -323,41 +325,35 @@ func buildBase(cfg *Config, v variantSpec, hp grid.Spec) (*embed.Embedding, erro
 	return embed.ComposeAll(steps...)
 }
 
-// postParts returns the host-side relabeling of a variant as a rank
-// table over the host plus its strategy-chain suffix, or (nil, "") for
-// the identity. The table is the fused permute-back ∘ host-rotation
-// map — a pure bijection of host ranks.
-func postParts(cfg *Config, v variantSpec) (embed.Table, string, error) {
+// postParts returns the host-side relabeling of a variant — the
+// permutation back from the permuted host, then the host rotation — as
+// one embedding of the host onto itself, or nil for the identity. Both
+// symmetries are disjoint digit kernels, so they compile into one.
+func postParts(cfg *Config, v variantSpec) (*embed.Embedding, error) {
 	h := cfg.Host
-	var post embed.Table
-	var name string
+	var post *embed.Embedding
 	if v.hperm != nil {
 		hp := permutedHost(h, v.hperm)
 		back, err := embed.Permute(hp, perm.Perm(v.hperm).Inverse(), h.Kind)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		if !back.To.Shape.Equal(h.Shape) {
-			return nil, "", fmt.Errorf("place: internal error: host permutation %v does not invert for %s", v.hperm, h)
+			return nil, fmt.Errorf("place: internal error: host permutation %v does not invert for %s", v.hperm, h)
 		}
-		post = append(embed.Table(nil), embed.Materialize(back.Kernel(), h.Size())...)
-		name = back.Strategy
+		post = back
 	}
 	if v.hrot != nil {
 		rot, err := embed.Rotate(h, v.hrot)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		rt := embed.Materialize(rot.Kernel(), h.Size())
 		if post == nil {
-			post = append(embed.Table(nil), rt...)
-			name = rot.Strategy
-		} else {
-			post = embed.FuseTables(post, rt)
-			name += " ∘ " + rot.Strategy
+			return rot, nil
 		}
+		return embed.Compose(post, rot)
 	}
-	return post, name, nil
+	return post, nil
 }
 
 // buildVariant constructs the composite embedding of one variant from
@@ -375,9 +371,9 @@ func buildVariant(cfg *Config, v variantSpec) (*embed.Embedding, error) {
 	if v.hperm == nil && v.hrot == nil {
 		return base, nil
 	}
-	post, name, err := postParts(cfg, v)
+	post, err := postParts(cfg, v)
 	if err != nil {
 		return nil, err
 	}
-	return embed.PostCompose(base, cfg.Host, base.Strategy+" ∘ "+name, 0, post)
+	return embed.PostCompose(base, post, base.Strategy+" ∘ "+post.Strategy, 0)
 }

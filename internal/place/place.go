@@ -65,28 +65,37 @@
 //
 // Candidates are scored concurrently on the internal/par pool, but the
 // construction half is shared: each distinct (strategy, guest
-// symmetries, intermediate rotation, permuted host shape) is built and
-// materialized once, and host-side symmetries — pure relabelings of
-// host ranks — are post-composed onto the cached base as a single
-// table fusion (embed.PostCompose). On hosts with equal-length axes the
+// symmetries, intermediate rotation, permuted host shape) is built
+// once, and host-side symmetries — pure relabelings of host ranks — are
+// post-composed onto the cached base (embed.PostCompose). A base whose
+// digit kernel is disjoint compiles with them into one digit kernel per
+// candidate, so the candidate stays a kernel of Σ l_i contributions
+// until it is scored; any other base is materialized once and fused
+// with each relabeling's table. On hosts with equal-length axes the
 // whole host-permutation tier shares one construction.
 //
 // Each worker validates its candidate (strategies are caller-injected,
 // so a broken construction is discarded and counted, not fatal — only
-// the baseline is load-bearing), measures dilation and average dilation
-// in one fused pass over the guest's edge blocks, and only then routes
-// the guest's edges for congestion — the expensive half. Two gates skip
-// that half early: a candidate whose measured dilation exceeds the cap
-// (CapDilation pins the cap to the baseline's measured dilation) is
-// discarded, and a candidate whose best conceivable cost vector
-// (dilation, 1, 1) is already strictly dominated by a fully scored
-// candidate is pruned — it can neither join the front nor win. Pruning
-// depends on scheduling, but never changes the result: the front — the
-// non-dominated set over the scored candidates, identical cost vectors
-// represented by the lowest (earliest-tier) index — is deterministic,
-// the scalarized winner is the front member with the lowest score (ties
-// to the lowest index), and so is the JSON artifact (volatile counters
-// are excluded).
+// the baseline is load-bearing) and measures its dilation and average
+// dilation. Both try the digit kernel's closed forms first: a disjoint
+// kernel with distinct axis images is a proved bijection, and a
+// carry-free kernel's dilation follows from its Σ l_i axis edges.
+// Candidates without a closed form are materialized, scanned, and
+// measured in one fused pass over the guest's edge blocks. Only then
+// does the worker route the guest's edges for congestion — the
+// expensive half, and the one that needs the candidate's table, so a
+// candidate is materialized only when it is scored (or seeds
+// annealing). Two gates skip that half early: a candidate whose
+// measured dilation exceeds the cap (CapDilation pins the cap to the
+// baseline's measured dilation) is discarded, and a candidate whose
+// best conceivable cost vector (dilation, 1, 1) is already strictly
+// dominated by a fully scored candidate is pruned — it can neither
+// join the front nor win. Pruning depends on scheduling, but never
+// changes the result: the front — the non-dominated set over the
+// scored candidates, identical cost vectors represented by the lowest
+// (earliest-tier) index — is deterministic, the scalarized winner is
+// the front member with the lowest score (ties to the lowest index),
+// and so is the JSON artifact (volatile counters are excluded).
 //
 // # Annealing refinement
 //
@@ -586,11 +595,10 @@ type baseEntry struct {
 	err  error
 }
 
-// postEntry is one lazily built host-side relabeling table.
+// postEntry is one lazily built host-side relabeling.
 type postEntry struct {
 	once sync.Once
-	t    embed.Table
-	name string
+	e    *embed.Embedding
 	err  error
 }
 
@@ -615,9 +623,12 @@ func newSearcher(cfg *Config) *searcher {
 }
 
 // build constructs a variant's composite embedding through the caches:
-// the base construction is built (and its kernel materialized) at most
-// once per baseKey, and host-side symmetries are post-composed as one
-// table fusion. Produces embeddings rank-identical to buildVariant.
+// the base construction is built at most once per baseKey, and
+// host-side symmetries are post-composed onto it — one digit kernel
+// when the base is disjoint, else one fusion of the base's cached
+// table. A digit-kernel candidate has no table yet: validate and
+// measure try the closed forms first, so it gets one only when it is
+// scored. Produces embeddings rank-identical to buildVariant.
 func (s *searcher) build(v variantSpec) (*embed.Embedding, error) {
 	hp := permutedHost(s.cfg.Host, v.hperm)
 	key := v.baseKey(hp)
@@ -639,11 +650,11 @@ func (s *searcher) build(v variantSpec) (*embed.Embedding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return embed.PostCompose(be.e, s.cfg.Host, be.e.Strategy+" ∘ "+post.name, 0, post.t)
+	return embed.PostCompose(be.e, post, be.e.Strategy+" ∘ "+post.Strategy, 0)
 }
 
 // post returns the cached host-side relabeling of a variant.
-func (s *searcher) post(v variantSpec) (*postEntry, error) {
+func (s *searcher) post(v variantSpec) (*embed.Embedding, error) {
 	key := fmt.Sprintf("%v|%v", v.hperm, v.hrot)
 	s.postMu.Lock()
 	pe := s.posts[key]
@@ -652,19 +663,21 @@ func (s *searcher) post(v variantSpec) (*postEntry, error) {
 		s.posts[key] = pe
 	}
 	s.postMu.Unlock()
-	pe.once.Do(func() { pe.t, pe.name, pe.err = postParts(s.cfg, v) })
-	if pe.err != nil {
-		return nil, pe.err
-	}
-	return pe, nil
+	pe.once.Do(func() { pe.e, pe.err = postParts(s.cfg, v) })
+	return pe.e, pe.err
 }
 
 // validate rejects malformed candidate embeddings — an image out of the
 // host's rank range or two guest nodes sharing one — before they reach
 // the distance kernels, which index by host rank and would panic.
 // Strategies are caller-injected, so the engine treats construction
-// output as fallible, the way the census does.
+// output as fallible, the way the census does. A digit kernel whose
+// closed form proves it a bijection needs no table; any other candidate
+// is materialized and scanned.
 func (s *searcher) validate(e *embed.Embedding) error {
+	if k := e.Digits(); k != nil && k.Bijective() {
+		return nil
+	}
 	table, _ := e.Kernel().(embed.Table)
 	if table == nil {
 		return e.Verify()
@@ -680,10 +693,17 @@ func (s *searcher) validate(e *embed.Embedding) error {
 	return nil
 }
 
-// measure returns the dilation and average dilation of the embedding in
-// one fused pass over the guest's edge blocks when the kernel is
-// materialized, falling back to the embedding's own parallel paths.
+// measure returns the dilation and average dilation of the embedding:
+// from the closed form when its digit kernel is carry-free, which
+// needs no table, else in one fused pass over the guest's edge blocks
+// when the kernel is materialized, falling back to the embedding's own
+// parallel paths.
 func (s *searcher) measure(e *embed.Embedding) (int, float64) {
+	if k := e.Digits(); k != nil {
+		if dil, avg, ok := k.EdgeDilation(s.cfg.Guest, s.rd); ok {
+			return dil, avg
+		}
+	}
 	table, _ := e.Kernel().(embed.Table)
 	if table == nil {
 		return e.Dilation(), e.AverageDilation()

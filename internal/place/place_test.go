@@ -519,9 +519,9 @@ func TestFrontDeterministic(t *testing.T) {
 }
 
 // TestCachedBuildMatchesReference: the searcher's cached build path —
-// one base construction per key, host symmetries post-composed as
-// table fusions — must produce embeddings rank-identical to the
-// uncached reference builder for every variant of a pair.
+// one base construction per key, host symmetries post-composed onto
+// it — must produce embeddings rank-identical to the uncached
+// reference builder for every variant of a pair.
 func TestCachedBuildMatchesReference(t *testing.T) {
 	cfg := Config{
 		Guest:      grid.TorusSpec(8, 2),

@@ -346,3 +346,24 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unembeddable pair = %d (%s), want 422", code, body)
 	}
 }
+
+// TestHTTPRefusesOversizedPairs: specs whose node count overflows an
+// int, and a valid pair above the materialization threshold, answer
+// 400 before any cache entry — and so any search or table — exists.
+func TestHTTPRefusesOversizedPairs(t *testing.T) {
+	srv := newTestServer(t, testConfig())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, q := range []string{
+		"/place?from=torus:4294967296x4294967296&to=mesh:4294967296x4294967296",
+		"/place?from=torus:3037000500x3037000500&to=mesh:3037000500x3037000500",
+		"/place?from=torus:4096x2048&to=mesh:2048x4096",
+	} {
+		if code, body := get(t, ts, q); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", q, code, body)
+		}
+	}
+	if n := srv.misses.Value(); n != 0 {
+		t.Errorf("placed_cache_misses_total = %d after refused requests, want 0", n)
+	}
+}

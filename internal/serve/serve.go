@@ -38,6 +38,7 @@ import (
 
 	"torusmesh/internal/catalog"
 	"torusmesh/internal/census"
+	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/netsim"
 	"torusmesh/internal/obs"
@@ -50,8 +51,10 @@ import (
 var (
 	// ErrClosed reports a request against a closed server.
 	ErrClosed = errors.New("serve: server closed")
-	// ErrBadPair reports a pair that cannot be canonicalized: invalid
-	// shapes or mismatched sizes.
+	// ErrBadPair reports a pair that cannot be canonicalized (invalid
+	// shapes or mismatched sizes) or that is too large to place: above
+	// embed.MaterializeThreshold() nodes, past which a placement table
+	// is not materialized.
 	ErrBadPair = errors.New("serve: invalid pair")
 	// ErrUnembeddable reports a pair the baseline strategy cannot
 	// embed — there is nothing to serve at either tier.
@@ -373,6 +376,9 @@ func (s *Server) Place(ctx context.Context, g, h grid.Spec, wait bool) (*Answer,
 	key, err := catalog.CanonicalPair(g, h)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPair, err)
+	}
+	if n, limit := key.Guest.Size(), embed.MaterializeThreshold(); n > limit {
+		return nil, fmt.Errorf("%w: %s has %d nodes, more than the %d a placement covers", ErrBadPair, g, n, limit)
 	}
 	e, created, err := s.lookup(key)
 	if err != nil {
