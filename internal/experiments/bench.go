@@ -49,9 +49,6 @@ type BenchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Metrics carries benchmark-specific gauges (e.g. table bytes of
-	// the compact vs wide representations).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // BenchReport is the BENCH.json document.
@@ -258,24 +255,6 @@ func RunBench() (*BenchReport, error) {
 			}
 			e.Kernel()
 		}
-	})
-
-	// Memory gauge: the table bytes of the two representations — the
-	// halving the compact mode claims.
-	compact, err := netsim.NewLoadStateMode(nw, tg, p, netsim.ModeCompact)
-	if err != nil {
-		return nil, err
-	}
-	wide, err := netsim.NewLoadStateMode(nw, tg, p, netsim.ModeWide)
-	if err != nil {
-		return nil, err
-	}
-	report.Results = append(report.Results, BenchResult{
-		Name: "table-bytes/" + pairName,
-		Metrics: map[string]float64{
-			"compact_bytes": float64(compact.TableBytes()),
-			"wide_bytes":    float64(wide.TableBytes()),
-		},
 	})
 	return report, nil
 }

@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden report")
 
 // TestAllExperimentsRun executes every experiment end to end; each one
 // internally cross-checks its claims and returns an error on any
@@ -36,6 +41,45 @@ func TestRunAll(t *testing.T) {
 			t.Errorf("RunAll output missing %s", e.ID)
 		}
 	}
+}
+
+// TestRunAllGolden pins the whole report byte for byte, the netsim
+// tables of E18 included. Every experiment is deterministic, so the
+// report is the same at any GOMAXPROCS. If a change alters it on
+// purpose, regenerate with
+//
+//	go test ./internal/experiments -run RunAllGolden -update
+func TestRunAllGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RunAll(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "report.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %s (%d bytes)", path, buf.Len())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden report (run with -update to create it): %v", err)
+	}
+	got := buf.Bytes()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("report drifted from %s at line %d:\n got  %q\n want %q", path, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("report drifted from %s: %d lines, want %d", path, len(gotLines), len(wantLines))
 }
 
 func TestFind(t *testing.T) {

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"math"
 	"sync"
 
 	"torusmesh/internal/par"
@@ -11,11 +10,7 @@ import (
 // engine: row-major strides, a rank-level distance function, and a
 // blocked edge iterator that enumerates the same edges as VisitEdges
 // but delivers them as parallel slices of endpoint ranks, sliceable
-// into disjoint node ranges for parallel measurement. Edge blocks come
-// in two widths: the historical []int form, and a compact []int32 form
-// (VisitEdgesBatchRange32) for shapes whose ranks fit int32 — half the
-// bytes per pooled block, which is every torus and mesh below 2³¹
-// nodes.
+// into disjoint node ranges for parallel measurement.
 
 // DefaultEdgeBlock is the default number of edges per block handed to
 // VisitEdgesBatch callbacks. Large enough to amortize the callback and
@@ -23,10 +18,8 @@ import (
 const DefaultEdgeBlock = 8192
 
 // edgeBufs is a pooled pair of default-block-size endpoint buffers for
-// VisitEdgesBatchRange; edgeBufs32 is its compact twin.
+// VisitEdgesBatchRange.
 type edgeBufs struct{ a, b []int }
-
-type edgeBufs32 struct{ a, b []int32 }
 
 var edgeBufPool = sync.Pool{New: func() any {
 	return &edgeBufs{
@@ -34,18 +27,6 @@ var edgeBufPool = sync.Pool{New: func() any {
 		b: make([]int, DefaultEdgeBlock),
 	}
 }}
-
-var edgeBuf32Pool = sync.Pool{New: func() any {
-	return &edgeBufs32{
-		a: make([]int32, DefaultEdgeBlock),
-		b: make([]int32, DefaultEdgeBlock),
-	}
-}}
-
-// FitsInt32 reports whether every node rank of the spec fits an int32 —
-// the gate for the compact edge-block and table representations. Hosts
-// at or past 2³¹ nodes must stay on the wide []int paths.
-func (sp Spec) FitsInt32() bool { return sp.Size() <= math.MaxInt32 }
 
 // Strides returns the row-major weights of the shape: Strides()[j] is
 // the rank delta of incrementing coordinate j, so
@@ -237,18 +218,8 @@ func (rd *RankDistancer) Sum(ha, hb []int) int64 {
 // pairs, so consumers that want both dilation and average dilation (the
 // census engine) decode each pair once instead of twice.
 func (rd *RankDistancer) MaxSum(ha, hb []int) (max int, sum int64) {
-	return maxSum(rd, ha, hb)
-}
-
-// MaxSum32 is MaxSum over compact rank blocks — the reduction behind
-// the striped dilation pass on int32-sized hosts.
-func (rd *RankDistancer) MaxSum32(ha, hb []int32) (max int, sum int64) {
-	return maxSum(rd, ha, hb)
-}
-
-func maxSum[T int | int32](rd *RankDistancer, ha, hb []T) (max int, sum int64) {
 	for i := range ha {
-		d := rd.one(int(ha[i]), int(hb[i]))
+		d := rd.one(ha[i], hb[i])
 		if d > max {
 			max = d
 		}
@@ -285,36 +256,23 @@ func (sp Spec) EdgeDilation(table []int, rd *RankDistancer) (max int, avg float6
 // its own pooled edge blocks in place, and the per-range
 // (max, sum, edges) triples merge commutatively — so the result is
 // bit-identical to EdgeDilation regardless of worker count or
-// scheduling. When both the guest's ranks and the host's (rd's shape)
-// fit int32, the blocks take the compact int32 form, halving the
-// per-worker block bytes. This is the re-validation pass of the
-// annealing engine, where the table is large and the check sits on the
-// serial path of the anneal loop.
+// scheduling. This is the re-validation pass of the annealing engine,
+// where the table is large and the check sits on the serial path of the
+// anneal loop.
 func (sp Spec) EdgeDilationStriped(table []int, rd *RankDistancer) (max int, avg float64) {
 	n := sp.Size()
 	var mu sync.Mutex
 	var sum, edges int64
-	compact := sp.FitsInt32() && rd.shape.Size() <= math.MaxInt32
 	par.Blocks(n, par.Grain(n, 4096), func(lo, hi int) {
 		lmax, lsum, ledges := 0, int64(0), int64(0)
-		reduce := func(m int, s int64, e int) {
+		sp.VisitEdgesBatchRange(lo, hi, DefaultEdgeBlock, func(a, b []int) {
+			m, s := rd.MaxSum(relabel(a, table), relabel(b, table))
 			if m > lmax {
 				lmax = m
 			}
 			lsum += s
-			ledges += int64(e)
-		}
-		if compact {
-			sp.VisitEdgesBatchRange32(lo, hi, DefaultEdgeBlock, func(a, b []int32) {
-				m, s := rd.MaxSum32(relabel(a, table), relabel(b, table))
-				reduce(m, s, len(a))
-			})
-		} else {
-			sp.VisitEdgesBatchRange(lo, hi, DefaultEdgeBlock, func(a, b []int) {
-				m, s := rd.MaxSum(relabel(a, table), relabel(b, table))
-				reduce(m, s, len(a))
-			})
-		}
+			ledges += int64(len(a))
+		})
 		mu.Lock()
 		if lmax > max {
 			max = lmax
@@ -331,9 +289,9 @@ func (sp Spec) EdgeDilationStriped(table []int, rd *RankDistancer) (max int, avg
 
 // relabel overwrites a block of guest ranks with their table images
 // and returns it.
-func relabel[T int | int32](blk []T, table []int) []T {
+func relabel(blk, table []int) []int {
 	for i, x := range blk {
-		blk[i] = T(table[x])
+		blk[i] = table[x]
 	}
 	return blk
 }
@@ -366,52 +324,6 @@ func (sp Spec) VisitEdgesBatch(blockSize int, fn func(a, b []int)) {
 // odometer after every call, so the measurement passes rewrite
 // endpoint ranks into host ranks where they lie.
 func (sp Spec) VisitEdgesBatchRange(lo, hi, blockSize int, fn func(a, b []int)) {
-	// Default-sized endpoint buffers come from a pool: callers like the
-	// census engine enumerate the edges of thousands of graphs back to
-	// back, and a fresh 2x64KiB allocation per graph is pure GC churn.
-	var bufA, bufB []int
-	if blockSize <= 0 {
-		blockSize = DefaultEdgeBlock
-	}
-	if blockSize <= DefaultEdgeBlock {
-		bufs := edgeBufPool.Get().(*edgeBufs)
-		defer edgeBufPool.Put(bufs)
-		bufA, bufB = bufs.a, bufs.b
-	} else {
-		bufA = make([]int, blockSize)
-		bufB = make([]int, blockSize)
-	}
-	visitEdgesRange(sp, lo, hi, blockSize, bufA, bufB, fn)
-}
-
-// VisitEdgesBatchRange32 is VisitEdgesBatchRange with compact endpoint
-// blocks: the same edges in the same order, delivered as []int32 pairs
-// from a pool of half-width buffers. The spec must satisfy FitsInt32;
-// callers gate on it (the panic catches a missed gate, which is a
-// programmer error, not an input error).
-func (sp Spec) VisitEdgesBatchRange32(lo, hi, blockSize int, fn func(a, b []int32)) {
-	if !sp.FitsInt32() {
-		panic("grid: VisitEdgesBatchRange32 on a shape with ranks beyond int32")
-	}
-	var bufA, bufB []int32
-	if blockSize <= 0 {
-		blockSize = DefaultEdgeBlock
-	}
-	if blockSize <= DefaultEdgeBlock {
-		bufs := edgeBuf32Pool.Get().(*edgeBufs32)
-		defer edgeBuf32Pool.Put(bufs)
-		bufA, bufB = bufs.a, bufs.b
-	} else {
-		bufA = make([]int32, blockSize)
-		bufB = make([]int32, blockSize)
-	}
-	visitEdgesRange(sp, lo, hi, blockSize, bufA, bufB, fn)
-}
-
-// visitEdgesRange is the single home of the blocked edge enumeration,
-// generic over the endpoint width. bufA and bufB are caller-provided
-// block buffers of at least blockSize entries.
-func visitEdgesRange[T int | int32](sp Spec, lo, hi, blockSize int, bufA, bufB []T, fn func(a, b []T)) {
 	n := sp.Size()
 	if lo < 0 {
 		lo = 0
@@ -422,13 +334,27 @@ func visitEdgesRange[T int | int32](sp Spec, lo, hi, blockSize int, bufA, bufB [
 	if lo >= hi {
 		return
 	}
+	// Default-sized endpoint buffers come from a pool: callers like the
+	// census engine enumerate the edges of thousands of graphs back to
+	// back, and a fresh 2x64KiB allocation per graph is pure GC churn.
+	var bufA, bufB []int
+	if blockSize <= 0 {
+		blockSize = DefaultEdgeBlock
+	}
+	if blockSize <= DefaultEdgeBlock {
+		bufs := edgeBufPool.Get().(*edgeBufs)
+		defer edgeBufPool.Put(bufs)
+		bufA, bufB = bufs.a[:0], bufs.b[:0]
+	} else {
+		bufA = make([]int, 0, blockSize)
+		bufB = make([]int, 0, blockSize)
+	}
 	d := sp.Dim()
 	strides := sp.Shape.Strides()
 	torus := sp.Kind == Torus
 	// Odometer decode of lo once, then O(1) amortized increments.
 	coord := make(Node, d)
 	sp.Shape.NodeInto(coord, lo)
-	bufA, bufB = bufA[:0], bufB[:0]
 	for x := lo; x < hi; x++ {
 		for j := 0; j < d; j++ {
 			l := sp.Shape[j]
@@ -437,11 +363,11 @@ func visitEdgesRange[T int | int32](sp Spec, lo, hi, blockSize int, bufA, bufB [
 			// the wrap edge (l-1 -> 0) is also a "right" step, skipped
 			// for l == 2 where it would duplicate the 0 -> 1 edge.
 			if c+1 < l {
-				bufA = append(bufA, T(x))
-				bufB = append(bufB, T(x+strides[j]))
+				bufA = append(bufA, x)
+				bufB = append(bufB, x+strides[j])
 			} else if torus && l > 2 {
-				bufA = append(bufA, T(x))
-				bufB = append(bufB, T(x-(l-1)*strides[j]))
+				bufA = append(bufA, x)
+				bufB = append(bufB, x-(l-1)*strides[j])
 			}
 			if len(bufA) >= blockSize {
 				fn(bufA, bufB)

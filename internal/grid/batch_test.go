@@ -141,38 +141,6 @@ func TestVisitEdgesBatchRangePartition(t *testing.T) {
 	}
 }
 
-// TestVisitEdgesBatchRange32Parity: the compact iterator must deliver
-// exactly the edges of the wide one, in the same order, across kinds,
-// dimensions and sub-ranges.
-func TestVisitEdgesBatchRange32Parity(t *testing.T) {
-	for _, sp := range batchSpecs {
-		n := sp.Size()
-		ranges := [][2]int{{0, n}, {0, n / 2}, {n / 2, n}, {1, n - 1}}
-		for _, r := range ranges {
-			var wide [][2]int
-			sp.VisitEdgesBatchRange(r[0], r[1], 3, func(a, b []int) {
-				for i := range a {
-					wide = append(wide, [2]int{a[i], b[i]})
-				}
-			})
-			var compact [][2]int
-			sp.VisitEdgesBatchRange32(r[0], r[1], 3, func(a, b []int32) {
-				for i := range a {
-					compact = append(compact, [2]int{int(a[i]), int(b[i])})
-				}
-			})
-			if len(wide) != len(compact) {
-				t.Fatalf("%s range %v: %d wide edges, %d compact", sp, r, len(wide), len(compact))
-			}
-			for i := range wide {
-				if wide[i] != compact[i] {
-					t.Fatalf("%s range %v: edge %d is %v wide, %v compact", sp, r, i, wide[i], compact[i])
-				}
-			}
-		}
-	}
-}
-
 // TestEdgeDilationStripedParity: the striped parallel pass must agree
 // bit-for-bit with the serial EdgeDilation on scrambled tables — the
 // property that lets the annealing engine re-validate in parallel.
@@ -191,20 +159,4 @@ func TestEdgeDilationStripedParity(t *testing.T) {
 			t.Fatalf("%s: striped (%d, %v), serial (%d, %v)", sp, gotMax, gotAvg, wantMax, wantAvg)
 		}
 	}
-}
-
-func TestFitsInt32(t *testing.T) {
-	if !MustSpec(Torus, Shape{4, 4}).FitsInt32() {
-		t.Error("a 16-node torus should fit int32 ranks")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("VisitEdgesBatchRange32 accepted a shape beyond int32 ranks")
-		}
-	}()
-	big := Spec{Kind: Mesh, Shape: Shape{1 << 16, 1 << 16}}
-	if big.FitsInt32() {
-		t.Fatal("2^32-node mesh reported as fitting int32")
-	}
-	big.VisitEdgesBatchRange32(0, 1, 8, func(a, b []int32) {})
 }

@@ -13,8 +13,8 @@ import (
 // besides dilation; a placement can have unit dilation yet overload a
 // link when many guest edges share it.
 //
-// The struct is deliberately comparable (==): the incremental
-// LoadState's Recheck and the parity tests compare whole stats at once.
+// The struct is deliberately comparable (==): the parity tests compare
+// whole stats at once.
 type CongestionStats struct {
 	// MaxLink is the largest number of task-edge routes crossing any
 	// single directed link.

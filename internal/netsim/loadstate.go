@@ -27,12 +27,10 @@
 // worker count. Moves re-route through the same router, applying each
 // link-rank progression inline with the bucket updates.
 //
-// The placement table itself comes in two widths. Hosts whose node
-// ranks fit int32 — every host below 2³¹ nodes — default to a compact
-// []int32 table, halving the table bytes of the 10⁵-node-scale
-// placements the annealing pass runs at; ModeWide keeps the historical
-// []int form, and the two modes are move-for-move bit-identical (the
-// compact-vs-wide parity test pins this).
+// The placement table is an []int32 of host ranks, like the inverse
+// table and the loads, so NewLoadState refuses hosts of 2³¹ nodes or
+// more. No such host is runnable anyway: its guest's edge list alone
+// would take tens of GiB.
 //
 // After construction a LoadState is single-goroutine state: moves are
 // sequential by design (the annealing pass is deterministic), so
@@ -46,31 +44,13 @@ import (
 	"torusmesh/internal/taskgraph"
 )
 
-// Mode selects the placement-table representation of a LoadState.
-type Mode int
-
-const (
-	// ModeAuto picks the compact table whenever the host's ranks fit
-	// int32, the wide one otherwise — the default.
-	ModeAuto Mode = iota
-	// ModeWide forces the historical []int table.
-	ModeWide
-	// ModeCompact forces the []int32 table; construction fails on hosts
-	// at or past 2³¹ nodes, whose ranks the representation cannot hold.
-	ModeCompact
-)
-
-// compactLimit is the largest host rank the compact table addresses.
-const compactLimit = math.MaxInt32
-
 // LoadState holds the incrementally maintained routing state of one
 // placement. Build one with NewLoadState; mutate it with Swap and
 // Permute; read costs with Stats and Dilation.
 type LoadState struct {
 	nw  *Network
 	tg  *taskgraph.Graph
-	p   []int   // wide guest rank -> host rank table (nil in compact mode)
-	p32 []int32 // compact table (nil in wide mode)
+	p   []int32 // guest rank -> host rank
 	inv []int32 // host rank -> guest rank, -1 when unoccupied
 	// Guest g's incident edges are incEdges[incOff[g]:incOff[g+1]]
 	// (taskgraph.Incidence).
@@ -94,30 +74,18 @@ type LoadState struct {
 
 // NewLoadState validates the placement, routes every task edge once
 // through the striped accumulator and derives the bucket counters from
-// its tally. The table representation is ModeAuto's pick. The placement
-// is copied; the caller's slice is not retained.
+// its tally. Hosts of 2³¹ nodes or more are refused: their ranks do not
+// fit the int32 tables. The placement is copied; the caller's slice is
+// not retained.
 func NewLoadState(nw *Network, tg *taskgraph.Graph, p Placement) (*LoadState, error) {
-	return NewLoadStateMode(nw, tg, p, ModeAuto)
-}
-
-// NewLoadStateMode is NewLoadState with an explicit table mode —
-// benchmarks and parity tests force ModeWide/ModeCompact; everything
-// else wants ModeAuto.
-func NewLoadStateMode(nw *Network, tg *taskgraph.Graph, p Placement, mode Mode) (*LoadState, error) {
 	if err := tg.Validate(); err != nil {
 		return nil, err
 	}
-	// The mode guard runs before placement validation: validation
-	// allocates host-sized scratch, which on the >2³¹-node hosts the
-	// guard exists for is exactly the allocation to refuse.
-	compact := nw.n <= compactLimit
-	switch mode {
-	case ModeWide:
-		compact = false
-	case ModeCompact:
-		if !compact {
-			return nil, fmt.Errorf("netsim: compact tables address host ranks below 2^31, but host %s has %d nodes; use ModeWide", nw.Spec, nw.n)
-		}
+	// The size guard runs before placement validation, which allocates
+	// host-sized scratch: on the hosts it refuses, that is exactly the
+	// allocation to avoid.
+	if nw.n > math.MaxInt32 {
+		return nil, fmt.Errorf("netsim: load tables address host ranks below 2^31, but host %s has %d nodes", nw.Spec, nw.n)
 	}
 	if err := p.Validate(nw, tg.N); err != nil {
 		return nil, err
@@ -127,6 +95,7 @@ func NewLoadStateMode(nw *Network, tg *taskgraph.Graph, p Placement, mode Mode) 
 	ls := &LoadState{
 		nw:       nw,
 		tg:       tg,
+		p:        make([]int32, len(p)),
 		inv:      make([]int32, nw.n),
 		load:     t.load,
 		loadHist: make([]int32, max(8, st.MaxLink+1)),
@@ -150,75 +119,27 @@ func NewLoadStateMode(nw *Network, tg *taskgraph.Graph, p Placement, mode Mode) 
 			ls.maxDist = d
 		}
 	}
-	if compact {
-		ls.p32 = make([]int32, len(p))
-		for g, h := range p {
-			ls.p32[g] = int32(h)
-		}
-	} else {
-		ls.p = append([]int(nil), p...)
-	}
 	for i := range ls.inv {
 		ls.inv[i] = -1
 	}
-	for g := range p {
-		ls.inv[p[g]] = int32(g)
+	for g, h := range p {
+		ls.p[g] = int32(h)
+		ls.inv[h] = int32(g)
 	}
 	return ls, nil
 }
 
-// host and setHost are the width-erasing table accessors of the hot
-// paths — one nil check against two routed walks per edge.
-func (ls *LoadState) host(g int) int {
-	if ls.p32 != nil {
-		return int(ls.p32[g])
-	}
-	return ls.p[g]
-}
-
-func (ls *LoadState) setHost(g, h int) {
-	if ls.p32 != nil {
-		ls.p32[g] = int32(h)
-		return
-	}
-	ls.p[g] = h
-}
-
-func (ls *LoadState) tasks() int {
-	if ls.p32 != nil {
-		return len(ls.p32)
-	}
-	return len(ls.p)
-}
-
-// Compact reports whether the placement table is in the compact int32
-// representation.
-func (ls *LoadState) Compact() bool { return ls.p32 != nil }
-
-// TableBytes returns the bytes backing the placement table — the
-// memory the compact mode halves.
-func (ls *LoadState) TableBytes() int {
-	if ls.p32 != nil {
-		return 4 * len(ls.p32)
-	}
-	return 8 * len(ls.p)
-}
-
 // HostOf returns the host rank guest g is currently placed on.
-func (ls *LoadState) HostOf(g int) int { return ls.host(g) }
+func (ls *LoadState) HostOf(g int) int { return int(ls.p[g]) }
 
 // CopyTableInto writes the current placement table into dst, which must
 // have length tg.N — the snapshot form consumers take when they need
 // the whole table (re-validation, best-visited bookkeeping) rather than
 // single lookups.
 func (ls *LoadState) CopyTableInto(dst []int) {
-	if ls.p32 != nil {
-		for g, h := range ls.p32 {
-			dst[g] = int(h)
-		}
-		return
+	for g, h := range ls.p {
+		dst[g] = int(h)
 	}
-	copy(dst, ls.p)
 }
 
 // GuestAt returns the guest placed on host rank h, or -1 when the slot
@@ -249,9 +170,8 @@ func (ls *LoadState) Swap(u, v int) {
 	ls.touch(u)
 	ls.touch(v)
 	ls.removeTouched()
-	hu, hv := ls.host(u), ls.host(v)
-	ls.setHost(u, hv)
-	ls.setHost(v, hu)
+	hu, hv := ls.p[u], ls.p[v]
+	ls.p[u], ls.p[v] = hv, hu
 	ls.inv[hv] = int32(u)
 	ls.inv[hu] = int32(v)
 	ls.addTouched()
@@ -270,32 +190,13 @@ func (ls *LoadState) Permute(guests []int32, hosts []int32) {
 	}
 	ls.removeTouched()
 	for _, g := range guests {
-		ls.inv[ls.host(int(g))] = -1
+		ls.inv[ls.p[g]] = -1
 	}
 	for i, g := range guests {
-		ls.setHost(int(g), int(hosts[i]))
+		ls.p[g] = hosts[i]
 		ls.inv[hosts[i]] = g
 	}
 	ls.addTouched()
-}
-
-// Recheck re-measures the placement from scratch and reports whether
-// the incremental aggregates drifted — the safety net behind the
-// annealing pass's periodic re-validation.
-func (ls *LoadState) Recheck() error {
-	tab := ls.p
-	if ls.p32 != nil {
-		tab = make([]int, len(ls.p32))
-		ls.CopyTableInto(tab)
-	}
-	want, err := Congestion(ls.nw, ls.tg, Placement(tab))
-	if err != nil {
-		return err
-	}
-	if got := ls.Stats(); got != want {
-		return fmt.Errorf("netsim: incremental congestion drifted: have %+v, full measurement %+v", got, want)
-	}
-	return nil
 }
 
 // beginMove starts a new move epoch for the touched-edge dedup.
@@ -341,7 +242,7 @@ func (ls *LoadState) addTouched() {
 // increments exactly.
 func (ls *LoadState) routeEdge(e int, delta int32) {
 	ed := ls.tg.Edges[e]
-	a, b := ls.host(ed[0]), ls.host(ed[1])
+	a, b := int(ls.p[ed[0]]), int(ls.p[ed[1]])
 	spans, d := ls.nw.route(ls.spans[:0], a, b)
 	spans, _ = ls.nw.route(spans, b, a)
 	if delta > 0 {

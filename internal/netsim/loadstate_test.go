@@ -116,9 +116,22 @@ func TestLoadStateIncrementalParity(t *testing.T) {
 				t.Fatalf("%s on %s: diverged at move %d", tc.guest, tc.host, m)
 			}
 		}
-		if err := ls.Recheck(); err != nil {
-			t.Fatal(err)
-		}
+		recheck(t, ls)
+	}
+}
+
+// recheck re-measures the placement from scratch and fails the test
+// when the incremental congestion aggregates drifted from it.
+func recheck(t *testing.T, ls *LoadState) {
+	t.Helper()
+	tab := make([]int, len(ls.p))
+	ls.CopyTableInto(tab)
+	want, err := Congestion(ls.nw, ls.tg, Placement(tab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ls.Stats(); got != want {
+		t.Fatalf("incremental congestion drifted: have %+v, full measurement %+v", got, want)
 	}
 }
 
@@ -195,127 +208,28 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 	if max, _ := ls.Dilation(); max != 19 {
 		t.Fatalf("max distance = %d, want 19", max)
 	}
-	if err := ls.Recheck(); err != nil {
-		t.Fatal(err)
-	}
+	recheck(t, ls)
 	// Unfold one long edge and re-fold it: growth bookkeeping must
 	// survive decrements back below the original array sizes.
 	ls.Swap(0, 19)
 	ls.Swap(0, 19)
-	if err := ls.Recheck(); err != nil {
-		t.Fatal(err)
-	}
+	recheck(t, ls)
 	if max, _ := ls.Dilation(); max != 19 {
 		t.Fatalf("max distance after swaps = %d, want 19", max)
 	}
 }
 
-// TestLoadStateCompactGuard pins the 32-bit overflow guard: forcing the
-// compact table on a host at or past 2^31 nodes must fail with a clear
-// error before any host-sized allocation, while ordinary hosts default
-// to compact and can be forced wide.
+// TestLoadStateCompactGuard pins the 32-bit overflow guard: a host at
+// or past 2^31 nodes must fail with a clear error before any host-sized
+// allocation.
 func TestLoadStateCompactGuard(t *testing.T) {
 	huge := New(grid.MeshSpec(1<<16, 1<<16)) // 2^32 nodes
-	tg := taskgraph.Pipeline(3)
-	_, err := NewLoadStateMode(huge, tg, Placement{0, 1, 2}, ModeCompact)
+	_, err := NewLoadState(huge, taskgraph.Pipeline(3), Placement{0, 1, 2})
 	if err == nil {
-		t.Fatal("ModeCompact accepted a 2^32-node host")
+		t.Fatal("NewLoadState accepted a 2^32-node host")
 	}
 	if want := "2^31"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("guard error %q does not mention %q", err, want)
-	}
-
-	small := New(grid.LineSpec(8))
-	auto, err := NewLoadState(small, tg, Placement{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !auto.Compact() {
-		t.Error("ModeAuto picked the wide table on an 8-node host")
-	}
-	wide, err := NewLoadStateMode(small, tg, Placement{0, 1, 2}, ModeWide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Compact() {
-		t.Error("ModeWide produced a compact table")
-	}
-	if wb, cb := wide.TableBytes(), auto.TableBytes(); cb*2 != wb {
-		t.Errorf("table bytes: compact %d, wide %d, want exactly half", cb, wb)
-	}
-}
-
-// TestLoadStateCompactWideParity drives a compact and a wide LoadState
-// through the same randomized move sequence and requires bit-identical
-// aggregates and tables after every move — the property that makes the
-// table width invisible to the annealing pass.
-func TestLoadStateCompactWideParity(t *testing.T) {
-	nw := New(grid.TorusSpec(4, 4))
-	tg := taskgraph.FromSpec(grid.MeshSpec(4, 4))
-	rng := rand.New(rand.NewSource(41))
-	p := Placement(rng.Perm(nw.Size()))
-	compact, err := NewLoadStateMode(nw, tg, p, ModeCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := NewLoadStateMode(nw, tg, p, ModeWide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !compact.Compact() || wide.Compact() {
-		t.Fatal("modes not honored")
-	}
-	tabC := make([]int, tg.N)
-	tabW := make([]int, tg.N)
-	check := func(m int) {
-		t.Helper()
-		if cs, ws := compact.Stats(), wide.Stats(); cs != ws {
-			t.Fatalf("move %d: stats diverged: compact %+v, wide %+v", m, cs, ws)
-		}
-		cm, ca := compact.Dilation()
-		wm, wa := wide.Dilation()
-		if cm != wm || ca != wa {
-			t.Fatalf("move %d: dilation diverged: compact (%d, %v), wide (%d, %v)", m, cm, ca, wm, wa)
-		}
-		compact.CopyTableInto(tabC)
-		wide.CopyTableInto(tabW)
-		for g := range tabC {
-			if tabC[g] != tabW[g] {
-				t.Fatalf("move %d: table diverged at guest %d: compact %d, wide %d", m, g, tabC[g], tabW[g])
-			}
-		}
-	}
-	check(-1)
-	for m := 0; m < 50; m++ {
-		if rng.Intn(2) == 0 {
-			u := rng.Intn(tg.N)
-			v := rng.Intn(tg.N - 1)
-			if v >= u {
-				v++
-			}
-			compact.Swap(u, v)
-			wide.Swap(u, v)
-		} else {
-			k := 2 + rng.Intn(4)
-			perm := rng.Perm(tg.N)[:k]
-			guests := make([]int32, k)
-			hosts := make([]int32, k)
-			for i, g := range perm {
-				guests[i] = int32(g)
-			}
-			for i := range guests {
-				hosts[i] = int32(compact.HostOf(int(guests[(i+1)%k])))
-			}
-			compact.Permute(guests, hosts)
-			wide.Permute(guests, hosts)
-		}
-		check(m)
-	}
-	if err := compact.Recheck(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wide.Recheck(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -23,21 +23,20 @@
 // load slabs and route-length histograms, merges them by index, and
 // leaves every aggregate to be derived after the pass. Congestion and
 // CongestionHops — the census's congestion column and the placement
-// search's scoring backend — and NewLoadState, the annealing pass's
-// incremental state, all start from it. Simulate runs a timed
-// communication phase (cycles to drain, with link arbitration) on node
-// paths derived from the same progressions — the demonstration path of
-// the experiments.
+// search's scoring backend — NewLoadState, the annealing pass's
+// incremental state, and Simulate all start from it. Simulate, the
+// demonstration path of the experiments, then runs a timed
+// communication phase (cycles to drain, with link arbitration) over
+// the same link ranks.
 package netsim
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
-	"torusmesh/internal/par"
 	"torusmesh/internal/taskgraph"
 )
 
@@ -150,31 +149,6 @@ func (nw *Network) route(buf []span, src, dst int) ([]span, int) {
 	return buf, hops
 }
 
-// Route returns the dimension-ordered path from src to dst (inclusive of
-// both endpoints) as router indices. In each dimension the torus variant
-// walks around the shorter way; the mesh variant walks monotonically.
-// Dimension-ordered routing on these topologies is minimal, so the path
-// length equals the graph distance of Lemmas 5 and 6.
-func (nw *Network) Route(src, dst int) []int {
-	path, _ := nw.path(nil, src, dst)
-	return path
-}
-
-// path derives a route's node sequence from the router's spans: the
-// source node of every link in order, then dst. spans is routing
-// scratch, returned for reuse.
-func (nw *Network) path(spans []span, src, dst int) ([]int, []span) {
-	spans, hops := nw.route(spans[:0], src, dst)
-	path := make([]int, 0, hops+1)
-	for _, sp := range spans {
-		for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
-			node, _, _ := nw.lr.Unrank(r)
-			path = append(path, node)
-		}
-	}
-	return append(path, dst), spans
-}
-
 // Placement maps task index to router index.
 type Placement []int
 
@@ -228,136 +202,74 @@ type Result struct {
 	MaxLinkLoad int
 }
 
-// linkKey identifies a directed link by its endpoints.
-type linkKey struct{ from, to int }
-
-// packet is an in-flight message with a precomputed route.
-type packet struct {
-	path []int
-	pos  int // index of the router currently holding the packet
-}
-
-// routeAll precomputes the two directed routes of every task edge,
-// striping edges across workers: packet slots 2i and 2i+1 belong to
-// edge i, so writes are disjoint and only the retained paths allocate.
-func (nw *Network) routeAll(tg *taskgraph.Graph, p Placement) (packets []*packet, totalHops, maxHops int) {
-	packets = make([]*packet, 2*len(tg.Edges))
-	var mu sync.Mutex
-	par.Blocks(len(tg.Edges), par.Grain(len(tg.Edges), 256), func(lo, hi int) {
-		var spans []span
-		localTotal, localMax := 0, 0
-		for i := lo; i < hi; i++ {
-			e := tg.Edges[i]
-			a, b := p[e[0]], p[e[1]]
-			var fwd, bwd []int
-			fwd, spans = nw.path(spans, a, b)
-			bwd, spans = nw.path(spans, b, a)
-			packets[2*i] = &packet{path: fwd}
-			packets[2*i+1] = &packet{path: bwd}
-			localTotal += (len(fwd) - 1) + (len(bwd) - 1)
-			if h := len(fwd) - 1; h > localMax {
-				localMax = h
-			}
-			if h := len(bwd) - 1; h > localMax {
-				localMax = h
-			}
-		}
-		mu.Lock()
-		totalHops += localTotal
-		if localMax > maxHops {
-			maxHops = localMax
-		}
-		mu.Unlock()
-	})
-	return packets, totalHops, maxHops
-}
-
 // Simulate runs one communication phase of the task graph under the
 // placement: every task edge sends one packet in each direction; each
-// cycle a directed link transfers at most one packet (FIFO by packet
-// id); the phase ends when every packet is delivered.
+// cycle a directed link transfers at most one packet, lower packet ids
+// first; the phase ends when every packet is delivered. Packet 2i
+// carries edge i forward and packet 2i+1 carries it back. The static
+// fields come from the accumulator's tally; the cycle loop walks each
+// packet's link ranks.
 func Simulate(nw *Network, tg *taskgraph.Graph, p Placement) (Result, error) {
-	if err := tg.Validate(); err != nil {
+	if nw.LinkSlots() > math.MaxInt32 {
+		return Result{}, fmt.Errorf("netsim: host %s has %d link slots, more than Simulate's int32 link ranks address", nw.Spec, nw.LinkSlots())
+	}
+	t, err := nw.measure(tg, p)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := p.Validate(nw, tg.N); err != nil {
-		return Result{}, err
+	res := Result{Packets: 2 * len(tg.Edges), MaxLinkLoad: t.stats().MaxLink}
+	for d, v := range t.distHist {
+		if v != 0 {
+			res.MaxHops = d
+		}
 	}
-	packets, totalHops, maxHops := nw.routeAll(tg, p)
-	res := Result{Packets: len(packets), MaxHops: maxHops}
-	if len(packets) > 0 {
-		res.AvgHops = float64(totalHops) / float64(len(packets))
+	if res.Packets > 0 {
+		res.AvgHops = float64(t.hops) / float64(res.Packets)
 	}
 
-	linkLoad := map[linkKey]int{}
-	for _, pk := range packets {
-		for i := 0; i+1 < len(pk.path); i++ {
-			k := linkKey{pk.path[i], pk.path[i+1]}
-			linkLoad[k]++
-			if linkLoad[k] > res.MaxLinkLoad {
-				res.MaxLinkLoad = linkLoad[k]
+	// Packet k's route is links[next[k]:end[k]]; next[k] advances as it
+	// hops, and k is delivered when next[k] reaches end[k]. Validation
+	// rules out self-loops and shared routers, so every route has a hop.
+	links := make([]int32, 0, t.hops)
+	next := make([]int, res.Packets)
+	end := make([]int, res.Packets)
+	var spans []span
+	for k := range next {
+		e := tg.Edges[k/2]
+		src, dst := p[e[0]], p[e[1]]
+		if k%2 == 1 {
+			src, dst = dst, src
+		}
+		next[k] = len(links)
+		spans, _ = nw.route(spans[:0], src, dst)
+		for _, sp := range spans {
+			for r, i := sp.first, 0; i < sp.n; r, i = r+sp.step, i+1 {
+				links = append(links, int32(r))
 			}
 		}
+		end[k] = len(links)
 	}
 
-	// Cycle loop: each directed link carries one packet per cycle; lower
-	// packet ids win arbitration (FIFO by injection order).
-	pending := len(packets)
-	for _, pk := range packets {
-		if len(pk.path) == 1 {
-			pending-- // co-located tasks deliver instantly
-		}
-	}
-	cycles := 0
+	// claimed[l] is the last cycle link l carried a packet.
+	claimed := make([]int32, nw.LinkSlots())
 	const safety = 1 << 20
-	for pending > 0 {
-		cycles++
-		if cycles > safety {
+	for pending := res.Packets; pending > 0; {
+		res.Cycles++
+		if res.Cycles > safety {
 			return res, fmt.Errorf("netsim: simulation did not converge (livelock?)")
 		}
-		claimed := map[linkKey]bool{}
-		for _, pk := range packets {
-			if pk.pos >= len(pk.path)-1 {
+		c := int32(res.Cycles)
+		for k, i := range next {
+			if i == end[k] {
 				continue // delivered
 			}
-			k := linkKey{pk.path[pk.pos], pk.path[pk.pos+1]}
-			if claimed[k] {
-				continue // link busy this cycle
-			}
-			claimed[k] = true
-			pk.pos++
-			if pk.pos == len(pk.path)-1 {
-				pending--
+			if l := links[i]; claimed[l] != c {
+				claimed[l] = c
+				if next[k]++; next[k] == end[k] {
+					pending--
+				}
 			}
 		}
 	}
-	res.Cycles = cycles
 	return res, nil
-}
-
-// CompareResult pairs a placement label with its simulation outcome, for
-// the experiment reports.
-type CompareResult struct {
-	Label  string
-	Result Result
-}
-
-// Compare simulates the same task graph under several placements and
-// returns results sorted by cycles (fastest first).
-func Compare(nw *Network, tg *taskgraph.Graph, placements map[string]Placement) ([]CompareResult, error) {
-	out := make([]CompareResult, 0, len(placements))
-	for label, p := range placements {
-		r, err := Simulate(nw, tg, p)
-		if err != nil {
-			return nil, fmt.Errorf("placement %q: %v", label, err)
-		}
-		out = append(out, CompareResult{Label: label, Result: r})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Result.Cycles != out[j].Result.Cycles {
-			return out[i].Result.Cycles < out[j].Result.Cycles
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out, nil
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"torusmesh/internal/gray"
@@ -8,6 +10,126 @@ import (
 	"torusmesh/internal/radix"
 	"torusmesh/internal/taskgraph"
 )
+
+// refLink identifies a directed link of the reference simulation by its
+// endpoints.
+type refLink struct{ from, to int }
+
+// simulateRef is Simulate's independent oracle: the map-keyed simulator
+// the production one replaced. Packets carry node paths from the
+// reference walk routeRef, links are keyed by their endpoint pair, and
+// each cycle collects the claimed links in a fresh map. Packet 2i is
+// edge i forward, 2i+1 edge i back, and lower ids win arbitration.
+func simulateRef(nw *Network, tg *taskgraph.Graph, p Placement) (Result, error) {
+	if err := tg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := p.Validate(nw, tg.N); err != nil {
+		return Result{}, err
+	}
+	var paths [][]int
+	totalHops := 0
+	res := Result{}
+	for _, e := range tg.Edges {
+		for _, ends := range [2][2]int{{p[e[0]], p[e[1]]}, {p[e[1]], p[e[0]]}} {
+			path, _ := routeRef(nw, ends[0], ends[1])
+			paths = append(paths, path)
+			totalHops += len(path) - 1
+			res.MaxHops = max(res.MaxHops, len(path)-1)
+		}
+	}
+	res.Packets = len(paths)
+	if res.Packets > 0 {
+		res.AvgHops = float64(totalHops) / float64(res.Packets)
+	}
+	linkLoad := map[refLink]int{}
+	for _, path := range paths {
+		for i := 0; i+1 < len(path); i++ {
+			k := refLink{path[i], path[i+1]}
+			linkLoad[k]++
+			res.MaxLinkLoad = max(res.MaxLinkLoad, linkLoad[k])
+		}
+	}
+	pos := make([]int, len(paths))
+	pending := 0
+	for _, path := range paths {
+		if len(path) > 1 {
+			pending++
+		}
+	}
+	for pending > 0 {
+		res.Cycles++
+		if res.Cycles > 1<<20 {
+			return res, fmt.Errorf("reference simulation did not converge")
+		}
+		claimed := map[refLink]bool{}
+		for k, path := range paths {
+			if pos[k] >= len(path)-1 {
+				continue
+			}
+			l := refLink{path[pos[k]], path[pos[k]+1]}
+			if claimed[l] {
+				continue
+			}
+			claimed[l] = true
+			if pos[k]++; pos[k] == len(path)-1 {
+				pending--
+			}
+		}
+	}
+	return res, nil
+}
+
+// TestSimulateMatchesReference compares every Result field of Simulate
+// with the reference simulator: task graphs of rings, lines, tori (with
+// length-2 axes and wrap routes) and meshes under random placements
+// that fill the machine or leave routers empty, and a contention-heavy
+// star whose packets all funnel through one router, so that the cycle
+// count depends on which packet wins each contended link.
+func TestSimulateMatchesReference(t *testing.T) {
+	cases := []struct{ guest, machine grid.Spec }{
+		{grid.RingSpec(12), grid.RingSpec(12)},
+		{grid.LineSpec(9), grid.RingSpec(11)},
+		{grid.RingSpec(8), grid.LineSpec(10)},
+		{grid.TorusSpec(4, 3), grid.TorusSpec(2, 3, 2)},
+		{grid.MeshSpec(3, 4), grid.TorusSpec(4, 2, 2)},
+		{grid.TorusSpec(2, 2, 2), grid.MeshSpec(3, 3)},
+		{grid.MeshSpec(2, 3, 2), grid.MeshSpec(3, 2, 4)},
+		{grid.TorusSpec(3, 4), grid.TorusSpec(5, 6)},
+		{grid.TorusSpec(4, 4, 2), grid.MeshSpec(4, 2, 2, 3)},
+	}
+	rng := rand.New(rand.NewSource(53))
+	check := func(name string, nw *Network, tg *taskgraph.Graph, p Placement) {
+		t.Helper()
+		got, err := Simulate(nw, tg, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := simulateRef(nw, tg, p)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: Simulate %+v, reference %+v", name, got, want)
+		}
+	}
+	for _, tc := range cases {
+		nw := New(tc.machine)
+		tg := taskgraph.FromSpec(tc.guest)
+		for trial := 0; trial < 3; trial++ {
+			p := Placement(rng.Perm(nw.Size())[:tg.N])
+			check(fmt.Sprintf("%s on %s trial %d", tc.guest, tc.machine, trial), nw, tg, p)
+		}
+	}
+	nw := New(grid.TorusSpec(4, 4))
+	star := &taskgraph.Graph{Name: "star", N: nw.Size()}
+	for leaf := 1; leaf < star.N; leaf++ {
+		star.Edges = append(star.Edges, [2]int{0, leaf}, [2]int{leaf, (leaf + 5) % star.N})
+	}
+	for trial := 0; trial < 3; trial++ {
+		check(fmt.Sprintf("star trial %d", trial), nw, star, Placement(rng.Perm(nw.Size())))
+	}
+}
 
 // TestRouteLengthEqualsDistance verifies that dimension-ordered routing
 // is minimal: the routed path length equals the closed-form graph
@@ -111,26 +233,6 @@ func TestDilationDrivesLatency(t *testing.T) {
 	}
 	if naive.Cycles <= ours.Cycles {
 		t.Errorf("naive placement should be slower: naive %d cycles vs ours %d", naive.Cycles, ours.Cycles)
-	}
-}
-
-func TestCompare(t *testing.T) {
-	machine := grid.MeshSpec(4, 2, 3)
-	nw := New(machine)
-	tg := taskgraph.RingPipeline(24)
-	ours := make(Placement, 24)
-	for x := 0; x < 24; x++ {
-		ours[x] = machineIndexOfH(machine, x)
-	}
-	results, err := Compare(nw, tg, map[string]Placement{
-		"row-major": IdentityPlacement(24),
-		"gray-h":    ours,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Label != "gray-h" {
-		t.Errorf("Compare order wrong: %+v", results)
 	}
 }
 

@@ -46,6 +46,25 @@ func routeRef(nw *Network, src, dst int) (path []int, hops []refHop) {
 	return path, hops
 }
 
+// Route returns the router's dimension-ordered path from src to dst as
+// router indices, both endpoints included: the source node of every
+// link of the route's spans in order, then dst. In each dimension the
+// torus variant walks around the shorter way; the mesh variant walks
+// monotonically. Dimension-ordered routing on these topologies is
+// minimal, so the path length equals the graph distance of Lemmas 5
+// and 6.
+func (nw *Network) Route(src, dst int) []int {
+	spans, hops := nw.route(nil, src, dst)
+	path := make([]int, 0, hops+1)
+	for _, sp := range spans {
+		for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
+			node, _, _ := nw.lr.Unrank(r)
+			path = append(path, node)
+		}
+	}
+	return append(path, dst)
+}
+
 // congestionRef is the reference congestion measurement: per-link loads
 // in a map keyed by the reference walk's links. It returns the stats and
 // the loads.

@@ -255,11 +255,3 @@ func LowerBoundDegree(g, h grid.Spec) int {
 	}
 	return rho
 }
-
-// Theorem47Bound evaluates the asymptotic lower bound of Theorem 47 in
-// its computable form: any embedding of a d-dimensional guest in a
-// c-dimensional host (c < d, equal sizes) has dilation at least
-// b·p^{(d-c)/c} for a constant b. We return the concrete ball bound,
-// which realizes the same growth: ball_g(k) ~ k^d while host balls grow
-// as (2kρ+1)^c.
-func Theorem47Bound(g, h grid.Spec) int { return LowerBoundBall(g, h) }

@@ -144,13 +144,16 @@ func TestLowerBounds(t *testing.T) {
 	}
 }
 
-// TestTheorem47Growth verifies the qualitative content of Theorem 47:
-// for square meshes into lines the lower bound grows at least linearly
-// with the side (p^{(d-c)/c} = p for d=2, c=1).
+// TestTheorem47Growth verifies the qualitative content of Theorem 47,
+// which says any embedding of a d-dimensional guest in a c-dimensional
+// host (c < d, equal sizes) has dilation at least b·p^{(d-c)/c} for a
+// constant b. The ball bound realizes that growth (ball_g(k) ~ k^d
+// while host balls grow as (2kρ+1)^c): for square meshes into lines it
+// grows at least linearly with the side (p^{(d-c)/c} = p for d=2, c=1).
 func TestTheorem47Growth(t *testing.T) {
 	prev := 0
 	for _, l := range []int{2, 3, 4, 5, 6, 8, 10} {
-		lb := Theorem47Bound(grid.MustSpec(grid.Mesh, grid.Square(2, l)), grid.LineSpec(l*l))
+		lb := LowerBoundBall(grid.MustSpec(grid.Mesh, grid.Square(2, l)), grid.LineSpec(l*l))
 		if lb < prev {
 			t.Errorf("l=%d: bound %d decreased from %d", l, lb, prev)
 		}

@@ -220,11 +220,7 @@ func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bo
 func (s *searcher) annealRun(tab embed.Table, start tableCosts, steps int, rng *rand.Rand) (embed.Table, tableCosts, error) {
 	annealRuns.Inc()
 	n := len(tab)
-	mode := netsim.ModeAuto
-	if s.cfg.WideTables {
-		mode = netsim.ModeWide
-	}
-	ls, err := netsim.NewLoadStateMode(s.nw, s.tg, netsim.Placement(tab), mode)
+	ls, err := netsim.NewLoadState(s.nw, s.tg, netsim.Placement(tab))
 	if err != nil {
 		return nil, tableCosts{}, err
 	}

@@ -256,42 +256,6 @@ func TestAnnealLargePairDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnnealWideTablesParity: the table width is pure representation —
-// a search with WideTables must produce the byte-identical artifact of
-// the default compact mode (and Config.Spec must not change, so shard
-// merges across the two are legal).
-func TestAnnealWideTablesParity(t *testing.T) {
-	cfg := Config{
-		Guest:       grid.TorusSpec(6, 4),
-		Host:        grid.MeshSpec(4, 6),
-		Budget:      8,
-		Anneal:      true,
-		AnnealSteps: 256,
-		AnnealMoves: AnnealMovesAll,
-		Strategies:  DefaultStrategies(),
-	}
-	encode := func(cfg Config) []byte {
-		res, err := Search(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := res.EncodeBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	compact := encode(cfg)
-	wideCfg := cfg
-	wideCfg.WideTables = true
-	if wide := encode(wideCfg); !bytes.Equal(compact, wide) {
-		t.Fatalf("wide tables changed the artifact:\n%s\nvs\n%s", compact, wide)
-	}
-	if cfg.Spec() != wideCfg.Spec() {
-		t.Fatalf("WideTables leaked into Config.Spec: %q vs %q", cfg.Spec(), wideCfg.Spec())
-	}
-}
-
 // TestAnnealSeedsFromScored: seed selection starts with the front and
 // tops up from the scored set by (score, index); the skipped count
 // reports cap truncation.

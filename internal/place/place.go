@@ -187,13 +187,6 @@ func ParseObjective(s string) (Objective, error) {
 	return Objective{Alpha: weights[0], Beta: weights[1], Gamma: weights[2]}, nil
 }
 
-func (o Objective) validate() error {
-	if o.Alpha < 0 || o.Beta < 0 || o.Gamma < 0 {
-		return fmt.Errorf("place: objective weights must be non-negative, got (%g, %g, %g)", o.Alpha, o.Beta, o.Gamma)
-	}
-	return nil
-}
-
 // DefaultBudget caps the number of candidates a search constructs when
 // the config does not say otherwise.
 const DefaultBudget = 128
@@ -239,15 +232,6 @@ type Config struct {
 	// DefaultAnnealSeed). Two searches with equal configs — seed
 	// included — produce identical artifacts.
 	Seed int64
-	// WideTables forces the annealing pass's placement tables into the
-	// historical []int representation. By default the pass uses compact
-	// int32 tables whenever the host's ranks fit (always, for any host
-	// below 2³¹ nodes), halving table memory. The two representations
-	// are bit-for-bit identical in results, so this knob exists for
-	// benchmarks and escape-hatch debugging and is deliberately NOT part
-	// of Config.Spec(): artifacts do not depend on it.
-	//torusmesh:nospec
-	WideTables bool
 	// Clock substitutes the wall clock behind Result.Elapsed and the
 	// per-run AnnealRuns timings. Nil means time.Now. Wall times
 	// serialize as json:"-" and never enter artifacts, so the clock is
@@ -257,6 +241,37 @@ type Config struct {
 	// Strategies are the base constructions; Strategies[0] is the
 	// baseline the search reports against. At least one is required.
 	Strategies []Strategy
+}
+
+// ValidateSettings checks the settings that do not depend on the pair:
+// the strategies, the objective weights and, when annealing, the move
+// repertoire. Search applies the same checks, so a config that passes
+// here fails a search only through its pair. Front ends call it at
+// startup, before any pair is searched.
+func (cfg Config) ValidateSettings() error {
+	if len(cfg.Strategies) == 0 {
+		return fmt.Errorf("place: at least one strategy is required")
+	}
+	for _, s := range cfg.Strategies {
+		if s.Name == "" || s.Embed == nil {
+			return fmt.Errorf("place: every strategy needs a name and an embed function")
+		}
+		if (s.Mid == nil) != (s.EmbedMidRot == nil) {
+			return fmt.Errorf("place: strategy %s must set Mid and EmbedMidRot together", s.Name)
+		}
+	}
+	if o := cfg.Objective; o.Alpha < 0 || o.Beta < 0 || o.Gamma < 0 {
+		return fmt.Errorf("place: objective weights must be non-negative, got (%g, %g, %g)", o.Alpha, o.Beta, o.Gamma)
+	}
+	if cfg.Anneal {
+		switch cfg.AnnealMoves {
+		case "", DefaultAnnealMoves, AnnealMovesAll:
+		default:
+			return fmt.Errorf("place: anneal moves must be %q or %q, got %q",
+				DefaultAnnealMoves, AnnealMovesAll, cfg.AnnealMoves)
+		}
+	}
+	return nil
 }
 
 func (cfg *Config) validate() error {
@@ -273,18 +288,7 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("place: guest %s has %d nodes but host %s has %d; sizes must match",
 			cfg.Guest, cfg.Guest.Size(), cfg.Host, cfg.Host.Size())
 	}
-	if len(cfg.Strategies) == 0 {
-		return fmt.Errorf("place: at least one strategy is required")
-	}
-	for _, s := range cfg.Strategies {
-		if s.Name == "" || s.Embed == nil {
-			return fmt.Errorf("place: every strategy needs a name and an embed function")
-		}
-		if (s.Mid == nil) != (s.EmbedMidRot == nil) {
-			return fmt.Errorf("place: strategy %s must set Mid and EmbedMidRot together", s.Name)
-		}
-	}
-	if err := cfg.Objective.validate(); err != nil {
+	if err := cfg.ValidateSettings(); err != nil {
 		return err
 	}
 	if (cfg.Objective == Objective{}) {
@@ -300,13 +304,8 @@ func (cfg *Config) validate() error {
 		if cfg.Seed == 0 {
 			cfg.Seed = DefaultAnnealSeed
 		}
-		switch cfg.AnnealMoves {
-		case "":
+		if cfg.AnnealMoves == "" {
 			cfg.AnnealMoves = DefaultAnnealMoves
-		case DefaultAnnealMoves, AnnealMovesAll:
-		default:
-			return fmt.Errorf("place: anneal moves must be %q or %q, got %q",
-				DefaultAnnealMoves, AnnealMovesAll, cfg.AnnealMoves)
 		}
 	}
 	return nil

@@ -296,7 +296,9 @@ func TestMeasureMatchesPerNode(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects the misconfigurations.
+// TestConfigValidation rejects the misconfigurations. ValidateSettings
+// rejects the pair-independent ones with Search's own error and leaves
+// the pair's to Search.
 func TestConfigValidation(t *testing.T) {
 	good := func() Config {
 		return Config{
@@ -305,24 +307,41 @@ func TestConfigValidation(t *testing.T) {
 			Strategies: DefaultStrategies(),
 		}
 	}
+	halfMid := DefaultStrategies()[1]
+	halfMid.EmbedMidRot = nil
 	cases := []struct {
 		name   string
+		pair   bool // an error of the pair, not of the settings
 		mutate func(*Config)
 	}{
-		{"size mismatch", func(c *Config) { c.Host = grid.MeshSpec(4, 2) }},
-		{"no strategies", func(c *Config) { c.Strategies = nil }},
-		{"anonymous strategy", func(c *Config) { c.Strategies = []Strategy{{Embed: core.Embed}} }},
-		{"negative weight", func(c *Config) { c.Objective = Objective{Alpha: -1} }},
+		{"size mismatch", true, func(c *Config) { c.Host = grid.MeshSpec(4, 2) }},
+		{"no strategies", false, func(c *Config) { c.Strategies = nil }},
+		{"anonymous strategy", false, func(c *Config) { c.Strategies = []Strategy{{Embed: core.Embed}} }},
+		{"half-set mid", false, func(c *Config) { c.Strategies = []Strategy{halfMid} }},
+		{"negative weight", false, func(c *Config) { c.Objective = Objective{Alpha: -1} }},
+		{"unknown moves", false, func(c *Config) { c.Anneal, c.AnnealMoves = true, "jumble" }},
 	}
 	for _, tc := range cases {
 		cfg := good()
 		tc.mutate(&cfg)
-		if _, err := Search(cfg); err == nil {
+		_, err := Search(cfg)
+		if err == nil {
 			t.Errorf("%s: Search accepted the config", tc.name)
+			continue
+		}
+		settingsErr := cfg.ValidateSettings()
+		if tc.pair && settingsErr != nil {
+			t.Errorf("%s: ValidateSettings rejected the pair: %v", tc.name, settingsErr)
+		}
+		if !tc.pair && (settingsErr == nil || settingsErr.Error() != err.Error()) {
+			t.Errorf("%s: ValidateSettings says %v, Search says %v", tc.name, settingsErr, err)
 		}
 	}
 	// The zero objective and budget take defaults.
 	cfg := good()
+	if err := cfg.ValidateSettings(); err != nil {
+		t.Fatalf("ValidateSettings rejected the defaults: %v", err)
+	}
 	res, err := Search(cfg)
 	if err != nil {
 		t.Fatal(err)

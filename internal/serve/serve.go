@@ -238,8 +238,9 @@ type Server struct {
 // New builds a server, loads the persistent cache (when configured)
 // and starts the background search workers.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.Place.Strategies) == 0 {
-		return nil, errors.New("serve: at least one strategy is required")
+	// Settings that would fail every search fail startup instead.
+	if err := cfg.Place.ValidateSettings(); err != nil {
+		return nil, err
 	}
 	if cfg.SearchWorkers <= 0 {
 		cfg.SearchWorkers = 1

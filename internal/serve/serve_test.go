@@ -85,6 +85,23 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
+// TestNewRejectsBadSettings: settings that would fail every search —
+// an unknown anneal move repertoire, a negative objective weight — are
+// refused at startup instead of failing each background search.
+func TestNewRejectsBadSettings(t *testing.T) {
+	for name, mutate := range map[string]func(*place.Config){
+		"unknown moves":   func(c *place.Config) { c.Anneal, c.AnnealMoves = true, "jumble" },
+		"negative weight": func(c *place.Config) { c.Objective = place.Objective{Alpha: -1, Beta: 1} },
+	} {
+		cfg := testConfig()
+		mutate(&cfg.Place)
+		if srv, err := New(cfg); err == nil {
+			srv.Close()
+			t.Errorf("%s: New accepted %+v", name, cfg.Place)
+		}
+	}
+}
+
 // TestColdBaselineThenSearched is the serving contract end to end: a
 // cold request answers at the baseline tier without waiting, the
 // baseline costs equal the search's own Baseline candidate, and once

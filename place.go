@@ -46,11 +46,6 @@ type PlacementOptions struct {
 	// Seed seeds the annealing RNG (0: a fixed default). Equal options
 	// — seed included — produce identical results.
 	Seed int64
-	// WideTables forces the annealing pass's placement tables into the
-	// historical []int form instead of the compact int32 default.
-	// Results are bit-for-bit identical either way; this is a
-	// benchmarking and debugging escape hatch.
-	WideTables bool
 }
 
 // DefaultPlacementOptions caps dilation at the baseline's and enables
@@ -87,7 +82,6 @@ func PlaceWith(g, h Spec, opts PlacementOptions) (*PlacementResult, error) {
 		AnnealSteps: opts.AnnealSteps,
 		AnnealMoves: opts.AnnealMoves,
 		Seed:        opts.Seed,
-		WideTables:  opts.WideTables,
 		Strategies:  place.DefaultStrategies(),
 	})
 }

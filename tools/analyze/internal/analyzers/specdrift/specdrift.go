@@ -4,8 +4,7 @@
 // must either be referenced inside Spec() — and therefore change the
 // token — or carry an explicit `//torusmesh:nospec` annotation on its
 // declaration stating that artifacts do not depend on it (Guest/Host
-// are the pair identity, WideTables is a bit-for-bit-identical memory
-// representation, Clock is measurement-only).
+// are the pair identity, Clock is measurement-only).
 //
 // Without this check, adding a knob that alters search results but
 // forgetting to fold it into Spec() silently poisons everything keyed
