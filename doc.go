@@ -44,12 +44,16 @@
 // per-digit contribution table (host rank = Σ_i contrib[i][digit_i]),
 // and guests up to SetMaterializeThreshold nodes materialize into flat
 // lookup tables whose compositions fuse into a single table. The
-// measurement paths (Dilation, AverageDilation, Verify) enumerate guest
-// edges in rank blocks striped across GOMAXPROCS workers and use
-// rank-native distance reductions, making them several times faster
-// than the per-node walks (kept as DilationPerNode and friends) with
-// near-zero steady-state allocation. MapRanks exposes bulk evaluation
-// for runtime systems that store placements as rank tables; the netsim
+// measurement paths (Dilation, AverageDilation, Verify) answer from
+// the contribution table's closed forms when they apply: dilation from
+// the Σ l_i axis edges, injectivity from a bijection proof. Otherwise
+// Verify scans the lookup table, or the kernel's images in parallel
+// blocks, and Dilation and AverageDilation enumerate guest edges in
+// rank blocks striped across GOMAXPROCS workers, with rank-native
+// distance reductions. All are several times faster than the per-node
+// walks (kept as DilationPerNode and friends) with near-zero
+// steady-state allocation. MapRanks exposes bulk evaluation for
+// runtime systems that store placements as rank tables; the netsim
 // routing and congestion pipelines run on the same worker pool.
 //
 // # The census engine

@@ -466,7 +466,8 @@ func (c *Census) SlowestPair() *PairResult {
 // evaluator carries the per-run immutable state the pair workers share:
 // the config, and — when metrics or congestion are on — per-spec
 // compiled distancers, task graphs and networks, built up front so the
-// parallel loop stays lock-free.
+// parallel loop stays lock-free. Every pair is evaluated the same way
+// (measure); the measurement routes are the embedding's own.
 type evaluator struct {
 	cfg        *Config
 	distancers map[string]*grid.RankDistancer // host spec string -> compiled distance
@@ -489,15 +490,19 @@ func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
 		guestUsed[i/len(specs)] = true
 		hostUsed[i%len(specs)] = true
 	}
-	// Materialized distancers only pay off on the table fast path, which
-	// kernels take when guests sit at or below the materialization
-	// threshold; above it (or with materialization disabled) every pair
-	// goes through measureSlow and the precompute would be dead weight.
-	if cfg.Metrics && cfg.Size <= embed.MaterializeThreshold() {
+	// A materialized distancer decodes without division, which pays off
+	// on the table pass of kernels at or below the materialization
+	// threshold; above it no kernel has a table, and the precompute would
+	// be dead weight.
+	if cfg.Metrics {
 		ev.distancers = make(map[string]*grid.RankDistancer, len(specs))
 		for si, sp := range specs {
 			if hostUsed[si] {
-				ev.distancers[sp.String()] = sp.NewRankDistancer().Materialize()
+				rd := sp.NewRankDistancer()
+				if cfg.Size <= embed.MaterializeThreshold() {
+					rd.Materialize()
+				}
+				ev.distancers[sp.String()] = rd
 			}
 		}
 	}
@@ -533,78 +538,24 @@ func (ev *evaluator) pair(idx int, g, h grid.Spec) PairResult {
 	return pr
 }
 
-// measure verifies the embedding and fills in the requested metrics.
-// Guests at or below the materialization threshold take the fast path:
-// the kernel's lookup table is scanned directly (plain bitset, no
-// atomics — pairs are the unit of parallelism here), dilation and
-// average dilation come from the digit kernel's closed form when it is
-// carry-free and otherwise from one fused pass over the guest's edge
-// blocks, and the table feeds the congestion pass. Larger guests fall
-// back to the embedding's own parallel measurement paths.
+// measure verifies the embedding and fills in the requested metrics,
+// each by the route the embedding picks (Verify, EdgeDilation): a proved
+// bijection is not scanned and a carry-free digit kernel measures in
+// closed form, so such a pair needs a table only for congestion, which
+// routes the placement netsim.SharedPlacement gives it.
 func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec) {
-	table, _ := e.Kernel().(embed.Table)
-	if table == nil {
-		ev.measureSlow(pr, e, g, h)
-		return
-	}
-	if bad := table.CheckInjection(g.Size()); bad != nil {
-		if bad.OutOfBounds {
-			pr.Failure = fmt.Sprintf("%s: image of node %s (host rank %d) out of bounds for host %s",
-				e.Strategy, g.Shape.NodeAt(bad.GuestRank), bad.HostRank, h)
-		} else {
-			pr.Failure = fmt.Sprintf("%s: host node %s has two pre-images (one is %s)",
-				e.Strategy, h.Shape.NodeAt(bad.HostRank), g.Shape.NodeAt(bad.GuestRank))
-		}
-		pr.FailureStage = StageVerify
-		return
-	}
-	if ev.cfg.Metrics {
-		rd := ev.distancers[h.String()]
-		if rd == nil {
-			// A table kernel above the materialization threshold (e.g. an
-			// explicit FromTable embedding) reaches the fast path without
-			// a precomputed distancer; a one-off compile is still cheap.
-			rd = h.NewRankDistancer()
-		}
-		pr.Dilation, pr.AvgDilation = edgeDilation(e, g, table, rd)
-		if !checkPredicted(pr, e, pr.Dilation, g, h) {
-			return
-		}
-	}
-	ev.congest(pr, g, h, netsim.Placement(table))
-}
-
-// edgeDilation returns the dilation and average dilation of the
-// embedding's table: in closed form from the axis images when its
-// digit kernel is carry-free, else by the fused edge pass.
-func edgeDilation(e *embed.Embedding, g grid.Spec, table embed.Table, rd *grid.RankDistancer) (int, float64) {
-	if k := e.Digits(); k != nil {
-		if dil, avg, ok := k.EdgeDilation(g, rd); ok {
-			return dil, avg
-		}
-	}
-	return g.EdgeDilation(table, rd)
-}
-
-// measureSlow is the above-threshold fallback: the embedding's own
-// batch-parallel Verify/Dilation/AverageDilation paths.
-func (ev *evaluator) measureSlow(pr *PairResult, e *embed.Embedding, g, h grid.Spec) {
 	if err := e.Verify(); err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify
 		return
 	}
 	if ev.cfg.Metrics {
-		d := e.Dilation()
-		pr.Dilation = d
-		pr.AvgDilation = e.AverageDilation()
-		if !checkPredicted(pr, e, d, g, h) {
+		pr.Dilation, pr.AvgDilation = e.EdgeDilation(ev.distancers[h.String()])
+		if !checkPredicted(pr, e, pr.Dilation, g, h) {
 			return
 		}
 	}
 	if ev.cfg.Congestion {
-		// PlacementFromEmbedding materializes a table copy, so only pay
-		// for it when congestion is actually measured.
-		ev.congest(pr, g, h, netsim.PlacementFromEmbedding(e))
+		ev.congest(pr, g, h, netsim.SharedPlacement(e))
 	}
 }
 
@@ -625,9 +576,6 @@ func checkPredicted(pr *PairResult, e *embed.Embedding, measured int, g, h grid.
 // edges through the host under the embedding's placement, plus the
 // route-length histogram the same pass computes.
 func (ev *evaluator) congest(pr *PairResult, g, h grid.Spec, p netsim.Placement) {
-	if !ev.cfg.Congestion {
-		return
-	}
 	stats, hops, err := netsim.CongestionHops(ev.networks[h.String()], ev.graphs[g.String()], p)
 	if err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify

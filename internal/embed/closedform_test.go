@@ -10,13 +10,19 @@ import (
 )
 
 // TestClosedFormsMatchEdgePass pins the closed forms to their oracles
-// over every ordered pair of the census spaces at four sizes: whenever
-// the dilation closed form answers, it equals the edge pass over the
-// materialized table, bit for bit; whenever the closed form proves a
-// bijection, the table scan finds no violation. At size 360 nearly
-// every construction must compile to one digit kernel.
+// over every ordered pair of the census spaces at four sizes, and two
+// more outside -short: whenever the dilation closed form answers, it
+// equals the edge pass over the materialized table, bit for bit;
+// whenever the closed form proves a bijection, the table scan finds no
+// violation. The census trusts both, so they must hold on every pair
+// it measures. At size 360 nearly every construction must compile to
+// one digit kernel.
 func TestClosedFormsMatchEdgePass(t *testing.T) {
-	for _, n := range []int{36, 64, 120, 360} {
+	sizes := []int{36, 64, 120, 360}
+	if !testing.Short() {
+		sizes = append(sizes, 720, 1024)
+	}
+	for _, n := range sizes {
 		var specs []grid.Spec
 		for _, s := range catalog.CanonicalShapesOfSize(n, 4) {
 			specs = append(specs, grid.Spec{Kind: grid.Mesh, Shape: s}, grid.Spec{Kind: grid.Torus, Shape: s})

@@ -302,7 +302,7 @@ func (k *DigitKernel) EdgeDilation(g grid.Spec, rd *grid.RankDistancer) (max int
 // nodes that differ on axis i have images that differ on a host digit
 // only axis i moves, so no two share an image, and every image is in
 // range. This is a proof, not a skipped check: false means only that
-// the caller must scan the table (Table.CheckInjection, Verify).
+// the caller must scan the images (Verify).
 func (k *DigitKernel) Bijective() bool {
 	k.analyze()
 	return k.bijective

@@ -8,17 +8,23 @@
 // Every embedding carries two evaluation forms. Map is the per-node
 // closure form used by the paper's definitions and by small consumers.
 // Kernel is the compiled, index-native form: a batch evaluator over
-// row-major ranks (see kernel.go) that the measurement paths — Dilation,
-// AverageDilation, Verify — drive over blocked edge enumeration striped
-// across GOMAXPROCS workers. Constructions register their closed forms
-// with NewSeparable/NewIndexed/NewKernel; closures registered with New
-// fall back to a decode-map-encode adapter. Compositions of digit
+// row-major ranks (see kernel.go). Constructions register their closed
+// forms with NewSeparable/NewIndexed/NewKernel; closures registered with
+// New fall back to a decode-map-encode adapter. Compositions of digit
 // kernels compile into one digit kernel when each stage but the last is
 // disjoint, and a digit kernel's closed forms (digits.go) measure its
 // dilation and prove its injectivity from its axis images. Kernels of
 // guests at or below MaterializeThreshold() are materialized into
 // lookup tables on first use, and composing materialized steps fuses
 // their tables.
+//
+// The package owns the choice of measurement route. Verify and
+// EdgeDilation (whose halves are Dilation and AverageDilation) answer
+// from a digit kernel's closed form when one applies. Otherwise Verify
+// scans a table sequentially and any other kernel in parallel, and
+// EdgeDilation drives the kernel, a table included, over blocked edge
+// enumeration striped across GOMAXPROCS workers. The engines measure
+// through these methods and pick no route themselves.
 package embed
 
 import (
@@ -28,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"torusmesh/internal/grid"
-	"torusmesh/internal/par"
 	"torusmesh/internal/perm"
 )
 
@@ -121,33 +126,33 @@ func (e *Embedding) Table() []int {
 	return Materialize(e.cachedKernel(), e.From.Size())
 }
 
-// Dilation measures the exact dilation cost on the batch path: edge
-// blocks of the guest (VisitEdgesBatchRange) are striped across
-// workers, the compiled kernel rewrites each block's endpoint ranks in
-// place into host ranks, and host distances use the rank-native closed
-// forms of Lemmas 5 and 6.
-func (e *Embedding) Dilation() int {
-	k := e.Kernel()
-	n := e.From.Size()
-	rd := e.To.NewRankDistancer()
-	var mu sync.Mutex
-	max := 0
-	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
-		local := 0
-		e.From.VisitEdgesBatchRange(lo, hi, grid.DefaultEdgeBlock, func(a, b []int) {
-			k.EvalBatch(a, a)
-			k.EvalBatch(b, b)
-			if d := rd.Max(a, b); d > local {
-				local = d
-			}
-		})
-		mu.Lock()
-		if local > max {
-			max = local
+// EdgeDilation measures the dilation (the maximum host distance, under
+// rd, between the images of adjacent guest nodes) and the average
+// dilation (the mean of the same distances) together. A carry-free
+// digit kernel answers in closed form from its Σ l_i axis images
+// (DigitKernel.EdgeDilation), with no table. Any other kernel, a
+// materialized table included, rewrites the guest's edge blocks in
+// place into host ranks in one fused pass striped across workers
+// (grid.Spec.EdgeDilationEval; a guest of one grain runs inline).
+//
+// Both routes sum integer distances, so they agree bit for bit. rd
+// must measure the embedding's host; a materialized rd also needs every
+// image in range, which Verify establishes.
+func (e *Embedding) EdgeDilation(rd *grid.RankDistancer) (dil int, avg float64) {
+	if k := e.Digits(); k != nil {
+		if dil, avg, ok := k.EdgeDilation(e.From, rd); ok {
+			return dil, avg
 		}
-		mu.Unlock()
-	})
-	return max
+	}
+	k := e.Kernel()
+	return e.From.EdgeDilationEval(func(blk []int) { k.EvalBatch(blk, blk) }, rd)
+}
+
+// Dilation returns the exact dilation cost, the first half of
+// EdgeDilation.
+func (e *Embedding) Dilation() int {
+	dil, _ := e.EdgeDilation(e.To.NewRankDistancer())
+	return dil
 }
 
 // DilationPerNode is the reference per-node implementation of Dilation:
@@ -167,31 +172,11 @@ func (e *Embedding) DilationPerNode() int {
 }
 
 // AverageDilation returns the mean host distance over all guest edges, a
-// secondary proximity measure used in the experiment reports. Runs on
-// the batch path, in place like Dilation, with per-worker partial sums.
+// secondary proximity measure used in the experiment reports: the
+// second half of EdgeDilation.
 func (e *Embedding) AverageDilation() float64 {
-	k := e.Kernel()
-	n := e.From.Size()
-	rd := e.To.NewRankDistancer()
-	var mu sync.Mutex
-	var sum, count int64
-	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
-		var localSum, localCount int64
-		e.From.VisitEdgesBatchRange(lo, hi, grid.DefaultEdgeBlock, func(a, b []int) {
-			k.EvalBatch(a, a)
-			k.EvalBatch(b, b)
-			localSum += rd.Sum(a, b)
-			localCount += int64(len(a))
-		})
-		mu.Lock()
-		sum += localSum
-		count += localCount
-		mu.Unlock()
-	})
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count)
+	_, avg := e.EdgeDilation(e.To.NewRankDistancer())
+	return avg
 }
 
 // AverageDilationPerNode is the reference per-node implementation of
@@ -210,62 +195,38 @@ func (e *Embedding) AverageDilationPerNode() float64 {
 
 // Verify checks that the embedding is a well-formed injection: every
 // image is in bounds and no two guest nodes share an image. Since guest
-// and host have equal size, injectivity implies bijectivity. Images are
-// evaluated in place over one block of ranks per span and claimed in a
-// shared atomic bitset.
+// and host have equal size, injectivity implies bijectivity. It takes
+// the first route that applies: a digit kernel the closed form proves
+// bijective (DigitKernel.Bijective) needs no scan; a table is scanned
+// once, sequentially (Table.CheckInjection); any other kernel is
+// scanned in parallel blocks evaluated in place. Every route reports
+// the violation CheckInjection finds first in guest-rank order, so the
+// error does not depend on the route or on scheduling.
 func (e *Embedding) Verify() error {
-	k := e.Kernel()
-	n := e.From.Size()
-	words := make([]uint32, (n+31)/32)
-	var mu sync.Mutex
-	var firstErr error
-	var failed atomic.Bool
-	record := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		failed.Store(true)
+	if k := e.Digits(); k != nil && k.Bijective() {
+		return nil
 	}
-	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
-		buf := make([]int, min(hi-lo, grid.DefaultEdgeBlock))
-		for blockLo := lo; blockLo < hi; blockLo += grid.DefaultEdgeBlock {
-			if failed.Load() {
-				return
-			}
-			d := buf[:min(hi-blockLo, len(buf))]
-			for i := range d {
-				d[i] = blockLo + i
-			}
-			k.EvalBatch(d, d)
-			for i, v := range d {
-				if v < 0 || v >= n {
-					record(fmt.Errorf("embed: %s: image of node %s (host rank %d) out of bounds for host %s",
-						e.Strategy, e.From.Shape.NodeAt(blockLo+i), v, e.To))
-					return
-				}
-				w := &words[v>>5]
-				bit := uint32(1) << (v & 31)
-				for {
-					old := atomic.LoadUint32(w)
-					if old&bit != 0 {
-						record(fmt.Errorf("embed: %s: host node %s has two pre-images (one is %s)",
-							e.Strategy, e.To.Shape.NodeAt(v), e.From.Shape.NodeAt(blockLo+i)))
-						return
-					}
-					if atomic.CompareAndSwapUint32(w, old, old|bit) {
-						break
-					}
-				}
-			}
-		}
-	})
-	return firstErr
+	n := e.From.Size()
+	var bad *InjectionViolation
+	switch k := e.Kernel().(type) {
+	case Table:
+		bad = k.CheckInjection(n)
+	default:
+		bad = checkKernelInjection(k, n)
+	}
+	if bad == nil {
+		return nil
+	}
+	if bad.OutOfBounds {
+		return fmt.Errorf("embed: %s: image of node %s (host rank %d) out of bounds for host %s",
+			e.Strategy, e.From.Shape.NodeAt(bad.GuestRank), bad.HostRank, e.To)
+	}
+	return fmt.Errorf("embed: %s: host node %s has two pre-images (one is %s)",
+		e.Strategy, e.To.Shape.NodeAt(bad.HostRank), e.From.Shape.NodeAt(bad.GuestRank))
 }
 
 // CheckPredicted verifies that the measured dilation does not exceed the
-// recorded guarantee. It returns the measured dilation (batch path).
+// recorded guarantee. It returns the measured dilation (Dilation).
 func (e *Embedding) CheckPredicted() (int, error) {
 	d := e.Dilation()
 	if e.Predicted > 0 && d > e.Predicted {

@@ -280,11 +280,15 @@ func TestComposedOutOfBoundsReportsNotPanics(t *testing.T) {
 	}
 }
 
-// --- Benchmarks: per-node closure walk vs compiled batch kernels ---------
+// --- Benchmarks: per-node closure walk vs the measurement routes --------
 //
-// The acceptance gate of the engine: on a >= 32^3-node shape the batch
-// path must be at least 2x faster with at least 10x fewer allocs/op
-// than the per-node path. Run with:
+// The acceptance gate of the engine: on a >= 32^3-node shape Dilation
+// must be at least 2x faster with at least 10x fewer allocs/op than
+// the per-node path. The T_L kernel below is a carry-free digit kernel
+// that the closed form proves bijective, so BenchmarkDilationBatch
+// times Dilation's closed-form route (its Σ l_i axis edges, with no
+// table and no edge pass) and BenchmarkVerifyBatch times Verify's
+// proof route (no scan). Run with:
 //
 //	go test ./internal/embed -bench Dilation -benchmem
 
@@ -318,7 +322,6 @@ func BenchmarkDilationPerNode(b *testing.B) {
 
 func BenchmarkDilationBatch(b *testing.B) {
 	e := benchEmbedding(b)
-	e.Kernel() // materialize outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -330,7 +333,48 @@ func BenchmarkDilationBatch(b *testing.B) {
 
 func BenchmarkVerifyBatch(b *testing.B) {
 	e := benchEmbedding(b)
-	e.Kernel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Verify(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchTable is T_L of torus:1024x1024 into mesh:1024x1024 as a
+// FromTable embedding: 2^20 nodes with no closed form, so
+// BenchmarkDilationTable times Dilation's edge pass striped across
+// workers and BenchmarkVerifyTable times Verify's sequential table scan.
+func benchTable(b *testing.B) *Embedding {
+	b.Helper()
+	from, to := grid.TorusSpec(1024, 1024), grid.MeshSpec(1024, 1024)
+	tl, err := NewSeparable(from, to, "bench/T_L", 2, func(n grid.Node) grid.Node {
+		return grid.Node{gray.TN(1024, n[0]), gray.TN(1024, n[1])}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := FromTable(from, to, "bench/T_L table", 2, Materialize(tl.kernel, from.Size()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+func BenchmarkDilationTable(b *testing.B) {
+	e := benchTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := e.Dilation(); d != 2 {
+			b.Fatalf("dilation %d", d)
+		}
+	}
+}
+
+func BenchmarkVerifyTable(b *testing.B) {
+	e := benchTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

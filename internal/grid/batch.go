@@ -192,31 +192,9 @@ func (rd *RankDistancer) one(a, b int) int {
 	return dist
 }
 
-// Max returns the maximum distance over a block of rank pairs — the
-// inner reduction of the batch dilation path.
-func (rd *RankDistancer) Max(ha, hb []int) int {
-	max := 0
-	for i := range ha {
-		if d := rd.one(ha[i], hb[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Sum returns the summed distance over a block of rank pairs — the
-// inner reduction of the batch average-dilation path.
-func (rd *RankDistancer) Sum(ha, hb []int) int64 {
-	var sum int64
-	for i := range ha {
-		sum += int64(rd.one(ha[i], hb[i]))
-	}
-	return sum
-}
-
-// MaxSum fuses Max and Sum into a single pass over a block of rank
-// pairs, so consumers that want both dilation and average dilation (the
-// census engine) decode each pair once instead of twice.
+// MaxSum returns the maximum and the sum of the distances over a block
+// of rank pairs in one pass — the inner reduction of every edge
+// dilation pass, which decodes each pair once for both results.
 func (rd *RankDistancer) MaxSum(ha, hb []int) (max int, sum int64) {
 	for i := range ha {
 		d := rd.one(ha[i], hb[i])
@@ -231,10 +209,12 @@ func (rd *RankDistancer) MaxSum(ha, hb []int) (max int, sum int64) {
 // EdgeDilation returns the maximum and mean distance, under rd, between
 // the relabeled endpoints table[a] and table[b] of every edge (a, b) of
 // the graph — the fused single-pass measurement of a placement table's
-// dilation and average dilation, shared by the census and placement
-// engines. The relabeled ranks overwrite the edge visitor's own pooled
-// blocks, so the pass needs no gather buffers of its own. Every table
-// entry must be a valid rank for rd; callers validate the table first.
+// dilation and average dilation, and the serial reference that the
+// striped passes and the digit kernels' closed forms are tested
+// against. The relabeled ranks overwrite the edge
+// visitor's own pooled blocks, so the pass needs no gather buffers of
+// its own. Every table entry must be a valid rank for rd; callers
+// validate the table first.
 func (sp Spec) EdgeDilation(table []int, rd *RankDistancer) (max int, avg float64) {
 	sum, edges := int64(0), int64(0)
 	sp.VisitEdgesBatchRange(0, sp.Size(), DefaultEdgeBlock, func(a, b []int) {
@@ -260,13 +240,23 @@ func (sp Spec) EdgeDilation(table []int, rd *RankDistancer) (max int, avg float6
 // where the table is large and the check sits on the serial path of the
 // anneal loop.
 func (sp Spec) EdgeDilationStriped(table []int, rd *RankDistancer) (max int, avg float64) {
+	return sp.EdgeDilationEval(func(blk []int) { relabel(blk, table) }, rd)
+}
+
+// EdgeDilationEval is EdgeDilationStriped with the relabeling left to
+// the caller: eval rewrites a block of guest ranks in place into their
+// host ranks. It must be safe for concurrent calls on distinct blocks.
+// This is the pass of an embedding whose kernel has no table.
+func (sp Spec) EdgeDilationEval(eval func(blk []int), rd *RankDistancer) (max int, avg float64) {
 	n := sp.Size()
 	var mu sync.Mutex
 	var sum, edges int64
 	par.Blocks(n, par.Grain(n, 4096), func(lo, hi int) {
 		lmax, lsum, ledges := 0, int64(0), int64(0)
 		sp.VisitEdgesBatchRange(lo, hi, DefaultEdgeBlock, func(a, b []int) {
-			m, s := rd.MaxSum(relabel(a, table), relabel(b, table))
+			eval(a)
+			eval(b)
+			m, s := rd.MaxSum(a, b)
 			if m > lmax {
 				lmax = m
 			}

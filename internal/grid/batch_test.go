@@ -68,8 +68,8 @@ func TestRankDistancerMatchesDistance(t *testing.T) {
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				want := sp.Distance(sp.Shape.NodeAt(a), sp.Shape.NodeAt(b))
-				if got := rd.Max([]int{a}, []int{b}); got != want {
-					t.Fatalf("%s: RankDistancer.Max(%d,%d) = %d, want %d", sp, a, b, got, want)
+				if got, _ := rd.MaxSum([]int{a}, []int{b}); got != want {
+					t.Fatalf("%s: RankDistancer.MaxSum(%d,%d) max = %d, want %d", sp, a, b, got, want)
 				}
 				ha = append(ha, a)
 				hb = append(hb, b)
@@ -79,8 +79,8 @@ func TestRankDistancerMatchesDistance(t *testing.T) {
 		for i := range ha {
 			wantSum += int64(sp.DistanceRank(ha[i], hb[i]))
 		}
-		if got := rd.Sum(ha, hb); got != wantSum {
-			t.Fatalf("%s: RankDistancer.Sum = %d, want %d", sp, got, wantSum)
+		if _, got := rd.MaxSum(ha, hb); got != wantSum {
+			t.Fatalf("%s: RankDistancer.MaxSum sum = %d, want %d", sp, got, wantSum)
 		}
 	}
 }

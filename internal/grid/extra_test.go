@@ -145,20 +145,26 @@ func TestRankDistancerMaterializeParity(t *testing.T) {
 	}
 }
 
-// TestRankDistancerMaxSum: the fused reduction agrees with Max and Sum.
+// TestRankDistancerMaxSum: the fused reduction of a materialized
+// distancer agrees with the maximum and the sum of Distance.
 func TestRankDistancerMaxSum(t *testing.T) {
 	sp := TorusSpec(5, 3, 2)
 	rd := sp.NewRankDistancer().Materialize()
 	var ha, hb []int
+	wantMax, wantSum := 0, int64(0)
 	for a := 0; a < sp.Size(); a++ {
+		b := (a*7 + 3) % sp.Size()
 		ha = append(ha, a)
-		hb = append(hb, (a*7+3)%sp.Size())
+		hb = append(hb, b)
+		d := sp.Distance(sp.Shape.NodeAt(a), sp.Shape.NodeAt(b))
+		wantMax = max(wantMax, d)
+		wantSum += int64(d)
 	}
-	max, sum := rd.MaxSum(ha, hb)
-	if wantMax := rd.Max(ha, hb); max != wantMax {
-		t.Errorf("MaxSum max = %d, Max = %d", max, wantMax)
+	gotMax, gotSum := rd.MaxSum(ha, hb)
+	if gotMax != wantMax {
+		t.Errorf("MaxSum max = %d, Distance max = %d", gotMax, wantMax)
 	}
-	if wantSum := rd.Sum(ha, hb); sum != wantSum {
-		t.Errorf("MaxSum sum = %d, Sum = %d", sum, wantSum)
+	if gotSum != wantSum {
+		t.Errorf("MaxSum sum = %d, Distance sum = %d", gotSum, wantSum)
 	}
 }

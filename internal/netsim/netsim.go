@@ -158,6 +158,17 @@ func PlacementFromEmbedding(e *embed.Embedding) Placement {
 	return Placement(e.Table())
 }
 
+// SharedPlacement is PlacementFromEmbedding for read-only use: the
+// embedding's own table when its kernel is one, without a copy, else a
+// fresh materialization. The caller must not modify it. The census and
+// the placement search route their congestion passes through it.
+func SharedPlacement(e *embed.Embedding) Placement {
+	if t, ok := e.Kernel().(embed.Table); ok {
+		return Placement(t)
+	}
+	return Placement(e.Table())
+}
+
 // IdentityPlacement places task i on router i.
 func IdentityPlacement(n int) Placement {
 	p := make(Placement, n)

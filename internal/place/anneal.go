@@ -66,21 +66,6 @@ const (
 	annealRevalidateEvery = 4096
 )
 
-// tableCosts is the exact cost vector of one placement table.
-type tableCosts struct {
-	dil     int
-	avg     float64
-	peak    int
-	avgLink float64
-	score   float64
-}
-
-// dominatesCosts is Pareto dominance on the cost vector — the
-// tableCosts twin of dominates on Candidate, sharing the same rule.
-func (c tableCosts) dominatesCosts(o tableCosts) bool {
-	return dominatesTriple(c.dil, c.peak, c.avgLink, o.dil, o.peak, o.avgLink)
-}
-
 // evalTable measures a placement table exactly: the fused dilation pass
 // and the congestion routing — the same measurements every enumerated
 // candidate gets, with the dilation pass striped over edge blocks on
@@ -88,27 +73,22 @@ func (c tableCosts) dominatesCosts(o tableCosts) bool {
 // pass) so the per-4096-step re-validations inside an anneal run scale
 // with workers instead of stalling the run. It is the annealing pass's
 // ground truth: the incremental costs are validated against it.
-func (s *searcher) evalTable(tab embed.Table) (tableCosts, error) {
+func (s *searcher) evalTable(tab embed.Table) (Costs, error) {
 	dil, avg := s.cfg.Guest.EdgeDilationStriped(tab, s.rd)
 	stats, err := netsim.Congestion(s.nw, s.tg, netsim.Placement(tab))
 	if err != nil {
-		return tableCosts{}, err
+		return Costs{}, err
 	}
-	c := tableCosts{dil: dil, avg: avg, peak: stats.MaxLink, avgLink: stats.AvgLink()}
-	c.score = s.cfg.Objective.Score(c.dil, c.peak, c.avgLink)
-	return c, nil
+	return s.costs(dil, avg, stats), nil
 }
 
 // stateCosts reads the cost vector off the incrementally maintained
 // load state. The integer aggregates and the divisions that produce the
 // float costs are identical to evalTable's, so the two agree
 // bit-for-bit on every placement.
-func (s *searcher) stateCosts(ls *netsim.LoadState) tableCosts {
-	stats := ls.Stats()
+func (s *searcher) stateCosts(ls *netsim.LoadState) Costs {
 	dil, avg := ls.Dilation()
-	c := tableCosts{dil: dil, avg: avg, peak: stats.MaxLink, avgLink: stats.AvgLink()}
-	c.score = s.cfg.Objective.Score(c.dil, c.peak, c.avgLink)
-	return c
+	return s.costs(dil, avg, ls.Stats())
 }
 
 // moveKind tags the rearrangement a step applied, so rejection undoes
@@ -217,16 +197,16 @@ func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bo
 // load state and fails loudly on any disagreement, and re-validates the
 // incremental costs against evalTable every annealRevalidateEvery
 // steps and once more on the returned best.
-func (s *searcher) annealRun(tab embed.Table, start tableCosts, steps int, rng *rand.Rand) (embed.Table, tableCosts, error) {
+func (s *searcher) annealRun(tab embed.Table, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, error) {
 	annealRuns.Inc()
 	n := len(tab)
 	ls, err := netsim.NewLoadState(s.nw, s.tg, netsim.Placement(tab))
 	if err != nil {
-		return nil, tableCosts{}, err
+		return nil, Costs{}, err
 	}
 	cur := s.stateCosts(ls)
 	if cur != start {
-		return nil, tableCosts{}, fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)
+		return nil, Costs{}, fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)
 	}
 	bestTab := append(embed.Table(nil), tab...)
 	best := start
@@ -238,7 +218,7 @@ func (s *searcher) annealRun(tab embed.Table, start tableCosts, steps int, rng *
 	// Geometric cooling from a temperature that makes early uphill
 	// moves of about a tenth of the seed score likely, down to
 	// effectively greedy.
-	t0 := 1 + 0.1*start.score
+	t0 := 1 + 0.1*start.Score
 	const tEnd = 0.01
 	var i, j int
 	var snap embed.Table // revalidation table snapshot, allocated on first use
@@ -272,7 +252,7 @@ func (s *searcher) annealRun(tab embed.Table, start tableCosts, steps int, rng *
 		}
 		annealSteps.Inc()
 		c := s.stateCosts(ls)
-		delta := c.score - cur.score
+		delta := c.Score - cur.Score
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			annealAccepted.Inc()
 			cur = c
@@ -281,7 +261,7 @@ func (s *searcher) annealRun(tab embed.Table, start tableCosts, steps int, rng *
 			// (e.g. avg-link under the default 1,1,0 objective) ties
 			// the score but still dominates — exactly the improvement
 			// the admission gate accepts.
-			if c.score < best.score || c.dominatesCosts(best) {
+			if c.Score < best.Score || c.dominates(best) {
 				best = c
 				ls.CopyTableInto(bestTab)
 			}
@@ -300,19 +280,19 @@ func (s *searcher) annealRun(tab embed.Table, start tableCosts, steps int, rng *
 			ls.CopyTableInto(snap)
 			full, err := s.evalTable(snap)
 			if err != nil {
-				return nil, tableCosts{}, err
+				return nil, Costs{}, err
 			}
 			if full != cur {
-				return nil, tableCosts{}, fmt.Errorf("step %d: incremental costs %+v drifted from full measurement %+v", step, cur, full)
+				return nil, Costs{}, fmt.Errorf("step %d: incremental costs %+v drifted from full measurement %+v", step, cur, full)
 			}
 		}
 	}
 	full, err := s.evalTable(bestTab)
 	if err != nil {
-		return nil, tableCosts{}, err
+		return nil, Costs{}, err
 	}
 	if full != best {
-		return nil, tableCosts{}, fmt.Errorf("best costs %+v drifted from full measurement %+v", best, full)
+		return nil, Costs{}, fmt.Errorf("best costs %+v drifted from full measurement %+v", best, full)
 	}
 	return bestTab, best, nil
 }
@@ -354,7 +334,7 @@ func annealSeeds(scored, front []Candidate) (seeds []Candidate, skipped int) {
 // admission loop reaches its position.
 type annealOutcome struct {
 	tab     embed.Table
-	got     tableCosts
+	got     Costs
 	elapsed time.Duration
 	err     error
 }
@@ -392,9 +372,8 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 				outs[k] = annealOutcome{err: fmt.Errorf("place: anneal: rebuilding seed %d: %v", seed.Index, err)}
 				continue
 			}
-			start := tableCosts{dil: seed.Dilation, avg: seed.AvgDilation, peak: seed.Peak, avgLink: seed.AvgLink, score: seed.Score}
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
-			tab, got, err := s.annealRun(embed.Table(e.Table()), start, cfg.AnnealSteps, rng)
+			tab, got, err := s.annealRun(embed.Table(e.Table()), seed.Costs, cfg.AnnealSteps, rng)
 			if err != nil {
 				outs[k] = annealOutcome{err: fmt.Errorf("place: anneal: seed %d: %v", seed.Index, err)}
 				continue
@@ -421,17 +400,13 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 			Annealed:      true,
 			AnnealedFrom:  seed.Index,
 			EmbedStrategy: fmt.Sprintf("anneal[%d %s from #%d]", cfg.AnnealSteps, noun, seed.Index),
-			Dilation:      got.dil,
-			AvgDilation:   got.avg,
-			Peak:          got.peak,
-			AvgLink:       got.avgLink,
-			Score:         got.score,
+			Costs:         got,
 		}
 		// Admission is strict dominance over the seed: an annealed
 		// placement never replaces an equal or incomparable one, so the
 		// pass cannot degrade the front — and never emits a point its
 		// own seed dominates.
-		if !dominates(c, seed) {
+		if !got.dominates(seed.Costs) {
 			continue
 		}
 		tables[c.Index] = out.tab

@@ -15,12 +15,12 @@ import (
 // annealRunFull is the pre-incremental annealing loop, preserved as the
 // reference the incremental engine is pinned against: every step fully
 // re-measures the swapped placement with evalTable. It mutates tab.
-func (s *searcher) annealRunFull(tab embed.Table, start tableCosts, steps int, rng *rand.Rand) (embed.Table, tableCosts, error) {
+func (s *searcher) annealRunFull(tab embed.Table, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, error) {
 	n := len(tab)
 	cur := start
 	bestTab := append(embed.Table(nil), tab...)
 	best := start
-	t0 := 1 + 0.1*start.score
+	t0 := 1 + 0.1*start.Score
 	const tEnd = 0.01
 	for step := 0; step < steps; step++ {
 		temp := t0 * math.Pow(tEnd/t0, float64(step)/float64(steps))
@@ -32,12 +32,12 @@ func (s *searcher) annealRunFull(tab embed.Table, start tableCosts, steps int, r
 		tab[i], tab[j] = tab[j], tab[i]
 		c, err := s.evalTable(tab)
 		if err != nil {
-			return nil, tableCosts{}, err
+			return nil, Costs{}, err
 		}
-		delta := c.score - cur.score
+		delta := c.Score - cur.Score
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			cur = c
-			if c.score < best.score || c.dominatesCosts(best) {
+			if c.Score < best.Score || c.dominates(best) {
 				best = c
 				copy(bestTab, tab)
 			}
@@ -50,7 +50,7 @@ func (s *searcher) annealRunFull(tab embed.Table, start tableCosts, steps int, r
 
 // annealSearcher builds a validated searcher plus a scrambled start
 // table and its exact costs for direct annealRun tests.
-func annealSearcher(t testing.TB, guest, host grid.Spec, moves string) (*searcher, embed.Table, tableCosts) {
+func annealSearcher(t testing.TB, guest, host grid.Spec, moves string) (*searcher, embed.Table, Costs) {
 	t.Helper()
 	cfg := Config{
 		Guest:       guest,
@@ -63,6 +63,7 @@ func annealSearcher(t testing.TB, guest, host grid.Spec, moves string) (*searche
 		t.Fatal(err)
 	}
 	s := newSearcher(&cfg)
+	s.rd.Materialize() // as Search does at these sizes
 	n := guest.Size()
 	tab := make(embed.Table, n)
 	for i := range tab {
@@ -188,7 +189,7 @@ func TestAnnealExtendedMoves(t *testing.T) {
 	}
 	for _, c := range res.Front {
 		if c.Annealed {
-			if seed, ok := byIndex[c.AnnealedFrom]; ok && !dominates(c, seed) {
+			if seed, ok := byIndex[c.AnnealedFrom]; ok && !c.dominates(seed.Costs) {
 				t.Errorf("annealed candidate %d does not dominate its seed %d", c.Index, c.AnnealedFrom)
 			}
 		}
@@ -261,7 +262,7 @@ func TestAnnealLargePairDeterministic(t *testing.T) {
 // reports cap truncation.
 func TestAnnealSeedsFromScored(t *testing.T) {
 	mk := func(idx int, dil, peak int, score float64) Candidate {
-		return Candidate{Index: idx, Dilation: dil, Peak: peak, Score: score}
+		return Candidate{Index: idx, Costs: Costs{Dilation: dil, Peak: peak, Score: score}}
 	}
 	scored := []Candidate{
 		mk(0, 1, 3, 4), mk(1, 2, 2, 4.5), mk(2, 3, 1, 5),

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"torusmesh/internal/embed"
@@ -8,13 +10,10 @@ import (
 	"torusmesh/internal/obs"
 )
 
-// TestCandidateClosedFormsMatchEdgePass pins the searcher's closed
-// forms to their oracles on every candidate the enumeration yields for
-// the benchmark's search pairs and the CLI smoke pair: whenever the
-// dilation closed form answers, it equals the edge pass over the
-// candidate's materialized table; whenever it proves a bijection, the
-// table scan finds no violation.
-func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
+// searchPairs returns the benchmark's search pairs, whose first pair
+// is also the CLI smoke pair; -short keeps the first three.
+func searchPairs(t *testing.T) [][2]grid.Spec {
+	t.Helper()
 	pairs := [][2]string{
 		{"torus:8x2", "mesh:4x4"},
 		{"torus:12x3", "torus:9x4"},
@@ -27,6 +26,7 @@ func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
 	if testing.Short() {
 		pairs = pairs[:3]
 	}
+	var out [][2]grid.Spec
 	for _, p := range pairs {
 		g, err := grid.ParseSpec(p[0])
 		if err != nil {
@@ -36,12 +36,69 @@ func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, [2]grid.Spec{g, h})
+	}
+	return out
+}
+
+// TestBaselineMatchesSearch: Baseline scores exactly the candidate a
+// Search of the same config reports as its Baseline, on the
+// benchmark's search pairs with annealing off and on, without
+// enumerating the candidate space; BaselineEmbedding is the embedding
+// it scores, rank for rank the reference build of variant 0.
+func TestBaselineMatchesSearch(t *testing.T) {
+	for _, p := range searchPairs(t) {
+		cfg := cliConfig(p[0], p[1])
+		e, err := BaselineEmbedding(cfg)
+		if err != nil {
+			t.Fatalf("%s -> %s: %v", p[0], p[1], err)
+		}
+		for _, anneal := range []bool{false, true} {
+			cfg.Anneal = anneal
+			got, err := Baseline(cfg)
+			if err != nil {
+				t.Fatalf("%s -> %s anneal=%t: %v", p[0], p[1], anneal, err)
+			}
+			res, err := Search(cfg)
+			if err != nil {
+				t.Fatalf("%s -> %s anneal=%t: %v", p[0], p[1], anneal, err)
+			}
+			if !reflect.DeepEqual(got, res.Baseline) {
+				t.Errorf("%s -> %s anneal=%t: Baseline %+v, Search baseline %+v", p[0], p[1], anneal, got, res.Baseline)
+			}
+			if got.EmbedStrategy != e.Strategy {
+				t.Errorf("%s -> %s: Baseline scores %q, BaselineEmbedding builds %q", p[0], p[1], got.EmbedStrategy, e.Strategy)
+			}
+		}
+		if err := cfg.validate(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildVariant(&cfg, variantSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(e.Table(), want.Table()) {
+			t.Errorf("%s -> %s: BaselineEmbedding table differs from the reference build", p[0], p[1])
+		}
+	}
+}
+
+// TestCandidateClosedFormsMatchEdgePass pins the searcher's closed
+// forms to their oracles on every candidate the enumeration yields for
+// the benchmark's search pairs and the CLI smoke pair: whenever the
+// dilation closed form answers, it equals the edge pass over the
+// candidate's materialized table; whenever it proves a bijection, the
+// table scan finds no violation.
+func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
+	for _, p := range searchPairs(t) {
+		g, h := p[0], p[1]
 		cfg := cliConfig(g, h)
 		if err := cfg.validate(); err != nil {
 			t.Fatal(err)
 		}
 		vs, _ := enumerate(&cfg)
 		s := newSearcher(&cfg)
+		s.rd.Materialize() // as Search does at these sizes
 		dilations, bijections := 0, 0
 		for _, v := range vs {
 			e, err := s.build(v)

@@ -74,14 +74,15 @@
 // with each relabeling's table. On hosts with equal-length axes the
 // whole host-permutation tier shares one construction.
 //
-// Each worker validates its candidate (strategies are caller-injected,
+// Each worker verifies its candidate (strategies are caller-injected,
 // so a broken construction is discarded and counted, not fatal — only
 // the baseline is load-bearing) and measures its dilation and average
-// dilation. Both try the digit kernel's closed forms first: a disjoint
-// kernel with distinct axis images is a proved bijection, and a
-// carry-free kernel's dilation follows from its Σ l_i axis edges.
-// Candidates without a closed form are materialized, scanned, and
-// measured in one fused pass over the guest's edge blocks. Only then
+// dilation, through embed's Verify and EdgeDilation. Both take the
+// digit kernel's closed forms first: a disjoint kernel with distinct
+// axis images is a proved bijection, and a carry-free kernel's
+// dilation follows from its Σ l_i axis edges. Candidates without a
+// closed form are materialized, scanned, and measured in one fused
+// pass over the guest's edge blocks. Only then
 // does the worker route the guest's edges for congestion — the
 // expensive half, and the one that needs the candidate's table, so a
 // candidate is materialized only when it is scored (or seeds
@@ -112,6 +113,7 @@
 // The baseline candidate (first strategy, identity permutations) is
 // always fully scored and verified, and reported next to the winner, so
 // callers can see the dilation/congestion trade the search made.
+// Baseline scores that candidate alone, through the same code.
 package place
 
 import (
@@ -384,6 +386,12 @@ type Candidate struct {
 	// EmbedStrategy names the construction chain of the composite
 	// embedding.
 	EmbedStrategy string `json:"embed_strategy"`
+	Costs
+}
+
+// Costs is the measured cost vector of one placement and its objective
+// score. Pareto dominance reads (Dilation, Peak, AvgLink).
+type Costs struct {
 	// Dilation and AvgDilation are measured over every guest edge.
 	Dilation    int     `json:"dilation"`
 	AvgDilation float64 `json:"avg_dilation"`
@@ -393,6 +401,21 @@ type Candidate struct {
 	AvgLink float64 `json:"avg_link"`
 	// Score is the objective value.
 	Score float64 `json:"score"`
+}
+
+// dominates reports whether c Pareto-dominates o on (dilation, peak,
+// avg-link): no coordinate worse, at least one strictly better. Front
+// membership and annealing admission both use this one rule.
+func (c Costs) dominates(o Costs) bool {
+	if c.Dilation > o.Dilation || c.Peak > o.Peak || c.AvgLink > o.AvgLink {
+		return false
+	}
+	return c.Dilation < o.Dilation || c.Peak < o.Peak || c.AvgLink < o.AvgLink
+}
+
+// same reports whether c and o are equal on (dilation, peak, avg-link).
+func (c Costs) same(o Costs) bool {
+	return c.Dilation == o.Dilation && c.Peak == o.Peak && c.AvgLink == o.AvgLink
 }
 
 // Desc renders the symmetry variant compactly, e.g.
@@ -420,30 +443,6 @@ func (c Candidate) Desc() string {
 	return s
 }
 
-// dominatesTriple is the single home of the Pareto dominance rule on
-// the (dilation, peak, avg-link) cost triple: no coordinate worse, at
-// least one strictly better. Candidate dominance and the annealing
-// pass's tableCosts dominance are both defined through it, so the rule
-// cannot drift between front membership and annealing admission.
-func dominatesTriple(aDil, aPeak int, aAvg float64, bDil, bPeak int, bAvg float64) bool {
-	if aDil > bDil || aPeak > bPeak || aAvg > bAvg {
-		return false
-	}
-	return aDil < bDil || aPeak < bPeak || aAvg < bAvg
-}
-
-// dominates reports whether a Pareto-dominates b on (dilation, peak,
-// avg-link).
-func dominates(a, b Candidate) bool {
-	return dominatesTriple(a.Dilation, a.Peak, a.AvgLink, b.Dilation, b.Peak, b.AvgLink)
-}
-
-// sameCosts reports whether two candidates carry identical cost
-// vectors.
-func sameCosts(a, b Candidate) bool {
-	return a.Dilation == b.Dilation && a.Peak == b.Peak && a.AvgLink == b.AvgLink
-}
-
 // paretoFront filters the scored candidates to their non-dominated
 // subset. Identical cost vectors are represented by the lowest index,
 // and the result is sorted by (dilation, peak, avg-link, index) — the
@@ -456,7 +455,7 @@ func paretoFront(scored []Candidate) []Candidate {
 			if o.Index == c.Index {
 				continue
 			}
-			if dominates(o, c) || (sameCosts(o, c) && o.Index < c.Index) {
+			if o.dominates(c.Costs) || (o.same(c.Costs) && o.Index < c.Index) {
 				keep = false
 				break
 			}
@@ -569,14 +568,12 @@ type AnnealRunStat struct {
 // better objective score than the paper baseline.
 func (r *Result) Improved() bool { return r.Best.Score < r.Baseline.Score }
 
-// searcher carries the immutable per-search state the candidate workers
-// share, plus the construction caches.
-type searcher struct {
+// builder is the construction half of a search: the config and the
+// caches its variants' embeddings are built through. BaselineEmbedding
+// builds through one too, so the baseline it returns is the embedding a
+// search scores as its Baseline.
+type builder struct {
 	cfg *Config
-	tg  *taskgraph.Graph    // guest edge list, routed through the host
-	nw  *netsim.Network     // the host machine
-	rd  *grid.RankDistancer // compiled host distance
-	cap int                 // dilation cap (0 = none)
 
 	// bases caches the construction half of variants (buildBase) per
 	// baseKey; posts caches the host-side relabeling tables per
@@ -585,6 +582,20 @@ type searcher struct {
 	bases  map[string]*baseEntry
 	postMu sync.Mutex
 	posts  map[string]*postEntry
+}
+
+func newBuilder(cfg *Config) *builder {
+	return &builder{cfg: cfg, bases: map[string]*baseEntry{}, posts: map[string]*postEntry{}}
+}
+
+// searcher carries the immutable per-search state the candidate workers
+// share, beside the construction caches.
+type searcher struct {
+	*builder
+	tg  *taskgraph.Graph    // guest edge list, routed through the host
+	nw  *netsim.Network     // the host machine
+	rd  *grid.RankDistancer // compiled host distance
+	cap int                 // dilation cap (0 = none)
 }
 
 // baseEntry is one lazily built shared base construction.
@@ -602,50 +613,39 @@ type postEntry struct {
 }
 
 func newSearcher(cfg *Config) *searcher {
-	s := &searcher{
-		cfg:   cfg,
-		tg:    taskgraph.FromSpec(cfg.Guest),
-		nw:    netsim.New(cfg.Host),
-		rd:    cfg.Host.NewRankDistancer(),
-		bases: map[string]*baseEntry{},
-		posts: map[string]*postEntry{},
+	return &searcher{
+		builder: newBuilder(cfg),
+		tg:      taskgraph.FromSpec(cfg.Guest),
+		nw:      netsim.New(cfg.Host),
+		rd:      cfg.Host.NewRankDistancer(),
 	}
-	// Materialized (division-free) decode only pays off on the table
-	// fast path, which kernels take when the guest is at or below the
-	// materialization threshold; above it every candidate measures via
-	// the embedding's own paths and the tables would be dead weight
-	// (same gate as the census engine).
-	if cfg.Guest.Size() <= embed.MaterializeThreshold() {
-		s.rd.Materialize()
-	}
-	return s
 }
 
 // build constructs a variant's composite embedding through the caches:
 // the base construction is built at most once per baseKey, and
 // host-side symmetries are post-composed onto it — one digit kernel
 // when the base is disjoint, else one fusion of the base's cached
-// table. A digit-kernel candidate has no table yet: validate and
-// measure try the closed forms first, so it gets one only when it is
-// scored. Produces embeddings rank-identical to buildVariant.
-func (s *searcher) build(v variantSpec) (*embed.Embedding, error) {
-	hp := permutedHost(s.cfg.Host, v.hperm)
+// table. A digit-kernel candidate has no table yet: Verify and
+// EdgeDilation try the closed forms first, so it gets one only when it
+// is scored. Produces embeddings rank-identical to buildVariant.
+func (b *builder) build(v variantSpec) (*embed.Embedding, error) {
+	hp := permutedHost(b.cfg.Host, v.hperm)
 	key := v.baseKey(hp)
-	s.baseMu.Lock()
-	be := s.bases[key]
+	b.baseMu.Lock()
+	be := b.bases[key]
 	if be == nil {
 		be = &baseEntry{}
-		s.bases[key] = be
+		b.bases[key] = be
 	}
-	s.baseMu.Unlock()
-	be.once.Do(func() { be.e, be.err = buildBase(s.cfg, v, hp) })
+	b.baseMu.Unlock()
+	be.once.Do(func() { be.e, be.err = buildBase(b.cfg, v, hp) })
 	if be.err != nil {
 		return nil, be.err
 	}
 	if v.hperm == nil && v.hrot == nil {
 		return be.e, nil
 	}
-	post, err := s.post(v)
+	post, err := b.post(v)
 	if err != nil {
 		return nil, err
 	}
@@ -653,73 +653,34 @@ func (s *searcher) build(v variantSpec) (*embed.Embedding, error) {
 }
 
 // post returns the cached host-side relabeling of a variant.
-func (s *searcher) post(v variantSpec) (*embed.Embedding, error) {
+func (b *builder) post(v variantSpec) (*embed.Embedding, error) {
 	key := fmt.Sprintf("%v|%v", v.hperm, v.hrot)
-	s.postMu.Lock()
-	pe := s.posts[key]
+	b.postMu.Lock()
+	pe := b.posts[key]
 	if pe == nil {
 		pe = &postEntry{}
-		s.posts[key] = pe
+		b.posts[key] = pe
 	}
-	s.postMu.Unlock()
-	pe.once.Do(func() { pe.e, pe.err = postParts(s.cfg, v) })
+	b.postMu.Unlock()
+	pe.once.Do(func() { pe.e, pe.err = postParts(b.cfg, v) })
 	return pe.e, pe.err
 }
 
-// validate rejects malformed candidate embeddings — an image out of the
-// host's rank range or two guest nodes sharing one — before they reach
-// the distance kernels, which index by host rank and would panic.
-// Strategies are caller-injected, so the engine treats construction
-// output as fallible, the way the census does. A digit kernel whose
-// closed form proves it a bijection needs no table; any other candidate
-// is materialized and scanned.
-func (s *searcher) validate(e *embed.Embedding) error {
-	if k := e.Digits(); k != nil && k.Bijective() {
-		return nil
+// baselineEmbedding builds the baseline candidate's embedding: the
+// first strategy at identity symmetries, enumeration index 0.
+func (b *builder) baselineEmbedding() (*embed.Embedding, error) {
+	e, err := b.build(variantSpec{})
+	if err != nil {
+		return nil, fmt.Errorf("place: baseline strategy %s failed for %s -> %s: %v",
+			b.cfg.Strategies[0].Name, b.cfg.Guest, b.cfg.Host, err)
 	}
-	table, _ := e.Kernel().(embed.Table)
-	if table == nil {
-		return e.Verify()
-	}
-	if bad := table.CheckInjection(s.cfg.Guest.Size()); bad != nil {
-		if bad.OutOfBounds {
-			return fmt.Errorf("%s: image of guest rank %d (host rank %d) out of bounds for %s",
-				e.Strategy, bad.GuestRank, bad.HostRank, s.cfg.Host)
-		}
-		return fmt.Errorf("%s: host rank %d has two pre-images (one is guest rank %d)",
-			e.Strategy, bad.HostRank, bad.GuestRank)
-	}
-	return nil
-}
-
-// measure returns the dilation and average dilation of the embedding:
-// from the closed form when its digit kernel is carry-free, which
-// needs no table, else in one fused pass over the guest's edge blocks
-// when the kernel is materialized, falling back to the embedding's own
-// parallel paths.
-func (s *searcher) measure(e *embed.Embedding) (int, float64) {
-	if k := e.Digits(); k != nil {
-		if dil, avg, ok := k.EdgeDilation(s.cfg.Guest, s.rd); ok {
-			return dil, avg
-		}
-	}
-	table, _ := e.Kernel().(embed.Table)
-	if table == nil {
-		return e.Dilation(), e.AverageDilation()
-	}
-	return s.cfg.Guest.EdgeDilation(table, s.rd)
+	return e, nil
 }
 
 // congest routes the guest's edges through the host under the
 // embedding's placement — the expensive half of scoring.
 func (s *searcher) congest(e *embed.Embedding) (netsim.CongestionStats, error) {
-	var p netsim.Placement
-	if table, ok := e.Kernel().(embed.Table); ok {
-		p = netsim.Placement(table)
-	} else {
-		p = netsim.PlacementFromEmbedding(e)
-	}
-	return netsim.Congestion(s.nw, s.tg, p)
+	return netsim.Congestion(s.nw, s.tg, netsim.SharedPlacement(e))
 }
 
 // score finishes evaluating one candidate from its already-measured
@@ -727,17 +688,63 @@ func (s *searcher) congest(e *embed.Embedding) (netsim.CongestionStats, error) {
 // baseline and the worker loop go through here, so every candidate is
 // scored on the same objective.
 func (s *searcher) score(idx int, v variantSpec, e *embed.Embedding, dil int, avg float64) (Candidate, error) {
-	c := v.describe(idx, s.cfg)
-	c.EmbedStrategy = e.Strategy
-	c.Dilation, c.AvgDilation = dil, avg
 	stats, err := s.congest(e)
 	if err != nil {
 		return Candidate{}, err
 	}
-	c.Peak = stats.MaxLink
-	c.AvgLink = stats.AvgLink()
-	c.Score = s.cfg.Objective.Score(c.Dilation, c.Peak, c.AvgLink)
+	c := v.describe(idx, s.cfg)
+	c.EmbedStrategy = e.Strategy
+	c.Costs = s.costs(dil, avg, stats)
 	return c, nil
+}
+
+// costs assembles a cost vector from its dilation and congestion
+// measurements and scores it on the objective — the one constructor of
+// Costs, shared by candidate scoring and both annealing measurements.
+func (s *searcher) costs(dil int, avg float64, stats netsim.CongestionStats) Costs {
+	c := Costs{Dilation: dil, AvgDilation: avg, Peak: stats.MaxLink, AvgLink: stats.AvgLink()}
+	c.Score = s.cfg.Objective.Score(c.Dilation, c.Peak, c.AvgLink)
+	return c
+}
+
+// baseline builds, verifies and scores the baseline candidate. Search
+// and Baseline both take it from here.
+func (s *searcher) baseline() (Candidate, *embed.Embedding, error) {
+	e, err := s.baselineEmbedding()
+	if err != nil {
+		return Candidate{}, nil, err
+	}
+	if err := e.Verify(); err != nil {
+		return Candidate{}, nil, fmt.Errorf("place: baseline embedding is broken: %v", err)
+	}
+	dil, avg := e.EdgeDilation(s.rd)
+	c, err := s.score(0, variantSpec{}, e, dil, avg)
+	if err != nil {
+		return Candidate{}, nil, fmt.Errorf("place: baseline scoring failed: %v", err)
+	}
+	return c, e, nil
+}
+
+// Baseline scores the config's baseline candidate alone — the Baseline
+// a Search of the same config reports, without enumerating or scoring
+// the rest of the candidate space, and without the division-free host
+// decode a search precomputes for its many candidates. It is the
+// instant tier of the placement service.
+func Baseline(cfg Config) (Candidate, error) {
+	if err := cfg.validate(); err != nil {
+		return Candidate{}, err
+	}
+	c, _, err := newSearcher(&cfg).baseline()
+	return c, err
+}
+
+// BaselineEmbedding builds the embedding Baseline scores, without
+// measuring it: the placement behind the service's instant tier.
+func BaselineEmbedding(cfg Config) (*embed.Embedding, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return newBuilder(&cfg).baselineEmbedding()
 }
 
 // unitFloor tracks the lowest dilation among fully scored candidates
@@ -785,19 +792,17 @@ func Search(cfg Config) (*Result, error) {
 	start := cfg.Clock()
 	variants, space := enumerate(&cfg)
 	s := newSearcher(&cfg)
-
-	base, err := s.build(variants[0])
-	if err != nil {
-		return nil, fmt.Errorf("place: baseline strategy %s failed for %s -> %s: %v",
-			cfg.Strategies[0].Name, cfg.Guest, cfg.Host, err)
+	// Materialized (division-free) decode pays off across the table
+	// passes of many candidates, which kernels take when the guest is at
+	// or below the materialization threshold; above it no candidate has
+	// a table and the precompute would be dead weight (same gate as the
+	// census engine).
+	if cfg.Guest.Size() <= embed.MaterializeThreshold() {
+		s.rd.Materialize()
 	}
-	if err := s.validate(base); err != nil {
-		return nil, fmt.Errorf("place: baseline embedding is broken: %v", err)
-	}
-	baseDil, baseAvg := s.measure(base)
-	baseline, err := s.score(0, variants[0], base, baseDil, baseAvg)
+	baseline, base, err := s.baseline()
 	if err != nil {
-		return nil, fmt.Errorf("place: baseline scoring failed: %v", err)
+		return nil, err
 	}
 	if cfg.CapDilation {
 		s.cap = baseline.Dilation
@@ -823,13 +828,13 @@ func Search(cfg Config) (*Result, error) {
 			}
 			// A broken candidate is discarded, not fatal: only the
 			// baseline is load-bearing.
-			if err := s.validate(e); err != nil {
+			if err := e.Verify(); err != nil {
 				mu.Lock()
 				invalid++
 				mu.Unlock()
 				continue
 			}
-			dil, avg := s.measure(e)
+			dil, avg := e.EdgeDilation(s.rd)
 			if s.cap > 0 && dil > s.cap {
 				mu.Lock()
 				capped++
@@ -908,7 +913,7 @@ func Search(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("place: rebuilding winner %d: %v", res.Best.Index, err)
 		}
-		if err := s.validate(best); err != nil {
+		if err := best.Verify(); err != nil {
 			return nil, fmt.Errorf("place: winning embedding is broken: %v", err)
 		}
 	}

@@ -261,8 +261,9 @@ func TestEnumerationContract(t *testing.T) {
 	}
 }
 
-// TestMeasureMatchesPerNode: the fused table measurement path must
-// agree with the per-node reference walk for composite candidates.
+// TestMeasureMatchesPerNode: the searcher's measurement, EdgeDilation
+// with its compiled host distancer, must agree with the per-node
+// reference walk for composite candidates.
 func TestMeasureMatchesPerNode(t *testing.T) {
 	cfg := Config{
 		Guest:      grid.TorusSpec(8, 2),
@@ -276,13 +277,14 @@ func TestMeasureMatchesPerNode(t *testing.T) {
 	}
 	vs, _ := enumerate(&cfg)
 	s := newSearcher(&cfg)
+	s.rd.Materialize() // as Search does at these sizes
 	checked := 0
 	for _, v := range vs {
 		e, err := buildVariant(&cfg, v)
 		if err != nil {
 			continue
 		}
-		dil, avg := s.measure(e)
+		dil, avg := e.EdgeDilation(s.rd)
 		if want := e.DilationPerNode(); dil != want {
 			t.Errorf("%s: fused dilation %d, per-node %d", v.key(), dil, want)
 		}
@@ -460,11 +462,11 @@ func TestParetoFront(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if dominates(a, b) {
+			if a.dominates(b.Costs) {
 				t.Errorf("front member %d (d%d p%d a%g) dominates member %d (d%d p%d a%g)",
 					a.Index, a.Dilation, a.Peak, a.AvgLink, b.Index, b.Dilation, b.Peak, b.AvgLink)
 			}
-			if sameCosts(a, b) {
+			if a.same(b.Costs) {
 				t.Errorf("front members %d and %d carry identical cost vectors", a.Index, b.Index)
 			}
 		}
@@ -478,7 +480,7 @@ func TestParetoFront(t *testing.T) {
 	member := false
 	for _, c := range res.Front {
 		if c.Index == res.Best.Index {
-			if !sameCosts(c, res.Best) {
+			if !c.same(res.Best.Costs) {
 				t.Errorf("best diverges from its front entry: %+v vs %+v", res.Best, c)
 			}
 			member = true
@@ -619,7 +621,7 @@ func TestMidRotCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.key(), err)
 		}
-		if err := s.validate(e); err != nil {
+		if err := e.Verify(); err != nil {
 			t.Fatalf("%s: %v", v.key(), err)
 		}
 		for i, r := range e.Table() {
@@ -682,7 +684,7 @@ func TestAnnealDominatesSeed(t *testing.T) {
 			continue
 		}
 		seed, ok := byIndex[c.AnnealedFrom]
-		if ok && dominates(seed, c) {
+		if ok && seed.dominates(c.Costs) {
 			t.Errorf("annealed candidate %d is dominated by its seed %d", c.Index, c.AnnealedFrom)
 		}
 		if c.Dilation > res.Baseline.Dilation || c.Peak > res.Baseline.Peak {
@@ -735,16 +737,16 @@ func TestAnnealDominatesSeed(t *testing.T) {
 // pass must win under an objective that zero-weights the costs it
 // improves.
 func TestAnnealDominatingTie(t *testing.T) {
-	a := tableCosts{dil: 3, peak: 2, avgLink: 1.5, score: 5}
-	b := tableCosts{dil: 3, peak: 2, avgLink: 1.2, score: 5} // same score, better avg-link
-	if !b.dominatesCosts(a) {
+	a := Costs{Dilation: 3, Peak: 2, AvgLink: 1.5, Score: 5}
+	b := Costs{Dilation: 3, Peak: 2, AvgLink: 1.2, Score: 5} // same score, better avg-link
+	if !b.dominates(a) {
 		t.Error("a dominating tie was not recognized")
 	}
-	if a.dominatesCosts(b) || a.dominatesCosts(a) {
+	if a.dominates(b) || a.dominates(a) {
 		t.Error("dominance is not strict")
 	}
-	worse := tableCosts{dil: 2, peak: 3, avgLink: 1.2, score: 5}
-	if worse.dominatesCosts(a) || a.dominatesCosts(worse) {
+	worse := Costs{Dilation: 2, Peak: 3, AvgLink: 1.2, Score: 5}
+	if worse.dominates(a) || a.dominates(worse) {
 		t.Error("incomparable vectors reported as dominated")
 	}
 	// Peak-only objective: dilation and avg-link are zero-weighted, so
@@ -776,7 +778,7 @@ func TestAnnealDominatingTie(t *testing.T) {
 		t.Error("annealing failed to win under a peak-only objective")
 	}
 	for _, c := range res.Front {
-		if c.Annealed && dominates(res.Baseline, c) {
+		if c.Annealed && res.Baseline.dominates(c.Costs) {
 			t.Errorf("annealed front member %d dominated by the baseline", c.Index)
 		}
 	}

@@ -6,9 +6,11 @@
 // its canonical pair (catalog.CanonicalPair), so all relabelings that
 // provably share a Pareto front share one cache entry. A hit returns
 // the stored searched front; a miss answers immediately with the
-// paper-baseline embedding (the first strategy at identity symmetries
-// — the same candidate a search reports as Baseline) while exactly one
-// background search per canonical pair runs to upgrade the entry.
+// paper-baseline candidate (place.Baseline: the first strategy at
+// identity symmetries, scored by the same function a search scores its
+// Baseline with, and its table from place.BaselineEmbedding) while
+// exactly one background search per canonical pair runs to upgrade the
+// entry.
 // Concurrent misses are deduplicated by the entry map itself: the
 // request that creates the entry enqueues the one search, every other
 // request joins it.
@@ -40,10 +42,8 @@ import (
 	"torusmesh/internal/census"
 	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
-	"torusmesh/internal/netsim"
 	"torusmesh/internal/obs"
 	"torusmesh/internal/place"
-	"torusmesh/internal/taskgraph"
 )
 
 // Sentinel errors, wrapped by Place so the HTTP layer can map them to
@@ -199,13 +199,12 @@ type entry struct {
 // Server is the cache-backed placement service. Create with New; all
 // methods are safe for concurrent use.
 type Server struct {
-	cfg       Config
-	spec      string // cfg.Place.Spec()
-	objective place.Objective
-	search    func(place.Config) (*place.Result, error)
-	now       func() time.Time
-	start     time.Time
-	reg       *obs.Registry
+	cfg    Config
+	spec   string // cfg.Place.Spec()
+	search func(place.Config) (*place.Result, error)
+	now    func() time.Time
+	start  time.Time
+	reg    *obs.Registry
 
 	mu       sync.Mutex
 	entries  map[string]*entry
@@ -252,10 +251,6 @@ func New(cfg Config) (*Server, error) {
 	if search == nil {
 		search = place.Search
 	}
-	obj := cfg.Place.Objective
-	if (obj == place.Objective{}) {
-		obj = place.DefaultObjective()
-	}
 	now := cfg.now
 	if now == nil {
 		now = time.Now
@@ -265,14 +260,13 @@ func New(cfg Config) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		cfg:       cfg,
-		spec:      cfg.Place.Spec(),
-		objective: obj,
-		search:    search,
-		now:       now,
-		start:     now(),
-		reg:       reg,
-		entries:   map[string]*entry{},
+		cfg:     cfg,
+		spec:    cfg.Place.Spec(),
+		search:  search,
+		now:     now,
+		start:   now(),
+		reg:     reg,
+		entries: map[string]*entry{},
 	}
 	s.registerMetrics()
 	s.cond = sync.NewCond(&s.mu)
@@ -515,9 +509,7 @@ func (s *Server) runSearch(e *entry) {
 	started := s.now()
 	e.state.Store(int32(SearchRunning))
 	s.searches.Inc()
-	cfg := s.cfg.Place
-	cfg.Guest, cfg.Host = e.key.Guest, e.key.Host
-	res, err := s.search(cfg)
+	res, err := s.search(s.pairConfig(e))
 	var artifact []byte
 	if err == nil {
 		artifact, err = res.EncodeBytes()
@@ -557,34 +549,23 @@ func (s *Server) runSearch(e *entry) {
 	close(e.done)
 }
 
-// buildBaseline scores the instant tier: the first strategy at
-// identity symmetries, measured exactly the way the search scores its
-// Baseline candidate, so the two report identical costs.
+// pairConfig is the server's search config for the entry's canonical
+// pair: every search, baseline and table of the entry runs on it.
+func (s *Server) pairConfig(e *entry) place.Config {
+	cfg := s.cfg.Place
+	cfg.Guest, cfg.Host = e.key.Guest, e.key.Host
+	return cfg
+}
+
+// buildBaseline scores the instant tier: place.Baseline of the entry's
+// canonical pair, the same candidate a search of the pair reports as
+// its Baseline.
 func (s *Server) buildBaseline(e *entry) (*place.Candidate, error) {
-	strat := s.cfg.Place.Strategies[0]
-	emb, err := strat.Embed(e.key.Guest, e.key.Host)
+	c, err := place.Baseline(s.pairConfig(e))
 	if err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", strat.Name, err)
+		return nil, err
 	}
-	if err := emb.Verify(); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", strat.Name, err)
-	}
-	dil, avg := emb.Dilation(), emb.AverageDilation()
-	stats, err := netsim.Congestion(netsim.New(e.key.Host), taskgraph.FromSpec(e.key.Guest),
-		netsim.PlacementFromEmbedding(emb))
-	if err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", strat.Name, err)
-	}
-	return &place.Candidate{
-		Index:         0,
-		Strategy:      strat.Name,
-		EmbedStrategy: emb.Strategy,
-		Dilation:      dil,
-		AvgDilation:   avg,
-		Peak:          stats.MaxLink,
-		AvgLink:       stats.AvgLink(),
-		Score:         s.objective.Score(dil, stats.MaxLink, stats.AvgLink()),
-	}, nil
+	return &c, nil
 }
 
 // Table returns the answer's placement table in the caller's own
@@ -612,9 +593,7 @@ func (s *Server) winnerTable(e *entry) ([]int, error) {
 	if e.table != nil {
 		return e.table, nil
 	}
-	cfg := s.cfg.Place
-	cfg.Guest, cfg.Host = e.key.Guest, e.key.Host
-	res, err := s.search(cfg)
+	res, err := s.search(s.pairConfig(e))
 	if err != nil {
 		return nil, fmt.Errorf("serve: rebuild winner for %s: %v", e.id, err)
 	}
@@ -625,11 +604,12 @@ func (s *Server) winnerTable(e *entry) ([]int, error) {
 	return e.table, nil
 }
 
+// baselineTable is the table of place.BaselineEmbedding, the embedding
+// buildBaseline's place.Baseline scores.
 func (s *Server) baselineTable(e *entry) ([]int, error) {
-	strat := s.cfg.Place.Strategies[0]
-	emb, err := strat.Embed(e.key.Guest, e.key.Host)
+	emb, err := place.BaselineEmbedding(s.pairConfig(e))
 	if err != nil {
-		return nil, fmt.Errorf("%w: baseline %s: %v", ErrUnembeddable, strat.Name, err)
+		return nil, fmt.Errorf("%w: %v", ErrUnembeddable, err)
 	}
 	return emb.Table(), nil
 }
