@@ -36,7 +36,6 @@ import (
 	"torusmesh/internal/grid"
 	"torusmesh/internal/netsim"
 	"torusmesh/internal/par"
-	"torusmesh/internal/taskgraph"
 )
 
 // EmbedFunc builds the embedding for one pair — typically core.Embed.
@@ -86,9 +85,10 @@ type Config struct {
 	// Metrics measures dilation and average dilation for every
 	// embeddable pair and checks the paper's dilation guarantee.
 	Metrics bool
-	// Congestion additionally routes every embeddable pair's guest
-	// edges through the host under dimension-ordered routing and
-	// records the peak directed-link load.
+	// Congestion additionally records every embeddable pair's peak
+	// directed-link load under dimension-ordered routing: in closed
+	// form for a proved bijection, by routing the guest's edges
+	// through the host otherwise.
 	Congestion bool
 	// Place, when set, additionally runs a placement search for every
 	// embeddable pair and records the best-found candidate next to the
@@ -165,8 +165,7 @@ type PairResult struct {
 	// HopHist is the route-length distribution of the baseline
 	// placement: routed distance (hops one way; 0 for co-located
 	// endpoints) -> number of guest edges at that distance. It comes out
-	// of the same fused edge pass as Congestion (congestion censuses
-	// only).
+	// of the same measurement as Congestion (congestion censuses only).
 	HopHist map[int]int `json:"hop_hist,omitempty"`
 	// Place is the best placement the search found for the pair
 	// (placement censuses only; nil for failed pairs).
@@ -465,13 +464,16 @@ func (c *Census) SlowestPair() *PairResult {
 
 // evaluator carries the per-run immutable state the pair workers share:
 // the config, and — when metrics or congestion are on — per-spec
-// compiled distancers, task graphs and networks, built up front so the
-// parallel loop stays lock-free. Every pair is evaluated the same way
-// (measure); the measurement routes are the embedding's own.
+// compiled distancers, guests and networks, built up front so the
+// parallel loop stays lock-free. A guest builds its edge list on the
+// first pair that routes it (netsim.Guest), so a guest whose every
+// pair takes the closed form never builds one. Every pair is evaluated
+// the same way (measure); the measurement routes are the embedding's
+// own.
 type evaluator struct {
 	cfg        *Config
 	distancers map[string]*grid.RankDistancer // host spec string -> compiled distance
-	graphs     map[string]*taskgraph.Graph    // guest spec string -> edge list
+	guests     map[string]*netsim.Guest       // guest spec string -> congestion guest
 	networks   map[string]*netsim.Network     // host spec string -> routing machine
 }
 
@@ -480,14 +482,13 @@ func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
 	if len(specs) == 0 {
 		return ev
 	}
-	// Only the specs this shard's pair stripe actually touches get a
-	// compiled distancer (hosts) or a task graph (guests): a many-way
-	// shard of a large space visits a fraction of the spec list, and
-	// materialization is O(Size·dim) per spec.
+	// Only the hosts this shard's pair stripe actually touches get a
+	// compiled distancer: a many-way shard of a large space visits a
+	// fraction of the spec list, and materialization is O(Size·dim) per
+	// spec. Guests and networks build nothing node-sized until a pair
+	// routes through them, so every spec gets one.
 	hostUsed := make([]bool, len(specs))
-	guestUsed := make([]bool, len(specs))
 	for _, i := range indices {
-		guestUsed[i/len(specs)] = true
 		hostUsed[i%len(specs)] = true
 	}
 	// A materialized distancer decodes without division, which pays off
@@ -507,15 +508,12 @@ func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
 		}
 	}
 	if cfg.Congestion {
-		ev.graphs = make(map[string]*taskgraph.Graph, len(specs))
+		ev.guests = make(map[string]*netsim.Guest, len(specs))
 		ev.networks = make(map[string]*netsim.Network, len(specs))
-		for si, sp := range specs {
-			if guestUsed[si] {
-				ev.graphs[sp.String()] = taskgraph.FromSpec(sp)
-			}
-			if hostUsed[si] {
-				ev.networks[sp.String()] = netsim.New(sp)
-			}
+		for _, sp := range specs {
+			key := sp.String()
+			ev.guests[key] = netsim.NewGuest(sp)
+			ev.networks[key] = netsim.New(sp)
 		}
 	}
 	return ev
@@ -539,10 +537,10 @@ func (ev *evaluator) pair(idx int, g, h grid.Spec) PairResult {
 }
 
 // measure verifies the embedding and fills in the requested metrics,
-// each by the route the embedding picks (Verify, EdgeDilation): a proved
-// bijection is not scanned and a carry-free digit kernel measures in
-// closed form, so such a pair needs a table only for congestion, which
-// routes the placement netsim.SharedPlacement gives it.
+// each by the route the embedding picks (Verify, EdgeDilation,
+// netsim.EmbeddingCongestion): a proved bijection is not scanned, and
+// a carry-free digit kernel measures its dilation in closed form, so
+// a proved bijection needs no table at all, congestion included.
 func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec) {
 	if err := e.Verify(); err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify
@@ -555,7 +553,7 @@ func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec)
 		}
 	}
 	if ev.cfg.Congestion {
-		ev.congest(pr, g, h, netsim.SharedPlacement(e))
+		ev.congest(pr, g, h, e)
 	}
 }
 
@@ -574,16 +572,16 @@ func checkPredicted(pr *PairResult, e *embed.Embedding, measured int, g, h grid.
 
 // congest records the peak directed-link load of routing the guest's
 // edges through the host under the embedding's placement, plus the
-// route-length histogram the same pass computes.
-func (ev *evaluator) congest(pr *PairResult, g, h grid.Spec, p netsim.Placement) {
-	stats, hops, err := netsim.CongestionHops(ev.networks[h.String()], ev.graphs[g.String()], p)
+// route-length histogram the same measurement computes.
+func (ev *evaluator) congest(pr *PairResult, g, h grid.Spec, e *embed.Embedding) {
+	stats, hops, err := netsim.EmbeddingCongestion(ev.networks[h.String()], ev.guests[g.String()], e)
 	if err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify
 		return
 	}
 	pr.Congestion = stats.MaxLink
-	if len(hops) > 0 {
-		pr.HopHist = hops
+	if m := hops.Map(); len(m) > 0 {
+		pr.HopHist = m
 	}
 	ev.place(pr, g, h)
 }

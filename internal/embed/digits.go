@@ -308,6 +308,25 @@ func (k *DigitKernel) Bijective() bool {
 	return k.bijective
 }
 
+// AxisImages returns the axis images of a kernel Bijective proves a
+// bijection, and nil for any other kernel: row i holds the host ranks
+// of the guest nodes with coordinate v on axis i and 0 elsewhere, for
+// v = 0..l_i-1, so every row starts at the origin's image. The rows are
+// the analysis Bijective already ran, not a copy: the caller must not
+// modify them.
+func (k *DigitKernel) AxisImages() [][]int {
+	if !k.Bijective() {
+		return nil
+	}
+	rows := make([][]int, len(k.lengths))
+	off := 0
+	for i, l := range k.lengths {
+		rows[i] = k.images[off : off+l : off+l]
+		off += l
+	}
+	return rows
+}
+
 // then compiles "k, then next" into one digit kernel, or returns nil
 // when the stages do not collapse. They collapse when k is disjoint
 // over next's guest (k's host): then each host digit of k's image is

@@ -1,16 +1,18 @@
 // The reproducible benchmark runner behind `experiments -bench`: it
 // drives the performance-critical kernels of the annealing evaluation
 // stack — LoadState construction, dense congestion, striped edge
-// dilation, and the per-move swap — the small-pair and search passes
-// (one size-120 census, default placement searches of a 16-node and a
-// 4096-node pair) and one construction (a mid-rotated prime refinement
-// of the 32³ pair, built and materialized) through testing.Benchmark at
-// one worker and at the machine's full worker count, and renders the
-// results as a versioned BENCH.json. The artifact is the repo's
-// recorded perf trajectory: CI runs the runner as a smoke (the numbers
-// themselves are machine-dependent; the alloc gates live in the test
-// suites), and a committed BENCH.json documents the shape of the
-// scaling claims next to the code that makes them.
+// dilation, and the per-move swap — the closed forms of congestion and
+// LoadState construction on the paper embedding of the same pair, the
+// small-pair and search passes (one size-120 census, default placement
+// searches of a 16-node, a 4096-node and a 32768-node pair) and one
+// construction (a mid-rotated prime refinement of the 32³ pair, built
+// and materialized) through testing.Benchmark at one worker and at the
+// machine's full worker count, and renders the results as a versioned
+// BENCH.json. The artifact is the repo's recorded perf trajectory: CI
+// runs the runner as a smoke (the numbers themselves are
+// machine-dependent; the alloc gates live in the test suites), and a
+// committed BENCH.json documents the shape of the scaling claims next
+// to the code that makes them.
 package experiments
 
 import (
@@ -140,6 +142,35 @@ func RunBench() (*BenchReport, error) {
 		}
 	})
 
+	// The same two kernels on the pair's paper embedding, a proved
+	// bijection: congestion in closed form from its axis images, and a
+	// LoadState whose loads are tiled from the closed form's slices.
+	// The guest's edge list and incidence lists are built once, as a
+	// search builds them once for all of its annealing seeds.
+	paper, err := core.Embed(guest, nw.Spec)
+	if err != nil {
+		return nil, err
+	}
+	paper.Kernel() // materialize the table, as a scored seed has one
+	g := netsim.NewGuest(guest)
+	runScaling(report, "congestion-closed-form/"+pairName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := netsim.EmbeddingCongestion(nw, g, paper); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if _, err := netsim.NewEmbeddingLoadState(nw, g, paper); err != nil {
+		return nil, err
+	}
+	runScaling(report, "loadstate-init-tiled/"+pairName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := netsim.NewEmbeddingLoadState(nw, g, paper); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	tab := []int(p)
 	runScaling(report, "edge-dilation-striped/"+pairName, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -218,11 +249,13 @@ func RunBench() (*BenchReport, error) {
 		}
 	})
 	// Searches at the place CLI's defaults (annealing off): the small
-	// pair, and the 16³ pair, whose candidates the dilation cap mostly
-	// discards — measured in closed form, they are never materialized.
+	// pair, and the 16³ and 32³ pairs, whose candidates the dilation cap
+	// mostly discards. Every candidate of those two is measured and
+	// scored in closed form, so neither search makes a table.
 	for _, pair := range [][2]grid.Spec{
 		{grid.TorusSpec(8, 2), grid.MeshSpec(4, 4)},
 		{grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16)},
+		{grid.TorusSpec(32, 32, 32), grid.MeshSpec(32, 32, 32)},
 	} {
 		searchCfg := place.Config{
 			Guest:       pair[0],

@@ -60,13 +60,24 @@ func CongestionHops(nw *Network, tg *taskgraph.Graph, p Placement) (CongestionSt
 	if err != nil {
 		return CongestionStats{}, nil, err
 	}
+	return t.stats(), HopHistogram(t.distHist).Map(), nil
+}
+
+// HopHistogram is the route-length distribution of a congestion
+// measurement as a dense array: h[d] task edges are routed at distance
+// d, one way, for every d up to the host's diameter.
+type HopHistogram []int32
+
+// Map returns the occupied buckets as routed distance -> task edges,
+// the form CongestionHops returns and the census records.
+func (h HopHistogram) Map() map[int]int {
 	hist := make(map[int]int)
-	for d, v := range t.distHist {
+	for d, v := range h {
 		if v != 0 {
 			hist[d] = int(v)
 		}
 	}
-	return t.stats(), hist, nil
+	return hist
 }
 
 // measure validates the inputs and runs the accumulator.
@@ -105,6 +116,11 @@ func (t *tally) stats() CongestionStats {
 // newTally allocates an empty tally. Its histogram covers the host's
 // diameter, the longest route the router can produce, so it never grows.
 func (nw *Network) newTally() *tally {
+	return &tally{load: make([]int32, nw.LinkSlots()), distHist: make([]int32, nw.diameter()+1)}
+}
+
+// diameter is the host's diameter: the longest route the router makes.
+func (nw *Network) diameter() int {
 	diam := 0
 	for _, l := range nw.shape {
 		if nw.torus {
@@ -113,7 +129,7 @@ func (nw *Network) newTally() *tally {
 			diam += l - 1
 		}
 	}
-	return &tally{load: make([]int32, nw.LinkSlots()), distHist: make([]int32, diam+1)}
+	return diam
 }
 
 // accumulate is the load accumulator: it routes both directions of

@@ -20,12 +20,16 @@
 //   - per-edge routed distances feed the same bucket scheme for the
 //     max-dilation counter, plus a running sum for average dilation.
 //
-// Construction is the remaining O(|E|·distance) cost. It is the
-// network's one striped accumulator (the pass Congestion runs), and the
-// load-value bucket counters and maxima are derived from its merged
-// integers afterwards, so the built state is bit-identical at any
-// worker count. Moves re-route through the same router, applying each
-// link-rank progression inline with the bucket updates.
+// Construction takes the tally of the placement's loads from one of two
+// sources. NewEmbeddingLoadState, given a proved bijection, tiles the
+// closed form's slice loads into the link array: O(links) writes and
+// Σ l_i routes. Every other construction runs the network's one
+// striped accumulator (the pass Congestion runs), the O(|E|·distance)
+// cost. Either way the load-value bucket counters and maxima are
+// derived from the tally's integers afterwards, so the built state is
+// bit-identical whichever source and worker count built it. Moves
+// re-route through the same router, applying each link-rank
+// progression inline with the bucket updates.
 //
 // The placement table is an []int32 of host ranks, like the inverse
 // table and the loads, so NewLoadState refuses hosts of 2³¹ nodes or
@@ -78,6 +82,13 @@ type LoadState struct {
 // fit the int32 tables. The placement is copied; the caller's slice is
 // not retained.
 func NewLoadState(nw *Network, tg *taskgraph.Graph, p Placement) (*LoadState, error) {
+	return newLoadState(nw, tg, tg.Incidence, p, nil)
+}
+
+// newLoadState builds a load state whose tally is tiled from cf, or
+// routed when cf is nil, and whose incidence lists come from incidence,
+// called once the graph is validated.
+func newLoadState(nw *Network, tg *taskgraph.Graph, incidence func() (off, edges []int32), p Placement, cf *closedForm) (*LoadState, error) {
 	if err := tg.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,7 +101,12 @@ func NewLoadState(nw *Network, tg *taskgraph.Graph, p Placement) (*LoadState, er
 	if err := p.Validate(nw, tg.N); err != nil {
 		return nil, err
 	}
-	t := nw.accumulate(tg, p)
+	var t tally
+	if cf != nil {
+		t = nw.tile(cf, p)
+	} else {
+		t = nw.accumulate(tg, p)
+	}
 	st := t.stats()
 	ls := &LoadState{
 		nw:       nw,
@@ -107,7 +123,7 @@ func NewLoadState(nw *Network, tg *taskgraph.Graph, p Placement) (*LoadState, er
 		spans:    make([]span, 0, 4*len(nw.shape)),
 		stamp:    make([]int32, len(tg.Edges)),
 	}
-	ls.incOff, ls.incEdges = tg.Incidence()
+	ls.incOff, ls.incEdges = incidence()
 	// The bucket counters come from the tally: loadHist[v] counts the
 	// links at load v >= 1, and maxDist is the top occupied distance.
 	for _, v := range t.load {

@@ -10,24 +10,36 @@
 // FIFO arbitration. It is enough to expose both dilation (path length)
 // and congestion (link contention) effects.
 //
-// Every consumer routes through one router, Network.route. It reads
-// both endpoints' coordinates from a per-network table (built on the
-// first route, never by New), fixes each axis's direction and hop count
-// once — the shorter way round on a torus, ties toward +1 — and returns
-// the route as arithmetic progressions of dense link ranks
+// Every pass routes through one router, Network.route, and the closed
+// form below derives its slices from the same router. It reads both
+// endpoints' coordinates from a per-network table (built on the first
+// route, never by New), fixes each axis's direction and hop count
+// once — the shorter way round on a torus, ties toward +1 — and
+// returns the route as arithmetic progressions of dense link ranks
 // (grid.LinkRanker), at most two per axis because a torus wrap splits
 // one. Nothing on that path divides.
 //
 // On top of the router sits one load accumulator, accumulate: it
 // stripes task edges over the internal/par pool into per-worker link
 // load slabs and route-length histograms, merges them by index, and
-// leaves every aggregate to be derived after the pass. Congestion and
-// CongestionHops — the census's congestion column and the placement
-// search's scoring backend — NewLoadState, the annealing pass's
-// incremental state, and Simulate all start from it. Simulate, the
-// demonstration path of the experiments, then runs a timed
-// communication phase (cycles to drain, with link arbitration) over
-// the same link ranks.
+// leaves every aggregate to be derived after the pass. Congestion,
+// CongestionHops, NewLoadState, the annealing pass's incremental
+// state, and Simulate all start from it. Simulate, the demonstration
+// path of the experiments, then runs a timed communication phase
+// (cycles to drain, with link arbitration) over the same link ranks.
+//
+// Beside the pass sits its closed form (closedform.go). An embedding
+// whose digit kernel is a proved bijection
+// (embed.DigitKernel.Bijective) loads every slice of a guest axis
+// alike, so routing one slice per axis, Σ l_i edges in all, gives the
+// pass's loads and aggregates exactly. EmbeddingCongestion, the
+// census's congestion column and the placement search's scoring
+// backend, takes it whenever that proof holds and routes the
+// embedding's table otherwise. NewEmbeddingLoadState, the annealing
+// seeds' constructor, tiles the slice loads into its link array
+// instead of routing. The passes that take a table (Congestion,
+// CongestionHops, NewLoadState) always route, so they stay the
+// reference the closed form is tested and re-validated against.
 package netsim
 
 import (
@@ -155,17 +167,6 @@ type Placement []int
 // PlacementFromEmbedding converts an embedding (guest = task graph's
 // source topology, host = the machine) into a placement table.
 func PlacementFromEmbedding(e *embed.Embedding) Placement {
-	return Placement(e.Table())
-}
-
-// SharedPlacement is PlacementFromEmbedding for read-only use: the
-// embedding's own table when its kernel is one, without a copy, else a
-// fresh materialization. The caller must not modify it. The census and
-// the placement search route their congestion passes through it.
-func SharedPlacement(e *embed.Embedding) Placement {
-	if t, ok := e.Kernel().(embed.Table); ok {
-		return Placement(t)
-	}
 	return Placement(e.Table())
 }
 

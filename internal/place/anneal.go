@@ -9,7 +9,8 @@
 // and no wall-clock or scheduling state is read.
 //
 // Moves are evaluated incrementally on a netsim.LoadState: the seed
-// placement is routed once, and from then on each move re-routes only
+// placement is measured once (in closed form when the seed is a proved
+// bijection, else by routing), and from then on each move re-routes only
 // the O(degree) task edges incident to the moved nodes, with every
 // aggregate (dilation, peak, avg-link) maintained exactly — the
 // incremental costs are bit-identical to a full re-measurement, which
@@ -75,7 +76,7 @@ const (
 // ground truth: the incremental costs are validated against it.
 func (s *searcher) evalTable(tab embed.Table) (Costs, error) {
 	dil, avg := s.cfg.Guest.EdgeDilationStriped(tab, s.rd)
-	stats, err := netsim.Congestion(s.nw, s.tg, netsim.Placement(tab))
+	stats, err := netsim.Congestion(s.nw, s.guest.Graph(), netsim.Placement(tab))
 	if err != nil {
 		return Costs{}, err
 	}
@@ -190,17 +191,19 @@ func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bo
 	return true
 }
 
-// annealRun refines one placement table by simulated annealing and
-// returns the best table visited with its costs. Deterministic for a
-// given table, step budget, move repertoire and RNG state. start must
-// be the table's exact measured costs: the run re-derives them from the
-// load state and fails loudly on any disagreement, and re-validates the
-// incremental costs against evalTable every annealRevalidateEvery
-// steps and once more on the returned best.
-func (s *searcher) annealRun(tab embed.Table, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, error) {
+// annealRun refines the placement of one embedding by simulated
+// annealing and returns the best table visited with its costs.
+// Deterministic for a given placement, step budget, move repertoire
+// and RNG state. The load state starts from netsim's closed form when
+// the embedding is a proved bijection, and from the routing pass
+// otherwise. start must be the placement's exact measured costs: the
+// run re-derives them from the load state and fails loudly on any
+// disagreement, and re-validates the incremental costs against
+// evalTable every annealRevalidateEvery steps and once more on the
+// returned best.
+func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, error) {
 	annealRuns.Inc()
-	n := len(tab)
-	ls, err := netsim.NewLoadState(s.nw, s.tg, netsim.Placement(tab))
+	ls, err := netsim.NewEmbeddingLoadState(s.nw, s.guest, e)
 	if err != nil {
 		return nil, Costs{}, err
 	}
@@ -208,7 +211,9 @@ func (s *searcher) annealRun(tab embed.Table, start Costs, steps int, rng *rand.
 	if cur != start {
 		return nil, Costs{}, fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)
 	}
-	bestTab := append(embed.Table(nil), tab...)
+	n := s.cfg.Guest.Size()
+	bestTab := make(embed.Table, n)
+	ls.CopyTableInto(bestTab)
 	best := start
 	extended := s.cfg.AnnealMoves == AnnealMovesAll
 	var ms *moveScratch
@@ -373,7 +378,7 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 				continue
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
-			tab, got, err := s.annealRun(embed.Table(e.Table()), seed.Costs, cfg.AnnealSteps, rng)
+			tab, got, err := s.annealRun(e, seed.Costs, cfg.AnnealSteps, rng)
 			if err != nil {
 				outs[k] = annealOutcome{err: fmt.Errorf("place: anneal: seed %d: %v", seed.Index, err)}
 				continue

@@ -76,6 +76,18 @@ func annealSearcher(t testing.TB, guest, host grid.Spec, moves string) (*searche
 	return s, tab, start
 }
 
+// tableEmbedding wraps a placement table as the searcher's embedding,
+// the form annealRun takes. Its kernel is the table, so the run's load
+// state starts from the routing pass.
+func tableEmbedding(t testing.TB, s *searcher, tab embed.Table) *embed.Embedding {
+	t.Helper()
+	e, err := embed.FromTable(s.cfg.Guest, s.cfg.Host, "table", 0, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestAnnealIncrementalMatchesFull: with the default swap repertoire,
 // the incremental engine consumes the RNG exactly as the full
 // re-measurement loop did, so a fixed seed and step budget must
@@ -92,7 +104,7 @@ func TestAnnealIncrementalMatchesFull(t *testing.T) {
 	for _, tc := range cases {
 		s, tab, start := annealSearcher(t, tc.guest, tc.host, DefaultAnnealMoves)
 		for seed := int64(1); seed <= 3; seed++ {
-			gotTab, got, err := s.annealRun(append(embed.Table(nil), tab...), start, tc.steps, rand.New(rand.NewSource(seed)))
+			gotTab, got, err := s.annealRun(tableEmbedding(t, s, tab), start, tc.steps, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +133,7 @@ func TestAnnealIncrementalMatchesFull(t *testing.T) {
 // property the annealing acceptance decisions depend on.
 func TestStateCostsMatchEval(t *testing.T) {
 	s, tab, _ := annealSearcher(t, grid.TorusSpec(6, 4), grid.MeshSpec(4, 6), AnnealMovesAll)
-	ls, err := netsim.NewLoadState(s.nw, s.tg, netsim.Placement(tab))
+	ls, err := netsim.NewLoadState(s.nw, s.guest.Graph(), netsim.Placement(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +316,7 @@ func BenchmarkAnnealStep(b *testing.B) {
 		if full {
 			_, _, err = s.annealRunFull(append(embed.Table(nil), tab...), start, b.N, rng)
 		} else {
-			_, _, err = s.annealRun(append(embed.Table(nil), tab...), start, b.N, rng)
+			_, _, err = s.annealRun(tableEmbedding(b, s, tab), start, b.N, rng)
 		}
 		if err != nil {
 			b.Fatal(err)

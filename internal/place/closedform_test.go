@@ -7,7 +7,9 @@ import (
 
 	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
+	"torusmesh/internal/netsim"
 	"torusmesh/internal/obs"
+	"torusmesh/internal/taskgraph"
 )
 
 // searchPairs returns the benchmark's search pairs, whose first pair
@@ -88,7 +90,10 @@ func TestBaselineMatchesSearch(t *testing.T) {
 // the benchmark's search pairs and the CLI smoke pair: whenever the
 // dilation closed form answers, it equals the edge pass over the
 // candidate's materialized table; whenever it proves a bijection, the
-// table scan finds no violation.
+// table scan finds no violation, and the searcher's congestion — then
+// netsim's closed form — equals Congestion's routing pass over the
+// table. The candidates searches score are among them: every scored
+// candidate of the 16³ and 32³ pairs is a proved bijection.
 func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
 	for _, p := range searchPairs(t) {
 		g, h := p[0], p[1]
@@ -99,6 +104,7 @@ func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
 		vs, _ := enumerate(&cfg)
 		s := newSearcher(&cfg)
 		s.rd.Materialize() // as Search does at these sizes
+		tg := taskgraph.FromSpec(g)
 		dilations, bijections := 0, 0
 		for _, v := range vs {
 			e, err := s.build(v)
@@ -126,29 +132,44 @@ func TestCandidateClosedFormsMatchEdgePass(t *testing.T) {
 				if bad != nil {
 					t.Fatalf("%s -> %s %s: closed form proved a bijection, table scan found %+v", g, h, v.key(), *bad)
 				}
+				got, err := s.congest(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := netsim.Congestion(s.nw, tg, netsim.Placement(table))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s -> %s %s: closed-form congestion %+v, routing pass %+v", g, h, v.key(), got, want)
+				}
 			}
 		}
 		t.Logf("%s -> %s: %d candidates, %d closed-form dilations, %d proved bijections", g, h, len(vs), dilations, bijections)
 	}
 }
 
-// TestSearchMaterializesScoredCandidatesOnly: a CLI-default search of
-// the 16³ pair builds every candidate as one digit kernel, measures
-// and validates it in closed form, and materializes a table only for
-// the candidates it scores — none for the ones the dilation cap
-// discards.
+// TestSearchMaterializesScoredCandidatesOnly: CLI-default searches of
+// the 16³ and 32³ pairs build every candidate as one digit kernel and
+// measure and validate it in closed form. Every candidate they score
+// is a proved bijection, whose congestion netsim also takes in closed
+// form, so neither search materializes a table: none for the
+// candidates the dilation cap discards, and none for the six each
+// scores.
 func TestSearchMaterializesScoredCandidatesOnly(t *testing.T) {
-	cfg := cliConfig(grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16))
 	tables := obs.Default().Counter("embed_tables_materialized_total")
-	before := tables.Value()
-	res, err := Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tables.Value() - before
-	scored := res.Candidates - res.Unbuildable - res.Invalid - res.Capped - res.Pruned
-	t.Logf("%d candidates, %d capped, %d pruned, %d scored, %d tables materialized", res.Candidates, res.Capped, res.Pruned, scored, got)
-	if got != 6 || int(got) != scored {
-		t.Errorf("search materialized %d tables for %d scored candidates, want 6", got, scored)
+	for _, n := range []int{16, 32} {
+		cfg := cliConfig(grid.TorusSpec(n, n, n), grid.MeshSpec(n, n, n))
+		before := tables.Value()
+		res, err := Search(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tables.Value() - before
+		scored := res.Candidates - res.Unbuildable - res.Invalid - res.Capped - res.Pruned
+		t.Logf("%d³: %d candidates, %d capped, %d pruned, %d scored, %d tables materialized", n, res.Candidates, res.Capped, res.Pruned, scored, got)
+		if got != 0 || scored != 6 {
+			t.Errorf("%d³: search materialized %d tables for %d scored candidates, want 0 for 6", n, got, scored)
+		}
 	}
 }

@@ -33,7 +33,7 @@ func TestAnnealCountersExact(t *testing.T) {
 	acc0 := annealAccepted.Value()
 	rej0 := annealRejected.Value()
 	const steps = 200
-	if _, _, err := s.annealRun(tab, start, steps, rand.New(rand.NewSource(1))); err != nil {
+	if _, _, err := s.annealRun(tableEmbedding(t, s, tab), start, steps, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
 	if got := annealRuns.Value() - runs0; got != 1 {

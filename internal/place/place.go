@@ -12,7 +12,7 @@
 //
 // where dilation is the measured worst edge stretch, peakLinkLoad the
 // largest number of guest-edge routes crossing any directed host link
-// under dimension-ordered routing (netsim.Congestion), and
+// under dimension-ordered routing (netsim.EmbeddingCongestion), and
 // meanUsedLinkLoad the traffic volume spread over the links that carry
 // any (CongestionStats.AvgLink).
 //
@@ -82,16 +82,18 @@
 // axis images is a proved bijection, and a carry-free kernel's
 // dilation follows from its Σ l_i axis edges. Candidates without a
 // closed form are materialized, scanned, and measured in one fused
-// pass over the guest's edge blocks. Only then
-// does the worker route the guest's edges for congestion — the
-// expensive half, and the one that needs the candidate's table, so a
-// candidate is materialized only when it is scored (or seeds
-// annealing). Two gates skip that half early: a candidate whose
-// measured dilation exceeds the cap (CapDilation pins the cap to the
-// baseline's measured dilation) is discarded, and a candidate whose
-// best conceivable cost vector (dilation, 1, 1) is already strictly
-// dominated by a fully scored candidate is pruned — it can neither
-// join the front nor win. Pruning depends on scheduling, but never
+// pass over the guest's edge blocks. Only then does the worker measure
+// congestion through netsim.EmbeddingCongestion: a proved bijection in
+// closed form from the same axis images, with no table, and any other
+// candidate by routing the guest's edges over its table — the
+// expensive half. So a proved bijection is materialized only when it
+// seeds annealing, and the guest's edge list is built only when a
+// candidate is routed or annealing starts. Two gates skip that half
+// early: a candidate whose measured dilation exceeds the cap
+// (CapDilation pins the cap to the baseline's measured dilation) is
+// discarded, and a candidate whose best conceivable cost vector
+// (dilation, 1, 1) is already strictly dominated by a fully scored
+// candidate is pruned — it can neither join the front nor win. Pruning depends on scheduling, but never
 // changes the result: the front — the non-dominated set over the
 // scored candidates, identical cost vectors represented by the lowest
 // (earliest-tier) index — is deterministic, the scalarized winner is
@@ -128,7 +130,6 @@ import (
 	"torusmesh/internal/grid"
 	"torusmesh/internal/netsim"
 	"torusmesh/internal/par"
-	"torusmesh/internal/taskgraph"
 )
 
 // EmbedFunc builds a base embedding for one pair — typically core.Embed
@@ -592,10 +593,10 @@ func newBuilder(cfg *Config) *builder {
 // share, beside the construction caches.
 type searcher struct {
 	*builder
-	tg  *taskgraph.Graph    // guest edge list, routed through the host
-	nw  *netsim.Network     // the host machine
-	rd  *grid.RankDistancer // compiled host distance
-	cap int                 // dilation cap (0 = none)
+	guest *netsim.Guest       // the guest; its edge list is built when a pass routes it
+	nw    *netsim.Network     // the host machine
+	rd    *grid.RankDistancer // compiled host distance
+	cap   int                 // dilation cap (0 = none)
 }
 
 // baseEntry is one lazily built shared base construction.
@@ -615,7 +616,7 @@ type postEntry struct {
 func newSearcher(cfg *Config) *searcher {
 	return &searcher{
 		builder: newBuilder(cfg),
-		tg:      taskgraph.FromSpec(cfg.Guest),
+		guest:   netsim.NewGuest(cfg.Guest),
 		nw:      netsim.New(cfg.Host),
 		rd:      cfg.Host.NewRankDistancer(),
 	}
@@ -677,10 +678,12 @@ func (b *builder) baselineEmbedding() (*embed.Embedding, error) {
 	return e, nil
 }
 
-// congest routes the guest's edges through the host under the
-// embedding's placement — the expensive half of scoring.
+// congest measures the congestion of the guest's edges under the
+// embedding's placement — the expensive half of scoring, unless the
+// embedding is a proved bijection and netsim answers in closed form.
 func (s *searcher) congest(e *embed.Embedding) (netsim.CongestionStats, error) {
-	return netsim.Congestion(s.nw, s.tg, netsim.SharedPlacement(e))
+	stats, _, err := netsim.EmbeddingCongestion(s.nw, s.guest, e)
+	return stats, err
 }
 
 // score finishes evaluating one candidate from its already-measured
