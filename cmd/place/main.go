@@ -58,15 +58,8 @@ const (
 func main() {
 	guest := flag.String("from", "", "guest spec, e.g. torus:8x2 or ring:24")
 	host := flag.String("to", "", "host spec, e.g. mesh:4x4")
-	objective := flag.String("objective", "1,1,0", "objective weights α,β,γ for dilation, peak link load, mean link load")
-	budget := flag.Int("budget", place.DefaultBudget, "max candidates constructed and scored")
-	cap := flag.Bool("cap", true, "discard candidates dilating worse than the baseline")
-	rotations := flag.Bool("rotations", true, "include digit-rotation candidates (mesh sides)")
+	searchConfig := place.BindFlags(flag.CommandLine)
 	pareto := flag.Bool("pareto", false, "render the full Pareto front, not just baseline and winner")
-	anneal := flag.Bool("anneal", false, "refine the front by seeded simulated annealing")
-	annealSteps := flag.Int("anneal-steps", 0, "move budget per annealing run (0 = default)")
-	annealMoves := flag.String("anneal-moves", "", "annealing move repertoire: swap (default) or all")
-	seed := flag.Int64("seed", 0, "annealing RNG seed (0 = default); same seed, same artifact")
 	jsonOut := flag.String("json", "", "write the search artifact to this file")
 	timing := flag.Bool("time", false, "report the wall time of the search")
 	flag.Parse()
@@ -74,37 +67,18 @@ func main() {
 	if *guest == "" || *host == "" {
 		fatalf("place: both -from and -to are required")
 	}
-	if !*anneal && (*annealSteps != 0 || *seed != 0 || *annealMoves != "") {
-		// Silently ignoring these would let a user believe the seed
-		// shaped the result.
-		fatalf("place: -seed, -anneal-steps and -anneal-moves require -anneal")
-	}
-	g, err := grid.ParseSpec(*guest)
+	cfg, err := searchConfig()
 	if err != nil {
 		fatalf("place: %v", err)
 	}
-	h, err := grid.ParseSpec(*host)
-	if err != nil {
+	if cfg.Guest, err = grid.ParseSpec(*guest); err != nil {
 		fatalf("place: %v", err)
 	}
-	obj, err := place.ParseObjective(*objective)
-	if err != nil {
+	if cfg.Host, err = grid.ParseSpec(*host); err != nil {
 		fatalf("place: %v", err)
 	}
 
-	res, err := place.Search(place.Config{
-		Guest:       g,
-		Host:        h,
-		Objective:   obj,
-		Budget:      *budget,
-		CapDilation: *cap,
-		Rotations:   *rotations,
-		Anneal:      *anneal,
-		AnnealSteps: *annealSteps,
-		AnnealMoves: *annealMoves,
-		Seed:        *seed,
-		Strategies:  place.DefaultStrategies(),
-	})
+	res, err := place.Search(cfg)
 	if err != nil {
 		fatalf("%v", err) // Search errors already carry the place: prefix
 	}

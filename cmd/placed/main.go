@@ -29,12 +29,13 @@
 // reveals goroutine stacks and heap contents).
 //
 // The search flags (-objective, -budget, -cap, -rotations, -anneal,
-// -anneal-steps, -anneal-moves, -seed) take the same defaults as the
-// place CLI, so a served front is byte-identical to `place -json`
-// output for the same pair and flags. Settings no search accepts (a
-// negative weight, an unknown move repertoire) are a startup error. A
-// cache directory is bound to one search configuration; reopening it
-// under different flags is a startup error.
+// -anneal-steps, -anneal-moves, -seed) are the place CLI's own, bound
+// by the same place.BindFlags call, so a served front is
+// byte-identical to `place -json` output for the same pair and flags.
+// Settings no search accepts (a negative, NaN or infinite weight, an
+// unknown move repertoire) are a startup error. A cache directory is
+// bound to one search configuration; reopening it under different
+// flags is a startup error.
 //
 // Exit codes: 0 = clean shutdown (SIGINT/SIGTERM); 2 = usage or
 // startup errors.
@@ -69,36 +70,15 @@ func main() {
 	workers := flag.Int("search-workers", 1, "concurrent background searches")
 	maxQueue := flag.Int("max-queue", 0, "max queued background searches before cold pairs get 429 (0 = unbounded)")
 	withPprof := flag.Bool("pprof", false, "expose /debug/pprof/ on the listener")
-	objective := flag.String("objective", "1,1,0", "objective weights α,β,γ for dilation, peak link load, mean link load")
-	budget := flag.Int("budget", place.DefaultBudget, "max candidates constructed and scored per search")
-	cap := flag.Bool("cap", true, "discard candidates dilating worse than the baseline")
-	rotations := flag.Bool("rotations", true, "include digit-rotation candidates (mesh sides)")
-	anneal := flag.Bool("anneal", false, "refine fronts by seeded simulated annealing")
-	annealSteps := flag.Int("anneal-steps", 0, "move budget per annealing run (0 = default)")
-	annealMoves := flag.String("anneal-moves", "", "annealing move repertoire: swap (default) or all")
-	seed := flag.Int64("seed", 0, "annealing RNG seed (0 = default)")
+	searchConfig := place.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	if !*anneal && (*annealSteps != 0 || *seed != 0 || *annealMoves != "") {
-		fatalf("placed: -seed, -anneal-steps and -anneal-moves require -anneal")
-	}
-	obj, err := place.ParseObjective(*objective)
+	placeCfg, err := searchConfig()
 	if err != nil {
 		fatalf("placed: %v", err)
 	}
-
 	srv, err := serve.New(serve.Config{
-		Place: place.Config{
-			Objective:   obj,
-			Budget:      *budget,
-			CapDilation: *cap,
-			Rotations:   *rotations,
-			Anneal:      *anneal,
-			AnnealSteps: *annealSteps,
-			AnnealMoves: *annealMoves,
-			Seed:        *seed,
-			Strategies:  place.DefaultStrategies(),
-		},
+		Place:         placeCfg,
 		CacheDir:      *cacheDir,
 		SearchWorkers: *workers,
 		MaxQueue:      *maxQueue,

@@ -61,27 +61,6 @@ func Epsilon(m int) *big.Rat {
 	return new(big.Rat).SetFrac(sum, den)
 }
 
-// EpsilonByRecurrence computes ε_m via the appendix recurrence
-// ε_m = (ε_{m-1} + C_{m-1})/2 seeded at ε₂ = 1, where Proposition 1
-// defines C_{k-1} by C(k, ⌊k/2⌋) = 2^{k-1}·C_{k-1}, i.e.
-// C_{i-1} = C(i, ⌊i/2⌋)/2^{i-1}. Exists to cross-check Epsilon in tests
-// exactly as the appendix proof does.
-func EpsilonByRecurrence(m int) *big.Rat {
-	if m <= 2 {
-		return big.NewRat(1, 1)
-	}
-	eps := big.NewRat(1, 1) // ε₂
-	for i := 3; i <= m; i++ {
-		ck := new(big.Rat).SetFrac(
-			new(big.Int).Binomial(int64(i), int64(i/2)),
-			new(big.Int).Lsh(big.NewInt(1), uint(i-1)),
-		)
-		eps.Add(eps, ck)
-		eps.Quo(eps, big.NewRat(2, 1))
-	}
-	return eps
-}
-
 // OurHypercubeLine returns the dilation of this paper's hypercube-in-line
 // embedding (Theorem 48 with ℓ = 2, c = 1): 2^{d-1}.
 func OurHypercubeLine(d int) int { return 1 << (d - 1) }
@@ -91,11 +70,4 @@ func OurHypercubeLine(d int) int { return 1 << (d - 1) }
 // is the "sequence P" baseline — correct but oblivious to proximity.
 func RowMajor(g, h grid.Spec) (*embed.Embedding, error) {
 	return embed.NewIndexed(g, h, "baseline/row-major", 0, func(x int) int { return x })
-}
-
-// Reversal returns the index-reversal embedding, a second trivial
-// baseline (worst-case-ish for locality).
-func Reversal(g, h grid.Spec) (*embed.Embedding, error) {
-	n := g.Size()
-	return embed.NewIndexed(g, h, "baseline/reversal", 0, func(x int) int { return n - 1 - x })
 }

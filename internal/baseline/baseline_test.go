@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
 )
 
@@ -49,7 +50,7 @@ func TestAppendixEpsilon(t *testing.T) {
 		if cur.Cmp(prev) >= 0 {
 			t.Errorf("ε_%d = %s not strictly below ε_%d = %s", m, cur, m-1, prev)
 		}
-		if rec := EpsilonByRecurrence(m); rec.Cmp(cur) != 0 {
+		if rec := epsilonByRecurrence(m); rec.Cmp(cur) != 0 {
 			t.Errorf("recurrence ε_%d = %s, direct = %s", m, rec, cur)
 		}
 		prev = cur
@@ -61,6 +62,27 @@ func TestAppendixEpsilon(t *testing.T) {
 			t.Errorf("d=%d: ε_{d-1}·2^{d-1} = %s, Harper = %d", d, scaled, HarperHypercubeLine(d))
 		}
 	}
+}
+
+// epsilonByRecurrence computes ε_m via the appendix recurrence
+// ε_m = (ε_{m-1} + C_{m-1})/2 seeded at ε₂ = 1, where Proposition 1
+// defines C_{k-1} by C(k, ⌊k/2⌋) = 2^{k-1}·C_{k-1}, i.e.
+// C_{i-1} = C(i, ⌊i/2⌋)/2^{i-1}. It cross-checks Epsilon exactly as the
+// appendix proof does.
+func epsilonByRecurrence(m int) *big.Rat {
+	if m <= 2 {
+		return big.NewRat(1, 1)
+	}
+	eps := big.NewRat(1, 1) // ε₂
+	for i := 3; i <= m; i++ {
+		ck := new(big.Rat).SetFrac(
+			new(big.Int).Binomial(int64(i), int64(i/2)),
+			new(big.Int).Lsh(big.NewInt(1), uint(i-1)),
+		)
+		eps.Add(eps, ck)
+		eps.Quo(eps, big.NewRat(2, 1))
+	}
+	return eps
 }
 
 // TestOursVsHarper reproduces the Section 5 discussion: our 2^{d-1}
@@ -87,6 +109,13 @@ func TestOursVsHarper(t *testing.T) {
 	}
 }
 
+// reversal returns the index-reversal embedding, a second trivial
+// baseline (worst-case-ish for locality).
+func reversal(g, h grid.Spec) (*embed.Embedding, error) {
+	n := g.Size()
+	return embed.NewIndexed(g, h, "baseline/reversal", 0, func(x int) int { return n - 1 - x })
+}
+
 func TestRowMajorAndReversal(t *testing.T) {
 	g := grid.RingSpec(24)
 	h := grid.MeshSpec(4, 2, 3)
@@ -102,7 +131,7 @@ func TestRowMajorAndReversal(t *testing.T) {
 	if d := rm.Dilation(); d < 2 {
 		t.Errorf("row-major ring->mesh dilation = %d; expected a poor baseline >= 2", d)
 	}
-	rv, err := Reversal(g, h)
+	rv, err := reversal(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}

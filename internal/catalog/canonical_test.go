@@ -144,9 +144,9 @@ func TestDenormalizePreservesMetrics(t *testing.T) {
 // tableDilation measures the worst edge stretch of a placement table
 // directly from the grid distance function.
 func tableDilation(g, h grid.Spec, table []int) int {
-	max := 0
+	max, rd := 0, h.NewRankDistancer()
 	g.VisitEdges(func(a, b grid.Node) {
-		d := h.DistanceRank(table[g.Shape.Index(a)], table[g.Shape.Index(b)])
+		d := rd.Distance(table[g.Shape.Index(a)], table[g.Shape.Index(b)])
 		if d > max {
 			max = d
 		}

@@ -406,22 +406,6 @@ func (c *Census) forStrategy(fn func(key string, r *PairResult)) {
 	}
 }
 
-// DilationHistogram returns, per strategy key, the distribution of
-// measured dilations over the embeddable pairs that strategy carried.
-// Meaningful for metrics censuses only.
-func (c *Census) DilationHistogram() map[string]map[int]int {
-	out := map[string]map[int]int{}
-	c.forStrategy(func(key string, r *PairResult) {
-		h := out[key]
-		if h == nil {
-			h = map[int]int{}
-			out[key] = h
-		}
-		h[r.Dilation]++
-	})
-	return out
-}
-
 // PeakCongestion returns the worst peak-link load per strategy key.
 // Meaningful for congestion censuses only.
 func (c *Census) PeakCongestion() map[string]int {

@@ -259,10 +259,9 @@ func TestMetricsContent(t *testing.T) {
 			t.Errorf("pair %d: peak congestion %d", r.Index, r.Congestion)
 		}
 	}
-	hist := c.DilationHistogram()
 	total := 0
-	for _, byDil := range hist {
-		for _, count := range byDil {
+	for _, h := range c.Histograms {
+		for _, count := range h.Dilation {
 			total += count
 		}
 	}

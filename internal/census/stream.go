@@ -35,7 +35,7 @@ const StreamVersion = 1
 
 // streamPrefix is the byte prefix every stream artifact starts with.
 // The "stream" field is declared first in StreamHeader precisely so
-// that format sniffing (ReadFileAny) is a prefix check, not a parse.
+// that format sniffing (ReadAny) is a prefix check, not a parse.
 const streamPrefix = `{"stream":`
 
 // ErrTruncatedStream reports a stream artifact that ends in the middle
@@ -440,26 +440,29 @@ func RepairStreamFile(path string) (StreamHeader, []PairResult, error) {
 	return sr.Header, recs, nil
 }
 
-// ReadFileAny loads an artifact from path in either form — the JSON
-// document of Encode or the NDJSON stream of WriteStream — sniffing
-// the format from the file's first bytes.
+// ReadAny decodes an artifact in either form — the JSON document of
+// Encode or the NDJSON stream of WriteStream — sniffing the format from
+// its first bytes.
+func ReadAny(r io.Reader) (*Census, error) {
+	br := bufio.NewReader(r)
+	prefix, err := br.Peek(len(streamPrefix))
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("census: read: %w", err)
+	}
+	if bytes.Equal(prefix, []byte(streamPrefix)) {
+		return ReadStream(br)
+	}
+	return Decode(br)
+}
+
+// ReadFileAny loads an artifact from path in either form (ReadAny).
 func ReadFileAny(path string) (*Census, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	prefix, err := br.Peek(len(streamPrefix))
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	var c *Census
-	if bytes.Equal(prefix, []byte(streamPrefix)) {
-		c, err = ReadStream(br)
-	} else {
-		c, err = Decode(br)
-	}
+	c, err := ReadAny(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}

@@ -16,12 +16,10 @@ package contract
 
 import (
 	"fmt"
-	"sync"
 
 	"torusmesh/internal/core"
 	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
-	"torusmesh/internal/par"
 )
 
 // Simulation is a many-to-one map from guest nodes to host nodes.
@@ -33,7 +31,7 @@ type Simulation struct {
 	Strategy string
 	// mapFn must be a pure function safe for concurrent calls that
 	// neither mutates nor retains its argument — the same contract as
-	// embed.Embedding.Map, which Dilation's parallel walk relies on.
+	// embed.Embedding.Map, which Dilation's parallel pass relies on.
 	mapFn func(grid.Node) grid.Node
 }
 
@@ -41,39 +39,20 @@ type Simulation struct {
 func (s *Simulation) Map(n grid.Node) grid.Node { return s.mapFn(n) }
 
 // Dilation measures the maximum host distance between images of
-// adjacent guest nodes (0 when every edge collapses into single nodes).
-// It runs on the batch path: guest edge blocks (VisitEdgesBatchRange)
-// are striped across an internal/par worker pool, endpoint ranks decode
-// into reused coordinate buffers, and host distances reduce through a
-// compiled rank-native distancer.
+// adjacent guest nodes (0 when every edge collapses into single nodes)
+// in one striped pass over the guest's edge blocks
+// (grid.Spec.EdgeDilationEval): each block of endpoint ranks decodes,
+// maps and re-encodes in place into host ranks. Blocks run
+// concurrently, so each call decodes into its own buffer.
 func (s *Simulation) Dilation() int {
-	n := s.From.Size()
-	rd := s.To.NewRankDistancer()
-	hostShape := s.To.Shape
-	var mu sync.Mutex
-	max := 0
-	par.Blocks(n, par.Grain(n, 2048), func(lo, hi int) {
-		a := make(grid.Node, s.From.Dim())
-		b := make(grid.Node, s.From.Dim())
-		local := 0
-		s.From.VisitEdgesBatchRange(lo, hi, grid.DefaultEdgeBlock, func(ra, rb []int) {
-			for i := range ra {
-				s.From.Shape.NodeInto(a, ra[i])
-				s.From.Shape.NodeInto(b, rb[i])
-				ia := hostShape.Index(s.mapFn(a))
-				ib := hostShape.Index(s.mapFn(b))
-				if d := rd.Distance(ia, ib); d > local {
-					local = d
-				}
-			}
-		})
-		mu.Lock()
-		if local > max {
-			max = local
+	d, _ := s.From.EdgeDilationEval(func(blk []int) {
+		node := make(grid.Node, s.From.Dim())
+		for i, x := range blk {
+			s.From.Shape.NodeInto(node, x)
+			blk[i] = s.To.Shape.Index(s.mapFn(node))
 		}
-		mu.Unlock()
-	})
-	return max
+	}, s.To.NewRankDistancer())
+	return d
 }
 
 // Verify checks that the map is onto the host with uniform load.

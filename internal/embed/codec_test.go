@@ -29,7 +29,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Errorf("metadata changed: %q %d", back.Strategy, back.Predicted)
 	}
 	for x := 0; x < e.From.Size(); x++ {
-		if back.MapIndex(x) != e.MapIndex(x) {
+		if mapIndex(back, x) != mapIndex(e, x) {
 			t.Fatalf("table differs at %d", x)
 		}
 	}

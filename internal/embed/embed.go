@@ -79,14 +79,6 @@ func New(from, to grid.Spec, strategy string, predicted int, fn func(grid.Node) 
 // Map returns the image of guest node n in the host.
 func (e *Embedding) Map(n grid.Node) grid.Node { return e.mapFn(n) }
 
-// MapIndex maps a guest row-major index to the host row-major index.
-func (e *Embedding) MapIndex(x int) int {
-	var dst, src [1]int
-	src[0] = x
-	e.cachedKernel().EvalBatch(dst[:], src[:])
-	return dst[0]
-}
-
 // cachedKernel returns the materialized table when one already exists,
 // otherwise the raw (unmaterialized) kernel. Unlike Kernel it never
 // triggers materialization, so one-off lookups stay cheap.

@@ -141,8 +141,8 @@ func TestMaterializationAndFusion(t *testing.T) {
 		t.Fatalf("composed kernel is %T, want fused Table", c.cachedKernel())
 	}
 	for x := 0; x < a.Size(); x++ {
-		want := e2.MapIndex(e1.MapIndex(x))
-		if got := c.MapIndex(x); got != want {
+		want := mapIndex(e2, mapIndex(e1, x))
+		if got := mapIndex(c, x); got != want {
 			t.Fatalf("fused(%d) = %d, want %d", x, got, want)
 		}
 	}
@@ -160,7 +160,7 @@ func TestMaterializationAndFusion(t *testing.T) {
 		t.Fatal("composition materialized despite a disabled threshold")
 	}
 	for x := 0; x < a.Size(); x++ {
-		if got, want := c2.MapIndex(x), c.MapIndex(x); got != want {
+		if got, want := mapIndex(c2, x), mapIndex(c, x); got != want {
 			t.Fatalf("chained(%d) = %d, want %d", x, got, want)
 		}
 	}
@@ -240,8 +240,8 @@ func TestTableReturnsFreshCopy(t *testing.T) {
 	}
 	tab := e.Table()
 	tab[0] = 99
-	if got := e.MapIndex(0); got != 0 {
-		t.Fatalf("mutating Table() result corrupted the embedding: MapIndex(0) = %d", got)
+	if got := mapIndex(e, 0); got != 0 {
+		t.Fatalf("mutating Table() result corrupted the embedding: rank 0 maps to %d", got)
 	}
 }
 
@@ -460,7 +460,7 @@ func TestPostCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := 0; x < n; x++ {
-		if a, b := one.MapIndex(x), rot.MapIndex(sw.MapIndex(x)); a != b || ref.MapIndex(x) != b {
+		if a, b := mapIndex(one, x), mapIndex(rot, mapIndex(sw, x)); a != b || mapIndex(ref, x) != b {
 			t.Fatalf("collapsed(%d) = %d, want %d", x, a, b)
 		}
 	}

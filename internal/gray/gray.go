@@ -199,27 +199,7 @@ func GSeq(L radix.Base) radix.Sequence {
 	return radix.SequenceOf(grid.Shape(L).Size(), func(x int) grid.Node { return G(L, x) })
 }
 
-// RSeq returns the full cyclic sequence r_L (L must be 2-dimensional).
-func RSeq(L radix.Base) radix.Sequence {
-	return radix.SequenceOf(grid.Shape(L).Size(), func(x int) grid.Node { return R(L, x) })
-}
-
 // HSeq returns the full cyclic sequence h_L.
 func HSeq(L radix.Base) radix.Sequence {
 	return radix.SequenceOf(grid.Shape(L).Size(), func(x int) grid.Node { return H(L, x) })
-}
-
-// Brgc returns the classic binary reflected Gray code value x XOR (x>>1).
-// For the all-twos base, F coincides with this code digit-for-digit
-// (the paper's Section 2 observation that Gray codes are the radix-2
-// special case of unit-spread sequences).
-func Brgc(x int) int { return x ^ (x >> 1) }
-
-// BrgcInv inverts Brgc.
-func BrgcInv(g int) int {
-	x := 0
-	for ; g != 0; g >>= 1 {
-		x ^= g
-	}
-	return x
 }

@@ -18,6 +18,11 @@ func baseFromRaw(raw []uint8, dims int) radix.Base {
 	return L
 }
 
+// rSeq returns the full cyclic sequence r_L (L must be 2-dimensional).
+func rSeq(L radix.Base) radix.Sequence {
+	return radix.SequenceOf(grid.Shape(L).Size(), func(x int) grid.Node { return R(L, x) })
+}
+
 var testBases = []radix.Base{
 	{4, 2, 3}, {2, 3}, {3, 2}, {5}, {2}, {2, 2}, {2, 2, 2, 2},
 	{3, 3}, {4, 6}, {3, 3, 3}, {2, 2, 3}, {6, 2}, {4, 4}, {5, 3, 2},
@@ -213,7 +218,7 @@ func TestRSpreads(t *testing.T) {
 		if len(L) != 2 {
 			continue
 		}
-		s := RSeq(L)
+		s := rSeq(L)
 		if err := radix.CheckBijection(L, s); err != nil {
 			t.Errorf("r_%v: %v", L, err)
 			continue
@@ -332,6 +337,21 @@ func TestPropertySpreadsRandomBases(t *testing.T) {
 	}
 }
 
+// brgc returns the classic binary reflected Gray code value x XOR (x>>1).
+// For the all-twos base, F coincides with this code digit-for-digit
+// (the paper's Section 2 observation that Gray codes are the radix-2
+// special case of unit-spread sequences).
+func brgc(x int) int { return x ^ (x >> 1) }
+
+// brgcInv inverts brgc.
+func brgcInv(g int) int {
+	x := 0
+	for ; g != 0; g >>= 1 {
+		x ^= g
+	}
+	return x
+}
+
 // TestBrgcMatchesF verifies that for all-twos bases the mixed-radix
 // reflected sequence coincides with the classic binary reflected Gray
 // code.
@@ -345,11 +365,11 @@ func TestBrgcMatchesF(t *testing.T) {
 			for _, b := range v {
 				bits = bits<<1 | b
 			}
-			if bits != Brgc(x) {
-				t.Fatalf("d=%d x=%d: f digits %v != brgc %b", d, x, v, Brgc(x))
+			if bits != brgc(x) {
+				t.Fatalf("d=%d x=%d: f digits %v != brgc %b", d, x, v, brgc(x))
 			}
-			if BrgcInv(Brgc(x)) != x {
-				t.Fatalf("BrgcInv(Brgc(%d)) != %d", x, x)
+			if brgcInv(brgc(x)) != x {
+				t.Fatalf("brgcInv(brgc(%d)) != %d", x, x)
 			}
 		}
 	}

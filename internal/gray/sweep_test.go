@@ -68,7 +68,7 @@ func verifyShape(t *testing.T, L radix.Base) {
 		}
 	}
 	if len(L) == 2 {
-		r := RSeq(L)
+		r := rSeq(L)
 		if err := radix.CheckBijection(L, r); err != nil {
 			t.Fatalf("r_%v: %v", L, err)
 		}

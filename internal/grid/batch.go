@@ -13,8 +13,9 @@ import (
 // into disjoint node ranges for parallel measurement.
 
 // DefaultEdgeBlock is the default number of edges per block handed to
-// VisitEdgesBatch callbacks. Large enough to amortize the callback and
-// keep kernels in their tight loops, small enough to stay cache-warm.
+// VisitEdgesBatchRange callbacks. Large enough to amortize the callback
+// and keep kernels in their tight loops, small enough to stay
+// cache-warm.
 const DefaultEdgeBlock = 8192
 
 // edgeBufs is a pooled pair of default-block-size endpoint buffers for
@@ -48,14 +49,6 @@ func (s Shape) Strides() []int {
 // length Dim().
 func (s Shape) NodeInto(dst Node, x int) {
 	idxToNode(s, x, dst)
-}
-
-// DistanceRank returns the graph distance between the nodes with
-// row-major ranks a and b without materializing coordinates — the
-// rank-native form of Lemmas 5 and 6. One-off convenience form of
-// RankDistancer; block consumers should compile a RankDistancer once.
-func (sp Spec) DistanceRank(a, b int) int {
-	return sp.NewRankDistancer().one(a, b)
 }
 
 // RankDistancer is a compiled block reducer over rank-pair distances:
@@ -286,29 +279,14 @@ func relabel(blk, table []int) []int {
 	return blk
 }
 
-// EdgeCountRange returns the number of edges VisitEdgesBatchRange
-// enumerates for source ranks in [lo, hi).
-func (sp Spec) EdgeCountRange(lo, hi int) int {
-	count := 0
-	sp.VisitEdgesBatchRange(lo, hi, DefaultEdgeBlock, func(a, b []int) {
-		count += len(a)
-	})
-	return count
-}
-
-// VisitEdgesBatch enumerates every edge of the graph in blocks: fn is
-// called with parallel slices a, b holding the row-major ranks of the
-// endpoints of up to blockSize edges. The slices are reused between
-// calls; copy them if retained. The edges and their order are exactly
-// those of VisitEdges. blockSize <= 0 selects DefaultEdgeBlock.
-func (sp Spec) VisitEdgesBatch(blockSize int, fn func(a, b []int)) {
-	sp.VisitEdgesBatchRange(0, sp.Size(), blockSize, fn)
-}
-
-// VisitEdgesBatchRange enumerates the edges whose canonical source node
-// (the lower endpoint in VisitEdges order) has rank in [lo, hi). The
-// ranges {[r_i, r_{i+1})} of a partition of [0, Size()) enumerate every
-// edge exactly once between them, which is what lets the measurement
+// VisitEdgesBatchRange enumerates, in blocks, the edges whose canonical
+// source node (the lower endpoint in VisitEdges order) has rank in
+// [lo, hi): fn is called with parallel slices a, b holding the
+// row-major ranks of the endpoints of up to blockSize edges
+// (blockSize <= 0 selects DefaultEdgeBlock). Over [0, Size()) the
+// edges and their order are exactly those of VisitEdges. The ranges
+// {[r_i, r_{i+1})} of a partition of [0, Size()) enumerate every edge
+// exactly once between them, which is what lets the measurement
 // paths stripe edge blocks across workers without coordination. fn may
 // overwrite a and b: the enumeration refills both blocks from its own
 // odometer after every call, so the measurement passes rewrite

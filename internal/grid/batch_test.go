@@ -38,15 +38,18 @@ func TestStrides(t *testing.T) {
 	}
 }
 
+// TestDistanceRankMatchesDistance: the rank-native distance of one
+// pair agrees with the coordinate form.
 func TestDistanceRankMatchesDistance(t *testing.T) {
 	for _, sp := range batchSpecs {
+		rd := sp.NewRankDistancer()
 		n := sp.Size()
 		for a := 0; a < n; a++ {
 			na := sp.Shape.NodeAt(a)
 			for b := 0; b < n; b++ {
 				nb := sp.Shape.NodeAt(b)
-				if got, want := sp.DistanceRank(a, b), sp.Distance(na, nb); got != want {
-					t.Fatalf("%s: DistanceRank(%d,%d) = %d, want %d", sp, a, b, got, want)
+				if got, want := rd.Distance(a, b), sp.Distance(na, nb); got != want {
+					t.Fatalf("%s: RankDistancer.Distance(%d,%d) = %d, want %d", sp, a, b, got, want)
 				}
 			}
 		}
@@ -77,7 +80,7 @@ func TestRankDistancerMatchesDistance(t *testing.T) {
 		}
 		var wantSum int64
 		for i := range ha {
-			wantSum += int64(sp.DistanceRank(ha[i], hb[i]))
+			wantSum += int64(sp.Distance(sp.Shape.NodeAt(ha[i]), sp.Shape.NodeAt(hb[i])))
 		}
 		if _, got := rd.MaxSum(ha, hb); got != wantSum {
 			t.Fatalf("%s: RankDistancer.MaxSum sum = %d, want %d", sp, got, wantSum)
@@ -95,7 +98,7 @@ func TestVisitEdgesBatchMatchesVisitEdges(t *testing.T) {
 					wantB = append(wantB, sp.Shape.Index(b))
 				})
 				var gotA, gotB []int
-				sp.VisitEdgesBatch(blockSize, func(a, b []int) {
+				sp.VisitEdgesBatchRange(0, sp.Size(), blockSize, func(a, b []int) {
 					gotA = append(gotA, a...)
 					gotB = append(gotB, b...)
 				})
@@ -134,9 +137,6 @@ func TestVisitEdgesBatchRangePartition(t *testing.T) {
 		}
 		if total != sp.EdgeCount() {
 			t.Fatalf("%s: partition delivered %d edges, want %d", sp, total, sp.EdgeCount())
-		}
-		if got := sp.EdgeCountRange(0, n); got != sp.EdgeCount() {
-			t.Fatalf("%s: EdgeCountRange(0,n) = %d, want %d", sp, got, sp.EdgeCount())
 		}
 	}
 }

@@ -87,9 +87,6 @@ func TestGraphAllPairsAndIsEdge(t *testing.T) {
 	if !g.IsEdge(0, 1) || g.IsEdge(0, 2) {
 		t.Error("IsEdge wrong")
 	}
-	if !g.Connected() {
-		t.Error("ring disconnected")
-	}
 }
 
 func TestInBoundsEdges(t *testing.T) {

@@ -67,20 +67,6 @@ func (g *Graph) AllPairs() [][]int {
 	return d
 }
 
-// Connected reports whether the graph is connected.
-func (g *Graph) Connected() bool {
-	if g.Size() == 0 {
-		return false
-	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckDistances verifies that the closed-form distance of the spec
 // matches BFS distance for every pair of nodes. Returns the first
 // discrepancy found, or nil.

@@ -257,8 +257,10 @@ func TestSpecParse(t *testing.T) {
 
 func TestGraphConnected(t *testing.T) {
 	for _, sp := range []Spec{TorusSpec(4, 2, 3), MeshSpec(2, 2, 2), RingSpec(5), LineSpec(2)} {
-		if !Build(sp).Connected() {
-			t.Errorf("%s not connected", sp)
+		for x, d := range Build(sp).BFS(0) {
+			if d < 0 {
+				t.Errorf("%s: node %d unreachable from node 0", sp, x)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -122,7 +123,7 @@ func (r *Registry) Snapshot() Snapshot {
 	ms, _ := r.sorted()
 	out := Snapshot{SchemaVersion: SnapshotSchemaVersion, Metrics: make([]SnapshotMetric, 0, len(ms))}
 	for _, m := range ms {
-		sm := SnapshotMetric{Name: m.name, Kind: m.kind.String(), Labels: parseLabels(m.labels)}
+		sm := SnapshotMetric{Name: m.name, Kind: m.kind.String(), Labels: maps.Clone(m.labelSet)}
 		switch m.kind {
 		case kindCounter:
 			v := float64(m.counter.Value())
@@ -147,46 +148,6 @@ func (r *Registry) Snapshot() Snapshot {
 			sm.Count = &count
 		}
 		out.Metrics = append(out.Metrics, sm)
-	}
-	return out
-}
-
-// parseLabels inverts renderLabels for the JSON snapshot. The rendered
-// form is trusted (we produced it); values were escaped, so unescape.
-func parseLabels(rendered string) map[string]string {
-	if rendered == "" {
-		return nil
-	}
-	out := map[string]string{}
-	rest := rendered
-	for rest != "" {
-		eq := strings.Index(rest, `="`)
-		key := rest[:eq]
-		rest = rest[eq+2:]
-		// Find the closing quote, skipping escaped characters.
-		var val strings.Builder
-		i := 0
-		for i < len(rest) {
-			c := rest[i]
-			if c == '\\' && i+1 < len(rest) {
-				switch rest[i+1] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(rest[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		out[key] = val.String()
-		rest = rest[i+1:]
-		rest = strings.TrimPrefix(rest, ",")
 	}
 	return out
 }

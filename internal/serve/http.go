@@ -20,11 +20,9 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -237,26 +235,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Status())
 }
 
-// censusStreamPrefix mirrors the census package's stream sniff: every
-// NDJSON stream artifact opens with this header prefix.
-const censusStreamPrefix = `{"stream":`
-
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST a census artifact (JSON or NDJSON stream)")
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	var c *census.Census
-	if bytes.HasPrefix(body, []byte(censusStreamPrefix)) {
-		c, err = census.ReadStream(bytes.NewReader(body))
-	} else {
-		c, err = census.Decode(bytes.NewReader(body))
-	}
+	c, err := census.ReadAny(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

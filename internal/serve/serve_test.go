@@ -85,6 +85,24 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
+// newHeldServer is newTestServer under testConfig with every background
+// search held until release is called. Unheld, the search of a small
+// pair can finish before a cold request reads its entry, which then
+// answers at the searched tier instead of the baseline tier.
+func newHeldServer(t *testing.T) (srv *Server, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	cfg := testConfig()
+	cfg.searchFn = func(pc place.Config) (*place.Result, error) {
+		<-hold
+		return place.Search(pc)
+	}
+	srv = newTestServer(t, cfg)
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release) // registered after, so run before, the server's Close
+	return srv, release
+}
+
 // TestNewRejectsBadSettings: settings that would fail every search —
 // an unknown anneal move repertoire, a negative objective weight — are
 // refused at startup instead of failing each background search.
@@ -109,7 +127,7 @@ func TestNewRejectsBadSettings(t *testing.T) {
 // artifact bytes bit-identical to the batch search's.
 func TestColdBaselineThenSearched(t *testing.T) {
 	g, h := grid.TorusSpec(4, 2), grid.MeshSpec(4, 2)
-	srv := newTestServer(t, testConfig())
+	srv, releaseSearch := newHeldServer(t)
 
 	a, err := srv.Place(context.Background(), g, h, false)
 	if err != nil {
@@ -122,6 +140,7 @@ func TestColdBaselineThenSearched(t *testing.T) {
 		t.Fatalf("baseline tier must carry Baseline and no Result: %+v", a)
 	}
 
+	releaseSearch()
 	srv.Flush()
 	ref, refBytes := refSearch(t, g, h)
 	if !reflect.DeepEqual(*a.Baseline, ref.Baseline) {
@@ -416,7 +435,7 @@ func TestCacheSkipsTrailingData(t *testing.T) {
 // canonical.
 func TestTableDenormalization(t *testing.T) {
 	g, h := grid.TorusSpec(2, 4), grid.MeshSpec(4, 2) // guest canonicalizes to torus:4x2
-	srv := newTestServer(t, testConfig())
+	srv, releaseSearch := newHeldServer(t)
 
 	a, err := srv.Place(context.Background(), g, h, false)
 	if err != nil {
@@ -431,6 +450,7 @@ func TestTableDenormalization(t *testing.T) {
 	}
 	checkTableCosts(t, g, h, baseTable, a.Baseline.Dilation, a.Baseline.Peak)
 
+	releaseSearch()
 	srv.Flush()
 	b, err := srv.Place(context.Background(), g, h, false)
 	if err != nil {
@@ -454,9 +474,9 @@ func checkTableCosts(t *testing.T, g, h grid.Spec, table []int, wantDil, wantPea
 	if stats.MaxLink != wantPeak {
 		t.Errorf("denormalized table peak = %d, served answer says %d", stats.MaxLink, wantPeak)
 	}
-	dil := 0
+	dil, rd := 0, h.NewRankDistancer()
 	g.VisitEdges(func(a, b grid.Node) {
-		if d := h.DistanceRank(table[g.Shape.Index(a)], table[g.Shape.Index(b)]); d > dil {
+		if d := rd.Distance(table[g.Shape.Index(a)], table[g.Shape.Index(b)]); d > dil {
 			dil = d
 		}
 	})
