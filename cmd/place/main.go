@@ -88,7 +88,8 @@ func main() {
 		fmt.Printf("searched in %s across %d worker(s), %d congestion scoring(s) pruned\n",
 			res.Elapsed, par.Workers(), res.Pruned)
 		for _, run := range res.AnnealRuns {
-			line := fmt.Sprintf("anneal run from #%d: %d steps in %s", run.SeedIndex, run.Steps, run.Elapsed)
+			line := fmt.Sprintf("anneal run from #%d: %d steps (%d rejected by the dilation bound) in %s",
+				run.SeedIndex, run.Steps, run.Bounded, run.Elapsed)
 			if run.Elapsed > 0 {
 				line += fmt.Sprintf(" (%.0f steps/sec)", float64(run.Steps)/run.Elapsed.Seconds())
 			}

@@ -13,10 +13,11 @@ import (
 // loop allocate, or lets a whole-placement measurement allocate per
 // edge instead of per call, fails deterministically in CI.
 
-// TestSwapSteadyStateAllocs: after warmup (touched-list growth,
-// histogram bucket growth), a swap plus the aggregate reads of an
-// acceptance decision must not allocate at all — the property that
-// keeps anneal steps at ~10⁵/sec.
+// TestSwapSteadyStateAllocs: after warmup (touched-list and move-record
+// growth, histogram bucket growth), a swap plus the aggregate reads of
+// an acceptance decision must not allocate at all — the property that
+// keeps anneal steps at ~10⁵/sec — and neither may the annealing
+// pass's Propose, Commit, Revert cycle of a rejected move.
 func TestSwapSteadyStateAllocs(t *testing.T) {
 	nw := New(grid.TorusSpec(16, 16))
 	tg := taskgraph.FromSpec(grid.MeshSpec(16, 16))
@@ -38,17 +39,40 @@ func TestSwapSteadyStateAllocs(t *testing.T) {
 	for _, p := range pairs { // warmup: grow scratch and histograms
 		ls.Swap(p[0], p[1])
 	}
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		p := pairs[k%len(pairs)]
-		k++
-		ls.Swap(p[0], p[1])
-		_ = ls.Stats()
-		ls.Dilation()
+	t.Run("swap", func(t *testing.T) {
+		k := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			p := pairs[k%len(pairs)]
+			k++
+			ls.Swap(p[0], p[1])
+			_ = ls.Stats()
+			ls.Dilation()
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state swap allocates %.1f objects/op, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state swap allocates %.1f objects/op, want 0", allocs)
-	}
+	t.Run("propose-commit-revert", func(t *testing.T) {
+		guests, hosts := make([]int32, 2), make([]int32, 2)
+		k := 0
+		cycle := func() {
+			p := pairs[k%len(pairs)]
+			k++
+			guests[0], guests[1] = int32(p[0]), int32(p[1])
+			hosts[0], hosts[1] = int32(ls.HostOf(p[1])), int32(ls.HostOf(p[0]))
+			ls.Propose(guests, hosts)
+			ls.Commit()
+			_ = ls.Stats()
+			ls.Dilation()
+			ls.Revert()
+		}
+		for range pairs { // warmup
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("steady-state propose, commit and revert allocate %.1f objects/op, want 0", allocs)
+		}
+	})
 }
 
 // TestCongestionAllocsBounded: the dense congestion pass allocates a

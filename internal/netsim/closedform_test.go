@@ -218,8 +218,8 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 			for i := range guests {
 				hosts[i] = int32(tiled.HostOf(int(guests[(i+1)%len(guests)])))
 			}
-			tiled.Permute(guests, hosts)
-			routed.Permute(guests, hosts)
+			permute(tiled, guests, hosts)
+			permute(routed, guests, hosts)
 		}
 		if i := firstDiff(tiled.load, routed.load); i >= 0 {
 			t.Fatalf("%s -> %s: link %d carries %d tiled, %d routed", gs, hs, i, tiled.load[i], routed.load[i])

@@ -31,6 +31,20 @@
 // re-route through the same router, applying each link-rank
 // progression inline with the bucket updates.
 //
+// A move is three calls. Propose stages it: it marks the edges incident
+// to the moved guests and returns the exact dilation the placement would
+// have after the move, measuring those edges' distances from host
+// coordinates alone, with the router's own per-axis rule. It writes no
+// load and changes no aggregate or table entry, so a caller that
+// rejects the move on that number alone just proposes the next one.
+// Commit applies the staged move: it routes the marked edges off their
+// old hosts and onto the new ones, and keeps the record of what it
+// applied — the link-rank spans it took off and put on, and each edge's
+// routed distance before and after. Revert replays that record
+// backwards: the spans put on come off, the spans taken off go back,
+// and the distances and table entries return to their old values,
+// without routing anything.
+//
 // The placement table is an []int32 of host ranks, like the inverse
 // table and the loads, so NewLoadState refuses hosts of 2³¹ nodes or
 // more. No such host is runnable anyway: its guest's edge list alone
@@ -49,8 +63,9 @@ import (
 )
 
 // LoadState holds the incrementally maintained routing state of one
-// placement. Build one with NewLoadState; mutate it with Swap and
-// Permute; read costs with Stats and Dilation.
+// placement. Build one with NewLoadState; move guests with Propose and
+// Commit (or Swap), undo a committed move with Revert, and read costs
+// with Stats and Dilation.
 type LoadState struct {
 	nw  *Network
 	tg  *taskgraph.Graph
@@ -70,11 +85,36 @@ type LoadState struct {
 	maxDist  int
 	distSum  int64
 
-	spans   []span  // routing scratch for both directions of one edge (cap 4·Dim)
-	stamp   []int32 // per-edge epoch marks of the current move
-	epoch   int32
-	touched []int32 // edge indices the current move re-routes
+	stamp []int32 // per-edge epoch marks of the current move
+	epoch int32
+	mv    move // the staged or last committed move
 }
+
+// move is one staged move and, once committed, the record Revert
+// replays. Its buffers are reused from move to move.
+type move struct {
+	phase   movePhase
+	guests  []int32 // the moved guests
+	from    []int32 // their hosts before the move
+	to      []int32 // their hosts after it
+	touched []int32 // the edges incident to a moved guest, each once
+	// spans[:split] are the routes Commit took off the links, and
+	// spans[split:] the routes it put on.
+	spans []span
+	split int
+	// dist holds each touched edge's routed distance: before the move
+	// in dist[:len(touched)], after it in dist[len(touched):]. Propose
+	// keeps the distances before the move there for its own use.
+	dist []int32
+}
+
+type movePhase uint8
+
+const (
+	moveNone movePhase = iota
+	moveProposed
+	moveCommitted
+)
 
 // NewLoadState validates the placement, routes every task edge once
 // through the striped accumulator and derives the bucket counters from
@@ -120,7 +160,6 @@ func newLoadState(nw *Network, tg *taskgraph.Graph, incidence func() (off, edges
 		hops:     st.TotalHops,
 		distHist: t.distHist,
 		distSum:  t.distSum,
-		spans:    make([]span, 0, 4*len(nw.shape)),
 		stamp:    make([]int32, len(tg.Edges)),
 	}
 	ls.incOff, ls.incEdges = incidence()
@@ -179,32 +218,147 @@ func (ls *LoadState) Dilation() (max int, avg float64) {
 	return ls.maxDist, avg
 }
 
-// Swap exchanges the host images of guests u and v — the annealing
-// pass's basic move — re-routing only their incident edges.
-func (ls *LoadState) Swap(u, v int) {
-	ls.beginMove()
-	ls.touch(u)
-	ls.touch(v)
-	ls.removeTouched()
-	hu, hv := ls.p[u], ls.p[v]
-	ls.p[u], ls.p[v] = hv, hu
-	ls.inv[hv] = int32(u)
-	ls.inv[hu] = int32(v)
-	ls.addTouched()
-}
-
-// Permute moves each guests[i] to hosts[i], where hosts must be a
-// permutation of the guests' current images (so injectivity is
-// preserved by construction) — the generic move behind segment
-// reversals and axis-block swaps. Only the edges incident to the moved
-// guests are re-routed. Undo by calling Permute again with the previous
-// images.
-func (ls *LoadState) Permute(guests []int32, hosts []int32) {
+// Propose stages moving each guests[i] to hosts[i] and returns the
+// maximum routed edge distance the placement would have after the move.
+// hosts must be a permutation of the guests' current images, so the
+// move preserves injectivity. Only the edges incident to the moved
+// guests are measured, from host coordinates: no link load, aggregate
+// or table entry changes, and a later Propose drops the staged move.
+func (ls *LoadState) Propose(guests, hosts []int32) int {
+	mv := &ls.mv
+	mv.guests = append(mv.guests[:0], guests...)
+	mv.to = append(mv.to[:0], hosts...)
+	mv.from = mv.from[:0]
 	ls.beginMove()
 	for _, g := range guests {
-		ls.touch(int(g))
+		mv.from = append(mv.from, ls.p[g])
+		ls.touch(g)
 	}
-	ls.removeTouched()
+	// Take the touched edges out of the distance buckets: the top
+	// bucket left is the longest untouched edge.
+	mv.dist = mv.dist[:0]
+	for _, e := range mv.touched {
+		d := ls.edgeDistance(e)
+		mv.dist = append(mv.dist, int32(d))
+		ls.distHist[d]--
+	}
+	top := ls.maxDist
+	for top > 0 && ls.distHist[top] == 0 {
+		top--
+	}
+	for i, g := range guests {
+		ls.p[g] = hosts[i]
+	}
+	for _, e := range mv.touched {
+		top = max(top, ls.edgeDistance(e))
+	}
+	for i, g := range guests {
+		ls.p[g] = mv.from[i]
+	}
+	for _, d := range mv.dist {
+		ls.distHist[d]++
+	}
+	mv.phase = moveProposed
+	return top
+}
+
+// Commit applies the staged move: the touched edges are routed off
+// their old hosts and onto the new ones, and the spans and routed
+// distances applied are recorded for Revert.
+func (ls *LoadState) Commit() {
+	mv := &ls.mv
+	if mv.phase != moveProposed {
+		panic("netsim: Commit without a staged move")
+	}
+	mv.spans, mv.dist = mv.spans[:0], mv.dist[:0]
+	ls.routeTouched()
+	mv.split = len(mv.spans)
+	ls.removeLinks(mv.spans)
+	ls.place(mv.guests, mv.to)
+	ls.routeTouched()
+	ls.addLinks(mv.spans[mv.split:])
+	k := len(mv.touched)
+	ls.shiftDistances(mv.dist[:k], mv.dist[k:])
+	mv.phase = moveCommitted
+}
+
+// Revert undoes the last committed move from Commit's record, routing
+// nothing: the spans it put on come off, the spans it took off go back,
+// and every distance and table entry returns to its value before the
+// move.
+func (ls *LoadState) Revert() {
+	mv := &ls.mv
+	if mv.phase != moveCommitted {
+		panic("netsim: Revert without a committed move")
+	}
+	ls.removeLinks(mv.spans[mv.split:])
+	ls.addLinks(mv.spans[:mv.split])
+	ls.place(mv.guests, mv.from)
+	k := len(mv.touched)
+	ls.shiftDistances(mv.dist[k:], mv.dist[:k])
+	mv.phase = moveNone
+}
+
+// Swap exchanges the host images of guests u and v — the annealing
+// pass's basic move — as one Propose and Commit.
+func (ls *LoadState) Swap(u, v int) {
+	guests := [2]int32{int32(u), int32(v)}
+	hosts := [2]int32{ls.p[v], ls.p[u]}
+	ls.Propose(guests[:], hosts[:])
+	ls.Commit()
+}
+
+// beginMove starts a new move epoch for the touched-edge dedup. When
+// the epoch wraps to 0 every stamp is reset to 0, a value the epoch
+// does not take again before the next reset, so no stale stamp can
+// match a later move.
+func (ls *LoadState) beginMove() {
+	ls.epoch++
+	ls.mv.touched = ls.mv.touched[:0]
+	if ls.epoch == 0 {
+		clear(ls.stamp)
+		ls.epoch = 1
+	}
+}
+
+// touch marks every edge incident to guest g for re-routing, once per
+// move even when both endpoints moved.
+func (ls *LoadState) touch(g int32) {
+	for _, e := range ls.incEdges[ls.incOff[g]:ls.incOff[g+1]] {
+		if ls.stamp[e] != ls.epoch {
+			ls.stamp[e] = ls.epoch
+			ls.mv.touched = append(ls.mv.touched, e)
+		}
+	}
+}
+
+// edgeDistance is task edge e's routed distance under the current
+// placement, from its endpoints' coordinates.
+func (ls *LoadState) edgeDistance(e int32) int {
+	ed := ls.tg.Edges[e]
+	return ls.nw.distance(int(ls.p[ed[0]]), int(ls.p[ed[1]]))
+}
+
+// routeTouched appends both directed routes of every touched edge under
+// the current placement to the move's spans, and each edge's routed
+// distance to its distances. Routes depend only on the endpoints, so
+// the routes taken off before a move are exactly the ones put on when
+// the move was made.
+func (ls *LoadState) routeTouched() {
+	mv := &ls.mv
+	for _, e := range mv.touched {
+		ed := ls.tg.Edges[e]
+		a, b := int(ls.p[ed[0]]), int(ls.p[ed[1]])
+		var d int
+		mv.spans, d = ls.nw.route(mv.spans, a, b)
+		mv.spans, _ = ls.nw.route(mv.spans, b, a)
+		mv.dist = append(mv.dist, int32(d))
+	}
+}
+
+// place moves each guests[i] to hosts[i] in both tables; hosts is a
+// permutation of the guests' current images.
+func (ls *LoadState) place(guests, hosts []int32) {
 	for _, g := range guests {
 		ls.inv[ls.p[g]] = -1
 	}
@@ -212,70 +366,22 @@ func (ls *LoadState) Permute(guests []int32, hosts []int32) {
 		ls.p[g] = hosts[i]
 		ls.inv[hosts[i]] = g
 	}
-	ls.addTouched()
 }
 
-// beginMove starts a new move epoch for the touched-edge dedup.
-func (ls *LoadState) beginMove() {
-	ls.epoch++
-	ls.touched = ls.touched[:0]
-	if ls.epoch == 0 { // int32 wrap: invalidate every stale stamp
-		for i := range ls.stamp {
-			ls.stamp[i] = -1
-		}
-		ls.epoch = 1
-	}
-}
-
-// touch marks every edge incident to guest g for re-routing, once per
-// move even when both endpoints moved.
-func (ls *LoadState) touch(g int) {
-	for _, e := range ls.incEdges[ls.incOff[g]:ls.incOff[g+1]] {
-		if ls.stamp[e] != ls.epoch {
-			ls.stamp[e] = ls.epoch
-			ls.touched = append(ls.touched, e)
-		}
-	}
-}
-
-func (ls *LoadState) removeTouched() {
-	for _, e := range ls.touched {
-		ls.routeEdge(int(e), -1)
-	}
-}
-
-func (ls *LoadState) addTouched() {
-	for _, e := range ls.touched {
-		ls.routeEdge(int(e), +1)
-	}
-}
-
-// routeEdge adds (delta +1) or removes (delta -1) the two directed
-// routes of task edge e under the current placement, maintaining the
-// load array, the bucket counters, and the dilation aggregates.
-// Removal re-routes the same deterministic route the addition routed:
-// routes depend only on the endpoints, so the decrements mirror the
-// increments exactly.
-func (ls *LoadState) routeEdge(e int, delta int32) {
-	ed := ls.tg.Edges[e]
-	a, b := int(ls.p[ed[0]]), int(ls.p[ed[1]])
-	spans, d := ls.nw.route(ls.spans[:0], a, b)
-	spans, _ = ls.nw.route(spans, b, a)
-	if delta > 0 {
-		ls.addLinks(spans)
-	} else {
-		ls.removeLinks(spans)
-	}
-	ls.hops += int(delta) * 2 * d
-	ls.distSum += int64(delta) * int64(d)
-	if delta > 0 {
-		ls.distHist[d]++
-		ls.maxDist = max(ls.maxDist, d)
-	} else {
+// shiftDistances moves the touched edges' routed distances from[k] to
+// to[k], maintaining the distance buckets, their sum, the hop total
+// (both directions route d hops) and the maximum.
+func (ls *LoadState) shiftDistances(from, to []int32) {
+	for k, d := range from {
 		ls.distHist[d]--
-		for ls.maxDist > 0 && ls.distHist[ls.maxDist] == 0 {
-			ls.maxDist--
-		}
+		ls.distHist[to[k]]++
+		delta := int(to[k]) - int(d)
+		ls.distSum += int64(delta)
+		ls.hops += 2 * delta
+		ls.maxDist = max(ls.maxDist, int(to[k]))
+	}
+	for ls.maxDist > 0 && ls.distHist[ls.maxDist] == 0 {
+		ls.maxDist--
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,9 +63,13 @@ func TestLoadStateMatchesBatch(t *testing.T) {
 }
 
 // TestLoadStateIncrementalParity drives a LoadState through random
-// swaps and multi-node permutations and checks after every move that
-// all incrementally maintained aggregates equal a from-scratch
-// measurement — the property the annealing pass's correctness rests on.
+// swaps and multi-node permutations, each staged by Propose and then
+// committed or dropped, and some committed ones reverted. It checks
+// that Propose's dilation is the committed state's, that a dropped
+// proposal and a revert leave the state exactly as before the move,
+// and after every move that all incrementally maintained aggregates
+// equal a from-scratch measurement — the property the annealing pass's
+// correctness rests on.
 func TestLoadStateIncrementalParity(t *testing.T) {
 	for _, tc := range parityCases {
 		nw := New(tc.host)
@@ -80,44 +85,92 @@ func TestLoadStateIncrementalParity(t *testing.T) {
 		if testing.Short() {
 			moves = 15
 		}
+		var dropped, reverted int
 		for m := 0; m < moves; m++ {
-			if rng.Intn(3) > 0 {
-				u := rng.Intn(tg.N)
-				v := rng.Intn(tg.N - 1)
-				if v >= u {
-					v++
+			guests, hosts := randomMove(rng, ls, tg.N)
+			before := snapshotOf(ls)
+			dil := ls.Propose(guests, hosts)
+			if rng.Intn(4) == 0 {
+				dropped++
+				if got := snapshotOf(ls); !got.equal(before) {
+					t.Fatalf("%s on %s move %d: a dropped proposal changed the state:\n%+v\nwant\n%+v", tc.guest, tc.host, m, got, before)
 				}
-				ls.Swap(u, v)
-				if ls.GuestAt(ls.HostOf(u)) != u || ls.GuestAt(ls.HostOf(v)) != v {
-					t.Fatalf("%s on %s: inverse map broken after swap", tc.guest, tc.host)
+				continue
+			}
+			ls.Commit()
+			if got, _ := ls.Dilation(); got != dil {
+				t.Fatalf("%s on %s move %d: proposed dilation %d, committed %d", tc.guest, tc.host, m, dil, got)
+			}
+			for _, g := range guests {
+				if ls.GuestAt(ls.HostOf(int(g))) != int(g) {
+					t.Fatalf("%s on %s move %d: inverse map broken after commit", tc.guest, tc.host, m)
 				}
-			} else {
-				// Rotate a random handful of guests through each other's
-				// hosts — the shape of the reversal/block moves.
-				k := 2 + rng.Intn(4)
-				guests := make([]int32, 0, k)
-				seen := map[int32]bool{}
-				for len(guests) < k {
-					g := int32(rng.Intn(tg.N))
-					if !seen[g] {
-						seen[g] = true
-						guests = append(guests, g)
-					}
-				}
-				hosts := make([]int32, k)
-				for i, g := range guests {
-					hosts[i] = int32(ls.HostOf(int(guests[(i+1)%k])))
-					_ = g
-				}
-				ls.Permute(guests, hosts)
 			}
 			assertParity(t, ls, nw, tg, tc.guest, rd)
+			if rng.Intn(3) == 0 {
+				reverted++
+				ls.Revert()
+				if got := snapshotOf(ls); !got.equal(before) {
+					t.Fatalf("%s on %s move %d: revert left\n%+v\nwant\n%+v", tc.guest, tc.host, m, got, before)
+				}
+			}
 			if t.Failed() {
 				t.Fatalf("%s on %s: diverged at move %d", tc.guest, tc.host, m)
 			}
 		}
+		if dropped == 0 || reverted == 0 {
+			t.Fatalf("%s on %s: %d dropped and %d reverted moves, want both", tc.guest, tc.host, dropped, reverted)
+		}
 		recheck(t, ls)
 	}
+}
+
+// randomMove draws a swap of two guests (two times in three) or a
+// rotation of a random handful of guests through each other's hosts,
+// the shape of the reversal and plane moves.
+func randomMove(rng *rand.Rand, ls *LoadState, n int) (guests, hosts []int32) {
+	k := 2
+	if rng.Intn(3) == 0 {
+		k += rng.Intn(4)
+	}
+	for _, g := range rng.Perm(n)[:k] {
+		guests = append(guests, int32(g))
+	}
+	for i := range guests {
+		hosts = append(hosts, int32(ls.HostOf(int(guests[(i+1)%k]))))
+	}
+	return guests, hosts
+}
+
+// permute moves each guests[i] to hosts[i] as one committed move.
+func permute(ls *LoadState, guests, hosts []int32) {
+	ls.Propose(guests, hosts)
+	ls.Commit()
+}
+
+// snapshot is everything a LoadState reports: its costs, its table and
+// its inverse table.
+type snapshot struct {
+	stats   CongestionStats
+	maxDist int
+	avgDist float64
+	table   []int
+	guestAt []int
+}
+
+func snapshotOf(ls *LoadState) snapshot {
+	s := snapshot{stats: ls.Stats(), table: make([]int, len(ls.p)), guestAt: make([]int, ls.nw.Size())}
+	s.maxDist, s.avgDist = ls.Dilation()
+	ls.CopyTableInto(s.table)
+	for h := range s.guestAt {
+		s.guestAt[h] = ls.GuestAt(h)
+	}
+	return s
+}
+
+func (s snapshot) equal(o snapshot) bool {
+	return s.stats == o.stats && s.maxDist == o.maxDist && s.avgDist == o.avgDist &&
+		slices.Equal(s.table, o.table) && slices.Equal(s.guestAt, o.guestAt)
 }
 
 // recheck re-measures the placement from scratch and fails the test
@@ -173,9 +226,10 @@ func TestLoadStateRejectsBadInput(t *testing.T) {
 
 // TestLoadStateHistogramGrowth drives the per-load bucket array past its
 // initial 8 buckets through moves: ten edges of a 20-node line start
-// side by side at unit length, then one Permute folds them so that all
-// cross the middle link (load 10) and the outermost routes 19 hops. The
-// aggregates must stay exact through the growth and back.
+// side by side at unit length, then one committed move folds them so
+// that all cross the middle link (load 10) and the outermost routes 19
+// hops. The aggregates must stay exact through the growth and back, and
+// reverting the fold must restore the unit-length state exactly.
 func TestLoadStateHistogramGrowth(t *testing.T) {
 	nw := New(grid.LineSpec(20))
 	tg := &taskgraph.Graph{Name: "folded", N: 20}
@@ -198,7 +252,17 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 	if got := len(ls.loadHist); got != 8 {
 		t.Fatalf("unit-load placement starts with %d load buckets, want 8", got)
 	}
-	ls.Permute(guests, folded)
+	side0 := snapshotOf(ls)
+	permute(ls, guests, folded)
+	if len(ls.loadHist) <= 8 {
+		t.Fatalf("load histogram did not grow: %d buckets", len(ls.loadHist))
+	}
+	ls.Revert()
+	if got := snapshotOf(ls); !got.equal(side0) {
+		t.Fatalf("reverting the fold left\n%+v\nwant\n%+v", got, side0)
+	}
+	recheck(t, ls)
+	permute(ls, guests, folded)
 	if len(ls.loadHist) <= 8 {
 		t.Fatalf("load histogram did not grow: %d buckets", len(ls.loadHist))
 	}
@@ -217,6 +281,41 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 	if max, _ := ls.Dilation(); max != 19 {
 		t.Fatalf("max distance after swaps = %d, want 19", max)
 	}
+}
+
+// TestLoadStateEpochWrap: when the int32 move epoch wraps to 0 every
+// edge stamp is reset, and no later epoch may read a reset stamp as its
+// own — or the edges left untouched since the reset are skipped by
+// touch and their routes go stale. The first swap forces the wrap; the
+// next two run at epochs -2 and -1, the last value before the next
+// wrap.
+func TestLoadStateEpochWrap(t *testing.T) {
+	host, guest := grid.TorusSpec(8, 8), grid.MeshSpec(8, 8)
+	nw := New(host)
+	tg := taskgraph.FromSpec(guest)
+	rd := host.NewRankDistancer()
+	rng := rand.New(rand.NewSource(43))
+	ls, err := NewLoadState(nw, tg, Placement(rng.Perm(nw.Size())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap := func() {
+		t.Helper()
+		u, v := rng.Intn(tg.N), rng.Intn(tg.N-1)
+		if v >= u {
+			v++
+		}
+		ls.Swap(u, v)
+		assertParity(t, ls, nw, tg, guest, rd)
+		if t.Failed() {
+			t.Fatalf("diverged after the swap at epoch %d", ls.epoch)
+		}
+	}
+	ls.epoch = -1
+	swap()
+	ls.epoch = -3
+	swap()
+	swap()
 }
 
 // TestLoadStateCompactGuard pins the 32-bit overflow guard: a host at

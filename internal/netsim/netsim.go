@@ -17,7 +17,9 @@
 // once — the shorter way round on a torus, ties toward +1 — and
 // returns the route as arithmetic progressions of dense link ranks
 // (grid.LinkRanker), at most two per axis because a torus wrap splits
-// one. Nothing on that path divides.
+// one. Nothing on that path divides. Its per-axis rule, axisHops, also
+// gives a route's length without building it (distance), which is how
+// LoadState.Propose measures a move before anything is routed.
 //
 // On top of the router sits one load accumulator, accumulate: it
 // stripes task edges over the internal/par pool into per-worker link
@@ -129,19 +131,7 @@ func (nw *Network) route(buf []span, src, dst int) ([]span, int) {
 		if c == t {
 			continue
 		}
-		n, neg := t-c, t < c
-		if neg {
-			n = -n
-		}
-		if nw.torus {
-			if neg {
-				n = l - n // the forward distance
-			}
-			neg = n > l-n
-			if neg {
-				n = l - n
-			}
-		}
+		n, neg := nw.axisHops(c, t, l)
 		stride := nw.strides[j]
 		room, step, wrapTo := l-c, stride, x-c*stride // +1 wraps onto coordinate 0
 		if neg {
@@ -159,6 +149,41 @@ func (nw *Network) route(buf []span, src, dst int) ([]span, int) {
 		hops += n
 	}
 	return buf, hops
+}
+
+// axisHops is the router's per-axis rule: the hop count and direction
+// (neg for decreasing coordinates) of one axis of a route from
+// coordinate c to t on an axis of length l. On a torus it is the
+// shorter way round, ties toward +1; on a mesh, the direct way.
+func (nw *Network) axisHops(c, t, l int) (n int, neg bool) {
+	n, neg = t-c, t < c
+	if neg {
+		n = -n
+	}
+	if nw.torus {
+		if neg {
+			n = l - n // the forward distance
+		}
+		neg = n > l-n
+		if neg {
+			n = l - n
+		}
+	}
+	return n, neg
+}
+
+// distance returns the hop count of the route src -> dst from the
+// endpoints' coordinates alone, without building the route.
+func (nw *Network) distance(src, dst int) int {
+	co := nw.coordTable()
+	d := len(nw.shape)
+	from, to := co[src*d:src*d+d], co[dst*d:dst*d+d]
+	hops := 0
+	for j, l := range nw.shape {
+		n, _ := nw.axisHops(int(from[j]), int(to[j]), l)
+		hops += n
+	}
+	return hops
 }
 
 // Placement maps task index to router index.

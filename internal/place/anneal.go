@@ -10,14 +10,35 @@
 //
 // Moves are evaluated incrementally on a netsim.LoadState: the seed
 // placement is measured once (in closed form when the seed is a proved
-// bijection, else by routing), and from then on each move re-routes only
-// the O(degree) task edges incident to the moved nodes, with every
+// bijection, else by routing), and from then on a move touches only the
+// O(degree) task edges incident to the moved nodes, with every
 // aggregate (dilation, peak, avg-link) maintained exactly — the
 // incremental costs are bit-identical to a full re-measurement, which
 // the periodic evalTable re-validation (and the final check on the
 // returned best) enforces at runtime. That is what lets the pass run
 // on pairs of any size: the old full-re-measurement loop was gated to
 // a few hundred nodes.
+//
+// Each step runs in four parts:
+//
+//   - Propose: the load state returns the move's exact dilation from
+//     the touched edges' host coordinates, routing nothing.
+//   - Bound: after any move the peak and the avg-link are at least 1
+//     (every guest has an edge, and every used link carries a route),
+//     and the weights are finite and non-negative, so the proposed
+//     dilation scored with both at 1 bounds the move's score from
+//     below. A positive bound on the score's rise means the exact
+//     Metropolis rule would draw its uniform here; it is drawn, and a
+//     move whose bound already fails the test is rejected unrouted.
+//   - Commit: any other move is routed, its routed dilation checked
+//     against the proposed one, and decided on its exact costs with
+//     the same uniform — so every RNG stream, trajectory and artifact
+//     is the exact rule's.
+//   - Revert: a committed move the rule rejects is undone from the
+//     record Commit kept, without routing it again.
+//
+// From a paper embedding, whose dilation is already low, most moves end
+// at the bound.
 //
 // The default move set ("swap") is the full swap neighborhood of the
 // placement bijection: two guest ranks exchange their host images,
@@ -92,24 +113,13 @@ func (s *searcher) stateCosts(ls *netsim.LoadState) Costs {
 	return s.costs(dil, avg, ls.Stats())
 }
 
-// moveKind tags the rearrangement a step applied, so rejection undoes
-// it the right way.
-type moveKind int
-
-const (
-	moveSwap moveKind = iota
-	movePermute
-)
-
-// moveScratch holds the reusable buffers of the extended move
-// repertoire: the guests a move displaces and their hosts before and
-// after. Permute-style moves undo by replaying prevHosts.
+// moveScratch holds the reusable buffers of one proposed move: the
+// guests it displaces and their hosts after the move.
 type moveScratch struct {
-	shape     grid.Shape
-	strides   []int
-	guests    []int32
-	newHosts  []int32
-	prevHosts []int32
+	shape    grid.Shape
+	strides  []int
+	guests   []int32
+	newHosts []int32
 }
 
 func (s *searcher) newMoveScratch() *moveScratch {
@@ -122,15 +132,19 @@ func (s *searcher) newMoveScratch() *moveScratch {
 func (ms *moveScratch) reset() {
 	ms.guests = ms.guests[:0]
 	ms.newHosts = ms.newHosts[:0]
-	ms.prevHosts = ms.prevHosts[:0]
 }
 
-// add records one guest displacement: g moves from its current host to
-// host h.
-func (ms *moveScratch) add(ls *netsim.LoadState, g int32, h int32) {
+// add records one guest displacement: g moves to host h.
+func (ms *moveScratch) add(g int32, h int32) {
 	ms.guests = append(ms.guests, g)
-	ms.prevHosts = append(ms.prevHosts, int32(ls.HostOf(int(g))))
 	ms.newHosts = append(ms.newHosts, h)
+}
+
+// swap proposes exchanging the host images of guests i and j.
+func (ms *moveScratch) swap(ls *netsim.LoadState, i, j int) {
+	ms.reset()
+	ms.add(int32(i), int32(ls.HostOf(j)))
+	ms.add(int32(j), int32(ls.HostOf(i)))
 }
 
 // reverseSegment proposes reversing the placement along a random
@@ -157,7 +171,7 @@ func (ms *moveScratch) reverseSegment(ls *netsim.LoadState, rng *rand.Rand, n in
 	ms.reset()
 	for k := a; k <= b; k++ {
 		h := base + k*stride
-		ms.add(ls, int32(ls.GuestAt(h)), int32(base+(a+b-k)*stride))
+		ms.add(int32(ls.GuestAt(h)), int32(base+(a+b-k)*stride))
 	}
 	return true
 }
@@ -185,97 +199,109 @@ func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bo
 			continue
 		}
 		g1, g2 := int32(ls.GuestAt(h)), int32(ls.GuestAt(h+off))
-		ms.add(ls, g1, int32(h+off))
-		ms.add(ls, g2, int32(h))
+		ms.add(g1, int32(h+off))
+		ms.add(g2, int32(h))
 	}
 	return true
 }
 
 // annealRun refines the placement of one embedding by simulated
-// annealing and returns the best table visited with its costs.
-// Deterministic for a given placement, step budget, move repertoire
-// and RNG state. The load state starts from netsim's closed form when
-// the embedding is a proved bijection, and from the routing pass
-// otherwise. start must be the placement's exact measured costs: the
-// run re-derives them from the load state and fails loudly on any
-// disagreement, and re-validates the incremental costs against
-// evalTable every annealRevalidateEvery steps and once more on the
-// returned best.
-func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, error) {
+// annealing and returns the best table visited with its costs, and how
+// many moves the dilation bound rejected unrouted. Deterministic for a
+// given placement, step budget, move repertoire and RNG state. The load
+// state starts from netsim's closed form when the embedding is a proved
+// bijection, and from the routing pass otherwise. start must be the
+// placement's exact measured costs: the run re-derives them from the
+// load state and fails loudly on any disagreement, checks every
+// committed move's routed dilation against the proposed one, and
+// re-validates the incremental costs against evalTable every
+// annealRevalidateEvery steps and once more on the returned best.
+func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, int, error) {
 	annealRuns.Inc()
 	ls, err := netsim.NewEmbeddingLoadState(s.nw, s.guest, e)
 	if err != nil {
-		return nil, Costs{}, err
+		return nil, Costs{}, 0, err
 	}
 	cur := s.stateCosts(ls)
 	if cur != start {
-		return nil, Costs{}, fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)
+		return nil, Costs{}, 0, fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)
 	}
 	n := s.cfg.Guest.Size()
 	bestTab := make(embed.Table, n)
 	ls.CopyTableInto(bestTab)
 	best := start
 	extended := s.cfg.AnnealMoves == AnnealMovesAll
-	var ms *moveScratch
-	if extended {
-		ms = s.newMoveScratch()
-	}
+	ms := s.newMoveScratch()
 	// Geometric cooling from a temperature that makes early uphill
 	// moves of about a tenth of the seed score likely, down to
 	// effectively greedy.
 	t0 := 1 + 0.1*start.Score
 	const tEnd = 0.01
-	var i, j int
+	bounded := 0
 	var snap embed.Table // revalidation table snapshot, allocated on first use
 	for step := 0; step < steps; step++ {
 		temp := t0 * math.Pow(tEnd/t0, float64(step)/float64(steps))
 		// Propose: swaps draw (i, j) exactly as the pre-incremental
 		// engine did; the extended repertoire draws the move kind first,
 		// keeping the swap-only RNG stream untouched under the default.
-		kind := moveSwap
+		proposed := false
 		if extended {
 			switch k := rng.Intn(8); {
 			case k == 6:
-				if ms.reverseSegment(ls, rng, n) {
-					kind = movePermute
-				}
+				proposed = ms.reverseSegment(ls, rng, n)
 			case k == 7:
-				if ms.planeSwap(ls, rng, n) {
-					kind = movePermute
-				}
+				proposed = ms.planeSwap(ls, rng, n)
 			}
 		}
-		if kind == moveSwap {
-			i = rng.Intn(n)
-			j = rng.Intn(n - 1)
+		if !proposed {
+			i := rng.Intn(n)
+			j := rng.Intn(n - 1)
 			if j >= i {
 				j++
 			}
-			ls.Swap(i, j)
-		} else {
-			ls.Permute(ms.guests, ms.newHosts)
+			ms.swap(ls, i, j)
 		}
+		dil := ls.Propose(ms.guests, ms.newHosts)
 		annealSteps.Inc()
-		c := s.stateCosts(ls)
-		delta := c.Score - cur.Score
-		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-			annealAccepted.Inc()
-			cur = c
-			// Best-visited advances on a strictly lower score, or on
-			// Pareto dominance at a tied score: a zero-weighted cost
-			// (e.g. avg-link under the default 1,1,0 objective) ties
-			// the score but still dominates — exactly the improvement
-			// the admission gate accepts.
-			if c.Score < best.Score || c.dominates(best) {
-				best = c
-				ls.CopyTableInto(bestTab)
-			}
-		} else if kind == moveSwap {
+		// Decide (Bound and Commit in the file comment): lb never
+		// exceeds the score's exact rise, so u is drawn exactly where
+		// the exact rule draws it, and the margin covers the rounding
+		// of math.Exp.
+		var u float64
+		lb := s.cfg.Objective.Score(dil, 1, 1) - cur.Score
+		if lb > 0 {
+			u = rng.Float64()
+		}
+		if lb > 0 && u >= math.Exp(-lb/temp)*(1+1e-12) {
+			bounded++
+			annealBounded.Inc()
 			annealRejected.Inc()
-			ls.Swap(i, j) // reject: undo the swap
 		} else {
-			annealRejected.Inc()
-			ls.Permute(ms.guests, ms.prevHosts) // reject: replay the old hosts
+			ls.Commit()
+			if got, _ := ls.Dilation(); got != dil {
+				return nil, Costs{}, 0, fmt.Errorf("step %d: routed dilation %d disagrees with proposed %d", step, got, dil)
+			}
+			c := s.stateCosts(ls)
+			delta := c.Score - cur.Score
+			if delta > 0 && lb <= 0 {
+				u = rng.Float64()
+			}
+			if delta <= 0 || u < math.Exp(-delta/temp) {
+				annealAccepted.Inc()
+				cur = c
+				// Best-visited advances on a strictly lower score, or on
+				// Pareto dominance at a tied score: a zero-weighted cost
+				// (e.g. avg-link under the default 1,1,0 objective) ties
+				// the score but still dominates — exactly the improvement
+				// the admission gate accepts.
+				if c.Score < best.Score || c.dominates(best) {
+					best = c
+					ls.CopyTableInto(bestTab)
+				}
+			} else {
+				annealRejected.Inc()
+				ls.Revert()
+			}
 		}
 		if (step+1)%annealRevalidateEvery == 0 {
 			annealRevalidations.Inc()
@@ -285,21 +311,21 @@ func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *ra
 			ls.CopyTableInto(snap)
 			full, err := s.evalTable(snap)
 			if err != nil {
-				return nil, Costs{}, err
+				return nil, Costs{}, 0, err
 			}
 			if full != cur {
-				return nil, Costs{}, fmt.Errorf("step %d: incremental costs %+v drifted from full measurement %+v", step, cur, full)
+				return nil, Costs{}, 0, fmt.Errorf("step %d: incremental costs %+v drifted from full measurement %+v", step, cur, full)
 			}
 		}
 	}
 	full, err := s.evalTable(bestTab)
 	if err != nil {
-		return nil, Costs{}, err
+		return nil, Costs{}, 0, err
 	}
 	if full != best {
-		return nil, Costs{}, fmt.Errorf("best costs %+v drifted from full measurement %+v", best, full)
+		return nil, Costs{}, 0, fmt.Errorf("best costs %+v drifted from full measurement %+v", best, full)
 	}
-	return bestTab, best, nil
+	return bestTab, best, bounded, nil
 }
 
 // annealSeeds selects which scored candidates seed annealing runs:
@@ -340,6 +366,7 @@ func annealSeeds(scored, front []Candidate) (seeds []Candidate, skipped int) {
 type annealOutcome struct {
 	tab     embed.Table
 	got     Costs
+	bounded int
 	elapsed time.Duration
 	err     error
 }
@@ -378,12 +405,12 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 				continue
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
-			tab, got, err := s.annealRun(e, seed.Costs, cfg.AnnealSteps, rng)
+			tab, got, bounded, err := s.annealRun(e, seed.Costs, cfg.AnnealSteps, rng)
 			if err != nil {
 				outs[k] = annealOutcome{err: fmt.Errorf("place: anneal: seed %d: %v", seed.Index, err)}
 				continue
 			}
-			outs[k] = annealOutcome{tab: tab, got: got, elapsed: cfg.Clock().Sub(t0)}
+			outs[k] = annealOutcome{tab: tab, got: got, bounded: bounded, elapsed: cfg.Clock().Sub(t0)}
 		}
 	})
 	var refined []Candidate
@@ -397,6 +424,7 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 		res.AnnealRuns = append(res.AnnealRuns, AnnealRunStat{
 			SeedIndex: seed.Index,
 			Steps:     cfg.AnnealSteps,
+			Bounded:   out.bounded,
 			Elapsed:   out.elapsed,
 		})
 		c := Candidate{

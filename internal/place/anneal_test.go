@@ -88,26 +88,64 @@ func tableEmbedding(t testing.TB, s *searcher, tab embed.Table) *embed.Embedding
 	return e
 }
 
+// paperTable returns the table of the searcher's paper embedding and its
+// exact costs: a start whose dilation is already low, so most moves
+// fail the dilation bound.
+func paperTable(t testing.TB, s *searcher) (embed.Table, Costs) {
+	t.Helper()
+	e, err := s.baselineEmbedding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := append(embed.Table(nil), e.Table()...)
+	start, err := s.evalTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, start
+}
+
 // TestAnnealIncrementalMatchesFull: with the default swap repertoire,
 // the incremental engine consumes the RNG exactly as the full
 // re-measurement loop did, so a fixed seed and step budget must
-// reproduce the reference's best table and costs bit-for-bit.
+// reproduce the reference's best table and costs bit-for-bit. The
+// scrambled starts accept and revert many moves; the paper start
+// rejects most moves on the dilation bound alone, so that path is
+// pinned to the exact rule too. Under a dilation-only objective the
+// bound equals the exact score, so every uphill move is decided at the
+// bound's threshold, which pins its margin.
 func TestAnnealIncrementalMatchesFull(t *testing.T) {
 	cases := []struct {
 		guest, host grid.Spec
 		steps       int
+		paper       bool      // start from the paper embedding, not a scrambled table
+		obj         Objective // the zero value keeps the default
 	}{
-		{grid.MustSpec(grid.Torus, grid.Shape{16}), grid.TorusSpec(4, 4), 512},
-		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512},
-		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 96},
+		{grid.MustSpec(grid.Torus, grid.Shape{16}), grid.TorusSpec(4, 4), 512, false, Objective{}},
+		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512, false, Objective{}},
+		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 96, false, Objective{}},
+		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 512, true, Objective{}},
+		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512, false, Objective{Alpha: 1}},
 	}
 	for _, tc := range cases {
 		s, tab, start := annealSearcher(t, tc.guest, tc.host, DefaultAnnealMoves)
+		if tc.obj != (Objective{}) {
+			s.cfg.Objective = tc.obj
+			var err error
+			if start, err = s.evalTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.paper {
+			tab, start = paperTable(t, s)
+		}
+		bounded := 0
 		for seed := int64(1); seed <= 3; seed++ {
-			gotTab, got, err := s.annealRun(tableEmbedding(t, s, tab), start, tc.steps, rand.New(rand.NewSource(seed)))
+			gotTab, got, b, err := s.annealRun(tableEmbedding(t, s, tab), start, tc.steps, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
+			bounded += b
 			wantTab, want, err := s.annealRunFull(append(embed.Table(nil), tab...), start, tc.steps, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
@@ -123,12 +161,16 @@ func TestAnnealIncrementalMatchesFull(t *testing.T) {
 				}
 			}
 		}
+		if tc.paper && 2*bounded <= 3*tc.steps {
+			t.Errorf("%s -> %s from the paper embedding: the bound rejected %d of %d moves, want most", tc.guest, tc.host, bounded, 3*tc.steps)
+		}
 	}
 }
 
 // TestStateCostsMatchEval drives a load state through random swaps,
-// segment reversals and plane swaps, checking after every move that the
-// incrementally derived cost vector — score included — equals a full
+// segment reversals and plane swaps, each proposed and committed,
+// checking after every move that the proposed dilation and the
+// incrementally derived cost vector — score included — equal a full
 // evalTable measurement exactly. This is the engine-level delta-vs-full
 // property the annealing acceptance decisions depend on.
 func TestStateCostsMatchEval(t *testing.T) {
@@ -152,18 +194,18 @@ func TestStateCostsMatchEval(t *testing.T) {
 			if j >= i {
 				j++
 			}
-			ls.Swap(i, j)
+			ms.swap(ls, i, j)
 		case 1:
 			if !ms.reverseSegment(ls, rng, n) {
 				t.Fatal("reverseSegment refused a multi-node host")
 			}
-			ls.Permute(ms.guests, ms.newHosts)
 		default:
 			if !ms.planeSwap(ls, rng, n) {
 				t.Fatal("planeSwap refused a multi-node host")
 			}
-			ls.Permute(ms.guests, ms.newHosts)
 		}
+		dil := ls.Propose(ms.guests, ms.newHosts)
+		ls.Commit()
 		snap := make(embed.Table, n)
 		ls.CopyTableInto(snap)
 		want, err := s.evalTable(snap)
@@ -172,6 +214,9 @@ func TestStateCostsMatchEval(t *testing.T) {
 		}
 		if got := s.stateCosts(ls); got != want {
 			t.Fatalf("move %d: incremental costs %+v, evalTable %+v", m, got, want)
+		}
+		if dil != want.Dilation {
+			t.Fatalf("move %d: proposed dilation %d, evalTable %d", m, dil, want.Dilation)
 		}
 	}
 }
@@ -306,22 +351,28 @@ func TestAnnealSeedsFromScored(t *testing.T) {
 
 // BenchmarkAnnealStep compares the per-move cost of the incremental
 // engine against the retired full re-measurement loop on a 256-node
-// pair — the speedup that lifted the anneal size gate.
+// pair — the speedup that lifted the anneal size gate — and times the
+// incremental engine from the pair's paper embedding, where the
+// dilation bound rejects most moves before they are routed.
 func BenchmarkAnnealStep(b *testing.B) {
-	run := func(b *testing.B, full bool) {
+	run := func(b *testing.B, full, paper bool) {
 		s, tab, start := annealSearcher(b, grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), DefaultAnnealMoves)
+		if paper {
+			tab, start = paperTable(b, s)
+		}
 		rng := rand.New(rand.NewSource(1))
 		b.ResetTimer()
 		var err error
 		if full {
 			_, _, err = s.annealRunFull(append(embed.Table(nil), tab...), start, b.N, rng)
 		} else {
-			_, _, err = s.annealRun(tableEmbedding(b, s, tab), start, b.N, rng)
+			_, _, _, err = s.annealRun(tableEmbedding(b, s, tab), start, b.N, rng)
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Run("incremental", func(b *testing.B) { run(b, false) })
-	b.Run("full", func(b *testing.B) { run(b, true) })
+	b.Run("incremental", func(b *testing.B) { run(b, false, false) })
+	b.Run("full", func(b *testing.B) { run(b, true, false) })
+	b.Run("paper-seed", func(b *testing.B) { run(b, false, true) })
 }

@@ -10,43 +10,58 @@ import (
 	"torusmesh/internal/grid"
 )
 
-var update = flag.Bool("update", false, "regenerate the golden search artifact")
+var update = flag.Bool("update", false, "regenerate the golden search artifacts")
 
-// TestGoldenAnnealedSearch pins an annealed search end to end: the
-// artifact of
+// TestGoldenAnnealedSearch pins annealed searches end to end: the
+// artifacts of
 //
 //	place -from torus:16x16x16 -to mesh:16x16x16 -pareto -anneal -json f
+//	place -from mesh:32x32 -to torus:8x8x16 -anneal -anneal-moves all -json f
 //
-// must match the committed golden file byte for byte. Its six scored
-// candidates are proved bijections, so the scoring and every annealing
-// seed's load state take netsim's closed form, which the golden file
-// (recorded from the routing pass) pins. Regenerate with
+// must match the committed golden files byte for byte. The first pair's
+// six scored candidates are proved bijections, so the scoring and every
+// annealing seed's load state take netsim's closed form, which the
+// golden file (recorded from the routing pass) pins. The second pair
+// runs the extended repertoire, with segment reversals and plane swaps,
+// for which no full-evaluation reference loop exists; two of its
+// annealed placements join the front. Regenerate with
 //
 //	go test ./internal/place -run GoldenAnnealed -update
 func TestGoldenAnnealedSearch(t *testing.T) {
-	path := filepath.Join("testdata", "anneal-torus16x16x16-mesh16x16x16.golden.json")
-	cfg := cliConfig(grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16))
-	cfg.Anneal = true
-	res, err := Search(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		file        string
+		guest, host grid.Spec
+		moves       string
+	}{
+		{"anneal-torus16x16x16-mesh16x16x16.golden.json", grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16), DefaultAnnealMoves},
+		{"anneal-mesh32x32-torus8x8x16-all.golden.json", grid.MeshSpec(32, 32), grid.TorusSpec(8, 8, 16), AnnealMovesAll},
 	}
-	got, err := res.EncodeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+	for _, tc := range cases {
+		path := filepath.Join("testdata", tc.file)
+		cfg := cliConfig(tc.guest, tc.host)
+		cfg.Anneal = true
+		cfg.AnnealMoves = tc.moves
+		res, err := Search(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden artifact (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("annealed search artifact differs from %s:\n got: %s\nwant: %s", path, got, want)
+		got, err := res.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("regenerated %s (%d bytes)", path, len(got))
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden artifact (run with -update to create it): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("annealed search artifact differs from %s:\n got: %s\nwant: %s", path, got, want)
+		}
 	}
 }

@@ -14,6 +14,7 @@ var (
 	annealSteps         = obs.Default().Counter("place_anneal_steps_total")
 	annealAccepted      = obs.Default().Counter("place_anneal_moves_accepted_total")
 	annealRejected      = obs.Default().Counter("place_anneal_moves_rejected_total")
+	annealBounded       = obs.Default().Counter("place_anneal_moves_bounded_total")
 	annealRevalidations = obs.Default().Counter("place_anneal_revalidations_total")
 )
 
@@ -21,6 +22,7 @@ func init() {
 	obs.Default().Describe("place_anneal_runs_total", "Annealing runs started.")
 	obs.Default().Describe("place_anneal_steps_total", "Annealing steps proposed across all runs.")
 	obs.Default().Describe("place_anneal_moves_accepted_total", "Annealing moves accepted (downhill or Metropolis).")
-	obs.Default().Describe("place_anneal_moves_rejected_total", "Annealing moves rejected and undone.")
+	obs.Default().Describe("place_anneal_moves_rejected_total", "Annealing moves rejected, bounded ones included.")
+	obs.Default().Describe("place_anneal_moves_bounded_total", "Annealing moves rejected by the dilation bound before routing.")
 	obs.Default().Describe("place_anneal_revalidations_total", "Incremental-cost re-validations against a full measurement.")
 }

@@ -554,11 +554,13 @@ type Result struct {
 }
 
 // AnnealRunStat is one annealing run's telemetry: the index of the
-// scored candidate it refined, its move budget, and its wall time
+// scored candidate it refined, its move budget, how many of its moves
+// the dilation bound rejected before routing them, and its wall time
 // (scheduling-dependent; never serialized).
 type AnnealRunStat struct {
 	SeedIndex int
 	Steps     int
+	Bounded   int
 	Elapsed   time.Duration
 }
 
