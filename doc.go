@@ -46,7 +46,9 @@
 // lookup tables whose compositions fuse into a single table. The
 // measurement paths (Dilation, AverageDilation, Verify) answer from
 // the contribution table's closed forms when they apply: dilation from
-// the Σ l_i axis edges, injectivity from a bijection proof. Otherwise
+// the Σ l_i axis edges, injectivity from a bijection proof over the
+// kernel's components (groups of guest axes that move disjoint host
+// digits). Otherwise
 // Verify scans the lookup table, or the kernel's images in parallel
 // blocks, and Dilation and AverageDilation enumerate guest edges in
 // rank blocks striped across GOMAXPROCS workers, with rank-native

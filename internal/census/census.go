@@ -313,7 +313,7 @@ func Run(cfg Config) (*Census, error) {
 				return
 			}
 			i := indices[k]
-			results[k] = ev.pair(i, specs[i/len(specs)], specs[i%len(specs)])
+			results[k] = ev.pair(i, i/len(specs), i%len(specs))
 			countPair(&results[k])
 			if cfg.OnResult != nil {
 				emitMu.Lock()
@@ -447,22 +447,28 @@ func (c *Census) SlowestPair() *PairResult {
 }
 
 // evaluator carries the per-run immutable state the pair workers share:
-// the config, and — when metrics or congestion are on — per-spec
-// compiled distancers, guests and networks, built up front so the
-// parallel loop stays lock-free. A guest builds its edge list on the
-// first pair that routes it (netsim.Guest), so a guest whose every
+// the config, and per spec, indexed by its position in the spec list,
+// its name and — when metrics or congestion are on — its compiled
+// distancer, guest and network, built up front so the parallel loop
+// stays lock-free and formats no name. A guest builds its edge list on
+// the first pair that routes it (netsim.Guest), so a guest whose every
 // pair takes the closed form never builds one. Every pair is evaluated
 // the same way (measure); the measurement routes are the embedding's
 // own.
 type evaluator struct {
 	cfg        *Config
-	distancers map[string]*grid.RankDistancer // host spec string -> compiled distance
-	guests     map[string]*netsim.Guest       // guest spec string -> congestion guest
-	networks   map[string]*netsim.Network     // host spec string -> routing machine
+	specs      []grid.Spec
+	names      []string              // Spec.String() of each spec
+	distancers []*grid.RankDistancer // compiled distance of each host this shard uses
+	guests     []*netsim.Guest       // congestion guest of each spec
+	networks   []*netsim.Network     // routing machine of each spec
 }
 
 func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
-	ev := &evaluator{cfg: cfg}
+	ev := &evaluator{cfg: cfg, specs: specs, names: make([]string, len(specs))}
+	for si, sp := range specs {
+		ev.names[si] = sp.String()
+	}
 	if len(specs) == 0 {
 		return ev
 	}
@@ -480,34 +486,34 @@ func newEvaluator(cfg *Config, specs []grid.Spec, indices []int) *evaluator {
 	// threshold; above it no kernel has a table, and the precompute would
 	// be dead weight.
 	if cfg.Metrics {
-		ev.distancers = make(map[string]*grid.RankDistancer, len(specs))
+		ev.distancers = make([]*grid.RankDistancer, len(specs))
 		for si, sp := range specs {
 			if hostUsed[si] {
 				rd := sp.NewRankDistancer()
 				if cfg.Size <= embed.MaterializeThreshold() {
 					rd.Materialize()
 				}
-				ev.distancers[sp.String()] = rd
+				ev.distancers[si] = rd
 			}
 		}
 	}
 	if cfg.Congestion {
-		ev.guests = make(map[string]*netsim.Guest, len(specs))
-		ev.networks = make(map[string]*netsim.Network, len(specs))
-		for _, sp := range specs {
-			key := sp.String()
-			ev.guests[key] = netsim.NewGuest(sp)
-			ev.networks[key] = netsim.New(sp)
+		ev.guests = make([]*netsim.Guest, len(specs))
+		ev.networks = make([]*netsim.Network, len(specs))
+		for si, sp := range specs {
+			ev.guests[si] = netsim.NewGuest(sp)
+			ev.networks[si] = netsim.New(sp)
 		}
 	}
 	return ev
 }
 
-// pair evaluates one ordered (guest, host) pair.
-func (ev *evaluator) pair(idx int, g, h grid.Spec) PairResult {
+// pair evaluates one ordered pair: guest specs[gi] into host specs[hi].
+func (ev *evaluator) pair(idx, gi, hi int) PairResult {
 	now := ev.cfg.Clock
 	start := now()
-	pr := PairResult{Index: idx, Guest: g.String(), Host: h.String()}
+	pr := PairResult{Index: idx, Guest: ev.names[gi], Host: ev.names[hi]}
+	g, h := ev.specs[gi], ev.specs[hi]
 	e, err := ev.cfg.Embed(g, h)
 	if err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageConstruct
@@ -515,29 +521,31 @@ func (ev *evaluator) pair(idx int, g, h grid.Spec) PairResult {
 		return pr
 	}
 	pr.Strategy, pr.Predicted = e.Strategy, e.Predicted
-	ev.measure(&pr, e, g, h)
+	ev.measure(&pr, e, gi, hi)
 	pr.Wall = now().Sub(start)
 	return pr
 }
 
 // measure verifies the embedding and fills in the requested metrics,
 // each by the route the embedding picks (Verify, EdgeDilation,
-// netsim.EmbeddingCongestion): a proved bijection is not scanned, and
-// a carry-free digit kernel measures its dilation in closed form, so
-// a proved bijection needs no table at all, congestion included.
-func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, g, h grid.Spec) {
+// netsim.EmbeddingCongestion): a proved bijection — a carry-free
+// kernel whose components each map their points to distinct images —
+// is not scanned, and a carry-free digit kernel measures its dilation
+// in closed form, so a proved bijection needs no table at all,
+// congestion included.
+func (ev *evaluator) measure(pr *PairResult, e *embed.Embedding, gi, hi int) {
 	if err := e.Verify(); err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify
 		return
 	}
 	if ev.cfg.Metrics {
-		pr.Dilation, pr.AvgDilation = e.EdgeDilation(ev.distancers[h.String()])
-		if !checkPredicted(pr, e, pr.Dilation, g, h) {
+		pr.Dilation, pr.AvgDilation = e.EdgeDilation(ev.distancers[hi])
+		if !checkPredicted(pr, e, pr.Dilation, ev.specs[gi], ev.specs[hi]) {
 			return
 		}
 	}
 	if ev.cfg.Congestion {
-		ev.congest(pr, g, h, e)
+		ev.congest(pr, gi, hi, e)
 	}
 }
 
@@ -557,8 +565,8 @@ func checkPredicted(pr *PairResult, e *embed.Embedding, measured int, g, h grid.
 // congest records the peak directed-link load of routing the guest's
 // edges through the host under the embedding's placement, plus the
 // route-length histogram the same measurement computes.
-func (ev *evaluator) congest(pr *PairResult, g, h grid.Spec, e *embed.Embedding) {
-	stats, hops, err := netsim.EmbeddingCongestion(ev.networks[h.String()], ev.guests[g.String()], e)
+func (ev *evaluator) congest(pr *PairResult, gi, hi int, e *embed.Embedding) {
+	stats, hops, err := netsim.EmbeddingCongestion(ev.networks[hi], ev.guests[gi], e)
 	if err != nil {
 		pr.Failure, pr.FailureStage = err.Error(), StageVerify
 		return
@@ -567,7 +575,7 @@ func (ev *evaluator) congest(pr *PairResult, g, h grid.Spec, e *embed.Embedding)
 	if m := hops.Map(); len(m) > 0 {
 		pr.HopHist = m
 	}
-	ev.place(pr, g, h)
+	ev.place(pr, ev.specs[gi], ev.specs[hi])
 }
 
 // place runs the configured placement search for the pair and records

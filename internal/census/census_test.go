@@ -11,6 +11,7 @@ import (
 	"torusmesh/internal/core"
 	"torusmesh/internal/embed"
 	"torusmesh/internal/grid"
+	"torusmesh/internal/obs"
 )
 
 // richConfig is the standard metrics-on census of size n.
@@ -295,6 +296,25 @@ func TestEmbedModeCoverage(t *testing.T) {
 	}
 	if total != c.Embeddable {
 		t.Errorf("strategy counts sum to %d, want %d", total, c.Embeddable)
+	}
+}
+
+// TestCongestionCensusTables: a congestion census materializes a table
+// only for the pairs whose embedding no closed form proves a bijection.
+// Of the 1,600 pairs at size 120 (maxdim 4), 972 are proved: 392 whose
+// components are single axes and 580 with a multi-axis component.
+// Verify, the dilation and the congestion of those need no table, so
+// the census materializes the other 628.
+func TestCongestionCensusTables(t *testing.T) {
+	tables := obs.Default().Counter("embed_tables_materialized_total")
+	cfg := richConfig(120, 4)
+	cfg.Congestion = true
+	before := tables.Value()
+	c := mustRun(t, cfg)
+	got := tables.Value() - before
+	t.Logf("size 120 maxdim 4: %d pairs, %d tables materialized", c.Pairs, got)
+	if c.Pairs != 1600 || got != 628 {
+		t.Errorf("size 120 maxdim 4: %d pairs materialized %d tables, want 1600 and 628", c.Pairs, got)
 	}
 }
 

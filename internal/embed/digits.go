@@ -4,8 +4,12 @@ package embed
 // Ma & Tao's constructions compiles to, the collapse that turns a
 // composition of such kernels back into one kernel, the odometer fill
 // that materializes a kernel without division, and the closed forms
-// that measure a kernel's dilation and prove its injectivity from its
-// Σ l_i axis images instead of from all of its guest edges.
+// that measure a kernel's dilation from its Σ l_i axis images and prove
+// its injectivity from its components: the groups of guest axes that
+// move a common host digit. A kernel whose components move disjoint
+// host digits is the product of one smaller embedding per component, so
+// it is injective when each component is, a scan of Σ_C |C| points
+// instead of N.
 
 import (
 	"slices"
@@ -33,9 +37,10 @@ const maxDigitAxes = 32
 // disjoint (see Compose).
 //
 // The kernel records its host shape. Its axis analysis — the axis
-// images and whether they are disjoint and carry-free over the host —
-// is computed once, on first use, and backs the closed forms
-// EdgeDilation and Bijective and the collapse of compositions.
+// images, whether they are disjoint and carry-free over the host, and
+// the components they group into — is computed once, on first use, and
+// backs the closed forms EdgeDilation and Bijective and the collapse of
+// compositions.
 type DigitKernel struct {
 	lengths []int      // guest dimension lengths, leftmost first
 	contrib []int      // rows of per-digit contributions, axis 0 first: row i has lengths[i] entries
@@ -46,13 +51,19 @@ type DigitKernel struct {
 	// coordinate v on axis i and 0 elsewhere; nil when some image
 	// leaves the host's rank range.
 	images []int
+	// parts are the components of a kernel Bijective proves a
+	// bijection, nil for any other kernel.
+	parts []axisGroup
 	// disjoint: every host digit moves with at most one guest axis.
 	// carryFree: the host-digit offsets of the axis images, summed over
 	// all axes, keep every host digit in range. Disjoint implies
-	// carry-free. bijective: disjoint, the images along every axis are
-	// distinct, and guest and host have equal size.
-	disjoint, carryFree, bijective bool
+	// carry-free.
+	disjoint, carryFree bool
 }
+
+// axisGroup is one component as bit masks: the guest axes it groups
+// and the host digits they move.
+type axisGroup struct{ guest, host uint32 }
 
 // EvalBatch implements Kernel: decode digits right-to-left and sum the
 // per-dimension contributions. Allocation-free.
@@ -152,8 +163,11 @@ func (k *DigitKernel) fill(out []int, lo int) {
 	}
 }
 
-// analyze computes the axis analysis once. It allocates one slice,
-// the images, and decodes each image into host digits once.
+// analyze computes the axis analysis once. It allocates the images,
+// decodes each image into host digits once, and groups the axes into
+// components on the stack; a kernel it proves a bijection also keeps
+// its components, and one with a multi-axis component needs a bitset
+// of host ranks for the proof (componentsInjective).
 func (k *DigitKernel) analyze() {
 	k.analyzeOnce.Do(func() {
 		host, d := k.host, len(k.lengths)
@@ -174,19 +188,18 @@ func (k *DigitKernel) analyze() {
 		images := make([]int, len(k.contrib))
 		// lo/hi bound each host digit over every guest node: the
 		// origin's digit plus each axis's extreme offsets; axLo/axHi
-		// are one axis's extremes, and moved marks the digits an
-		// earlier axis moves.
+		// are one axis's extremes, and moves[i] marks the digits axis i
+		// moves.
 		var base, lo, hi, axLo, axHi [maxDigitAxes]int
-		var moved [maxDigitAxes]bool
+		var moves [maxDigitAxes]uint32
 		r := origin
 		for j := c - 1; j >= 0; j-- {
 			base[j] = r % host[j]
 			r /= host[j]
 			lo[j], hi[j] = base[j], base[j]
 		}
-		disjoint := true
 		off = 0
-		for _, l := range k.lengths {
+		for i, l := range k.lengths {
 			clear(axLo[:c])
 			clear(axHi[:c])
 			for v := range l {
@@ -208,8 +221,7 @@ func (k *DigitKernel) analyze() {
 				}
 				lo[j] += axLo[j]
 				hi[j] += axHi[j]
-				disjoint = disjoint && !moved[j]
-				moved[j] = true
+				moves[i] |= 1 << j
 			}
 			off += l
 		}
@@ -220,30 +232,117 @@ func (k *DigitKernel) analyze() {
 				k.carryFree = false
 			}
 		}
-		k.disjoint = disjoint
-		if !disjoint || grid.Shape(k.lengths).Size() != hostSize {
+		var groups [maxDigitAxes]axisGroup
+		n := groupAxes(moves[:d], &groups)
+		k.disjoint = n == d
+		// One component spanning several axes would be a scan of all N
+		// points: such a kernel is left to Verify's scan.
+		if !k.carryFree || grid.Shape(k.lengths).Size() != hostSize || (n == 1 && d > 1) {
 			return
 		}
-		// Each row is sorted in place to find repeats, then restored
-		// from the contributions it was computed from.
-		off = 0
-		for _, l := range k.lengths {
-			row := images[off : off+l]
-			slices.Sort(row)
-			distinct := true
-			for v := 1; v < l; v++ {
-				distinct = distinct && row[v] != row[v-1]
+		if k.componentsInjective(groups[:n], origin, hostSize) {
+			k.parts = append([]axisGroup(nil), groups[:n]...)
+		}
+	})
+}
+
+// groupAxes merges the guest axes that move a common host digit,
+// directly or through other axes, into groups and returns how many;
+// moves[i] is the digit mask of axis i. The groups' digit masks stay
+// pairwise disjoint, so one pass over them finds every group an axis
+// joins.
+func groupAxes(moves []uint32, groups *[maxDigitAxes]axisGroup) int {
+	n := 0
+	for i, m := range moves {
+		joined := axisGroup{guest: 1 << i, host: m}
+		kept := 0
+		for _, g := range groups[:n] {
+			if g.host&m != 0 {
+				joined.guest |= g.guest
+				joined.host |= g.host
+				continue
 			}
-			for v := range row {
-				row[v] = origin + k.contrib[off+v] - k.contrib[off]
+			groups[kept] = g
+			kept++
+		}
+		groups[kept] = joined
+		n = kept + 1
+	}
+	return n
+}
+
+// componentsInjective reports whether every group of a carry-free
+// kernel maps its points — the guest nodes that are 0 off its axes —
+// to distinct host ranks. A single axis's row is sorted in place to
+// find repeats, then restored from the contributions it was computed
+// from. A multi-axis group's points are walked by odometer, each
+// image the origin plus its axes' image offsets, and claimed in a
+// bitset of host ranks. Two groups' points share only the origin's
+// image, which is claimed once up front, so one bitset serves them
+// all.
+func (k *DigitKernel) componentsInjective(groups []axisGroup, origin, hostSize int) bool {
+	var rowOff [maxDigitAxes + 1]int
+	for i, l := range k.lengths {
+		rowOff[i+1] = rowOff[i] + l
+	}
+	row := func(i int) []int { return k.images[rowOff[i]:rowOff[i+1]] }
+	var small [16]uint64 // hosts up to 1024 nodes claim on the stack
+	var claimed []uint64
+	for _, g := range groups {
+		var axes, digit [maxDigitAxes]int
+		m := 0
+		for i := range k.lengths {
+			if g.guest>>i&1 != 0 {
+				axes[m] = i
+				m++
+			}
+		}
+		if m == 1 {
+			r, off := row(axes[0]), rowOff[axes[0]]
+			slices.Sort(r)
+			distinct := true
+			for v := 1; v < len(r); v++ {
+				distinct = distinct && r[v] != r[v-1]
+			}
+			for v := range r {
+				r[v] = origin + k.contrib[off+v] - k.contrib[off]
 			}
 			if !distinct {
-				return
+				return false
 			}
-			off += l
+			continue
 		}
-		k.bijective = true
-	})
+		if claimed == nil {
+			if words := (hostSize + 63) / 64; words <= len(small) {
+				claimed = small[:words]
+			} else {
+				claimed = make([]uint64, words)
+			}
+			claimed[origin>>6] |= 1 << (origin & 63)
+		}
+		for h := origin; ; {
+			q := m - 1
+			for ; q >= 0; q-- {
+				r := row(axes[q])
+				h -= r[digit[q]]
+				if digit[q]++; digit[q] < len(r) {
+					h += r[digit[q]]
+					break
+				}
+				digit[q] = 0
+				h += r[0]
+			}
+			if q < 0 {
+				break
+			}
+			bit := uint64(1) << (h & 63)
+			if claimed[h>>6]&bit != 0 {
+				return false
+			}
+			claimed[h>>6] |= bit
+		}
+	}
+	return true
 }
 
 // EdgeDilation is the closed form of g.EdgeDilation(table, rd) over the
@@ -297,34 +396,71 @@ func (k *DigitKernel) EdgeDilation(g grid.Spec, rd *grid.RankDistancer) (max int
 }
 
 // Bijective reports whether the closed form proves the kernel a
-// bijection onto its host: it is disjoint, its images along each axis
-// are distinct, and guest and host have equal size. Then two guest
-// nodes that differ on axis i have images that differ on a host digit
-// only axis i moves, so no two share an image, and every image is in
-// range. This is a proof, not a skipped check: false means only that
-// the caller must scan the images (Verify).
+// bijection onto its host: it is carry-free, guest and host have equal
+// size, and each component maps its points to distinct images. A
+// component is a group of guest axes that move a common host digit,
+// directly or through other axes of the group, so components move
+// disjoint host digits, and two guest nodes share an image exactly when
+// every component maps their coordinates to the same point. The proof
+// scans Σ_C |C| points, sorting a single axis's images. A kernel whose
+// one component spans several axes is not proved: that scan would be
+// all N points. This is a proof, not a skipped check: false means only
+// that the caller must scan the images (Verify).
 func (k *DigitKernel) Bijective() bool {
 	k.analyze()
-	return k.bijective
+	return k.parts != nil
 }
 
-// AxisImages returns the axis images of a kernel Bijective proves a
-// bijection, and nil for any other kernel: row i holds the host ranks
-// of the guest nodes with coordinate v on axis i and 0 elsewhere, for
-// v = 0..l_i-1, so every row starts at the origin's image. The rows are
-// the analysis Bijective already ran, not a copy: the caller must not
+// Component is one component of a proved bijection
+// (DigitKernel.Components): guest axes that move a common host digit,
+// directly or through one another. The kernel is the product of its
+// components' maps, each moving only its own host axes.
+type Component struct {
+	// Axes are the component's guest axes, ascending, and Images[q]
+	// the axis images of Axes[q]: the host ranks of the guest nodes
+	// with coordinate v on that axis and 0 elsewhere, for v = 0..l-1,
+	// so every row starts at the origin's image.
+	Axes   []int
+	Images [][]int
+	// HostAxes are the host axes the component moves, ascending. The
+	// component's points fill the fiber of host nodes that agree with
+	// the origin's image off these axes, one point per node.
+	HostAxes []int
+}
+
+// Components returns the components of a kernel Bijective proves a
+// bijection, and nil for any other kernel. The image rows are the
+// analysis Bijective already ran, not a copy: the caller must not
 // modify them.
-func (k *DigitKernel) AxisImages() [][]int {
+func (k *DigitKernel) Components() []Component {
 	if !k.Bijective() {
 		return nil
 	}
-	rows := make([][]int, len(k.lengths))
-	off := 0
-	for i, l := range k.lengths {
-		rows[i] = k.images[off : off+l : off+l]
-		off += l
+	d, c := len(k.lengths), len(k.host)
+	comps := make([]Component, len(k.parts))
+	axes := make([]int, 0, d+c) // every component's Axes, then HostAxes
+	rows := make([][]int, 0, d)
+	for ci, g := range k.parts {
+		first, firstRow := len(axes), len(rows)
+		off := 0
+		for i, l := range k.lengths {
+			if g.guest>>i&1 != 0 {
+				axes = append(axes, i)
+				rows = append(rows, k.images[off:off+l:off+l])
+			}
+			off += l
+		}
+		comps[ci].Axes = axes[first:len(axes):len(axes)]
+		comps[ci].Images = rows[firstRow:len(rows):len(rows)]
+		first = len(axes)
+		for j := range c {
+			if g.host>>j&1 != 0 {
+				axes = append(axes, j)
+			}
+		}
+		comps[ci].HostAxes = axes[first:len(axes):len(axes)]
 	}
-	return rows
+	return comps
 }
 
 // then compiles "k, then next" into one digit kernel, or returns nil

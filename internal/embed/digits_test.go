@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"slices"
 	"testing"
 
 	"torusmesh/internal/grid"
@@ -72,8 +73,9 @@ func TestOdometerFillMatchesEvalBatch(t *testing.T) {
 // coordinates, so the dilation closed form must refuse it even though
 // it is a bijection; a kernel whose axes share a host digit is
 // carry-free — its dilation closed form answers and equals the edge
-// pass — but is not disjoint, so it proves no bijection and collapses
-// with no next stage.
+// pass — but is not disjoint, so it collapses with no next stage, and
+// when its axes form one component, as mesh(2x2) -> line(4)'s do, it
+// proves no bijection either.
 func TestClosedFormsRefuseCarriesAndSharedDigits(t *testing.T) {
 	// Guest 2x3 in host 3x2 by rank identity: axis 0 adds 3, which is
 	// (1,1) in host digits, and axis 1 adds up to (1,0), so host digit
@@ -103,8 +105,8 @@ func TestClosedFormsRefuseCarriesAndSharedDigits(t *testing.T) {
 	if dil != wantDil || avg != wantAvg {
 		t.Errorf("shared-digit closed form = (%d, %v), edge pass (%d, %v)", dil, avg, wantDil, wantAvg)
 	}
-	if shared.Bijective() {
-		t.Error("bijection proved for a kernel whose axes share a host digit")
+	if shared.Bijective() || shared.Components() != nil {
+		t.Error("bijection proved for a kernel whose one component spans two axes")
 	}
 	if shared.then(digitKernel([]int{4}, []int{4}, []int{3, 2, 1, 0})) != nil {
 		t.Error("a non-disjoint first stage collapsed")
@@ -115,6 +117,52 @@ func TestClosedFormsRefuseCarriesAndSharedDigits(t *testing.T) {
 	flat := digitKernel([]int{2, 2}, []int{2, 2}, []int{0, 2}, []int{0, 0})
 	if flat.Bijective() {
 		t.Error("bijection proved for a kernel with a repeated axis image")
+	}
+}
+
+// TestBijectiveProvesComponents: a kernel whose components move
+// disjoint host digits is proved a bijection from its components'
+// points, a multi-axis component included, and Components reports each
+// one's axes, images and host axes. A component that folds two of its
+// points onto one image refuses the proof, and Verify's scan then names
+// the violation CheckInjection finds first.
+func TestBijectiveProvesComponents(t *testing.T) {
+	// Guest 2x3x2 in host 4x3: axes 0 and 2 share host axis 0 by
+	// x0 + 2·x2, and axis 1 moves host axis 1 alone.
+	g, h := grid.MeshSpec(2, 3, 2), grid.MeshSpec(4, 3)
+	two := digitKernel([]int{2, 3, 2}, []int{4, 3}, []int{0, 3}, []int{0, 1, 2}, []int{0, 6})
+	if Materialize(two, 12).CheckInjection(12) != nil {
+		t.Fatal("the two-component kernel is meant to be a bijection")
+	}
+	if !two.Bijective() {
+		t.Fatal("two-component bijection not proved")
+	}
+	want := []Component{
+		{Axes: []int{1}, Images: [][]int{{0, 1, 2}}, HostAxes: []int{1}},
+		{Axes: []int{0, 2}, Images: [][]int{{0, 3}, {0, 6}}, HostAxes: []int{0}},
+	}
+	got := two.Components()
+	if !slices.EqualFunc(got, want, func(a, b Component) bool {
+		return slices.Equal(a.Axes, b.Axes) && slices.EqualFunc(a.Images, b.Images, slices.Equal) && slices.Equal(a.HostAxes, b.HostAxes)
+	}) {
+		t.Errorf("components %+v, want %+v", got, want)
+	}
+
+	// Axis 2 now repeats axis 0's offsets: (1,v,0) and (0,v,1) share an
+	// image. The kernel stays carry-free, with the same two components.
+	fold := digitKernel([]int{2, 3, 2}, []int{4, 3}, []int{0, 3}, []int{0, 1, 2}, []int{0, 3})
+	if _, _, ok := fold.EdgeDilation(g, h.NewRankDistancer()); !ok {
+		t.Fatal("the folding kernel is meant to be carry-free")
+	}
+	if fold.Bijective() || fold.Components() != nil {
+		t.Fatal("bijection proved for a kernel with a folding component")
+	}
+	e, err := NewKernel(g, h, "folded component", 0, fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err, want := e.Verify(), wantViolation(t, e); err == nil || err.Error() != want {
+		t.Errorf("Verify = %v, want %s", err, want)
 	}
 }
 

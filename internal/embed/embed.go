@@ -13,10 +13,11 @@
 // New fall back to a decode-map-encode adapter. Compositions of digit
 // kernels compile into one digit kernel when each stage but the last is
 // disjoint, and a digit kernel's closed forms (digits.go) measure its
-// dilation and prove its injectivity from its axis images. Kernels of
-// guests at or below MaterializeThreshold() are materialized into
-// lookup tables on first use, and composing materialized steps fuses
-// their tables.
+// dilation from its axis images and prove its injectivity from its
+// components, the groups of guest axes that move disjoint host digits.
+// Kernels of guests at or below MaterializeThreshold() are materialized
+// into lookup tables on first use, and composing materialized steps
+// fuses their tables.
 //
 // The package owns the choice of measurement route. Verify and
 // EdgeDilation (whose halves are Dilation and AverageDilation) answer

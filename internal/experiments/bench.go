@@ -2,7 +2,8 @@
 // drives the performance-critical kernels of the annealing evaluation
 // stack — LoadState construction, dense congestion, striped edge
 // dilation, and the per-move swap — the closed forms of congestion and
-// LoadState construction on the paper embedding of the same pair, the
+// LoadState construction on the paper embedding of the same pair and
+// on a two-component bijection beside its routing pass, the
 // small-pair and search passes (one size-120 census, default placement
 // searches of a 16-node, a 4096-node and a 32768-node pair) and one
 // construction (a mid-rotated prime refinement of the 32³ pair, built
@@ -166,6 +167,39 @@ func RunBench() (*BenchReport, error) {
 	runScaling(report, "loadstate-init-tiled/"+pairName, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := netsim.NewEmbeddingLoadState(nw, g, paper); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// The same closed forms on a bijection of two 64-point components,
+	// each folding two guest axes onto one host axis, beside the routing
+	// pass over the same placement.
+	compGuest, compHost := grid.TorusSpec(16, 16, 4, 4), grid.MeshSpec(64, 64)
+	comp, err := core.Embed(compGuest, compHost)
+	if err != nil {
+		return nil, err
+	}
+	compName := fmt.Sprintf("%s->%s", compGuest, compHost)
+	compNet, compG := netsim.New(compHost), netsim.NewGuest(compGuest)
+	compTable := netsim.Placement(comp.Table())
+	runScaling(report, "congestion/"+compName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := netsim.Congestion(compNet, compG.Graph(), compTable); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runScaling(report, "congestion-closed-form/"+compName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := netsim.EmbeddingCongestion(compNet, compG, comp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runScaling(report, "loadstate-init-tiled/"+compName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := netsim.NewEmbeddingLoadState(compNet, compG, comp); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"torusmesh/internal/core"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/taskgraph"
+	"torusmesh/internal/testmem"
 )
 
 // The allocs/op gates of the annealing hot paths. These are regression
@@ -109,5 +111,32 @@ func TestLoadStateInitAllocsBounded(t *testing.T) {
 	})
 	if limit := 256.0; allocs > limit {
 		t.Errorf("NewLoadState allocates %.1f objects/op, want <= %.0f (edges: %d)", allocs, limit, len(tg.Edges))
+	}
+}
+
+// TestClosedFormBytesPerCall: the closed form of a kernel with two
+// 64-point components, torus(16x16x4x4) -> mesh(64x64), routes each
+// slice inside its 64-node fiber, so its scratch is fiber-sized. A
+// host-sized load array, LinkSlots()·4 bytes, would break the limit
+// several times over, and the routing pass allocates about that.
+func TestClosedFormBytesPerCall(t *testing.T) {
+	gs, hs := grid.TorusSpec(16, 16, 4, 4), grid.MeshSpec(64, 64)
+	e, err := core.Embed(gs, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Digits().Components()) != 2 {
+		t.Fatalf("%s -> %s (%s): not a two-component bijection", gs, hs, e.Strategy)
+	}
+	nw, g := New(hs), NewGuest(gs)
+	got := testmem.BytesPerCall(50, func() {
+		if _, _, err := EmbeddingCongestion(nw, g, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := uint64(nw.LinkSlots()) / 2
+	t.Logf("EmbeddingCongestion of %s -> %s: %d B/call (limit %d; a host-sized load array is %d)", gs, hs, got, limit, 4*nw.LinkSlots())
+	if got > limit {
+		t.Errorf("EmbeddingCongestion of %s -> %s allocates %d B/call, want <= %d", gs, hs, got, limit)
 	}
 }

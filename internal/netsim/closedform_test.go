@@ -22,9 +22,12 @@ import (
 // EmbeddingCongestion returns the same, and the tiled tally equals the
 // accumulator's on every link load, distance bucket and hop sum. Every
 // other pair must be refused. The counts of covered pairs are pinned
-// too, so a construction change that drops coverage shows.
+// too, so a construction change that drops coverage shows: they are the
+// kernels whose components are single axes (124, 136, 392 and 1,156)
+// plus those with two or more components, one of them spanning several
+// axes (80, 96, 580 and 3,552).
 func TestClosedFormMatchesPass(t *testing.T) {
-	covered := map[int]int{36: 124, 64: 136, 120: 392, 360: 1156}
+	covered := map[int]int{36: 204, 64: 232, 120: 972, 360: 4708}
 	sizes := []int{36, 64, 120}
 	if !testing.Short() {
 		sizes = append(sizes, 360)
@@ -109,11 +112,13 @@ func firstDiff(a, b []int32) int {
 	return -1
 }
 
-// TestClosedFormRefusesNonDisjointKernels: a carry-free digit kernel
-// whose guest axes share a host digit is not a proved bijection, even
-// when its table is one, so the closed form must refuse it and the
-// chooser must route it. The hand-built kernel maps mesh(2x2) onto
-// line(4) by x0 + 2·x1; the reduction is a construction of the paper
+// TestClosedFormRefusesNonDisjointKernels is the one-component refusal
+// test: a carry-free digit kernel whose guest axes all join one
+// component, because they share host digits, is not a proved bijection
+// even when its table is one (its proof would scan all N points), so
+// the closed form must refuse it and the chooser must route it. The
+// hand-built kernel maps mesh(2x2) onto line(4) by x0 + 2·x1; the
+// reduction torus(4x4x4) -> mesh(8x8) is a construction of the paper
 // of the same kind.
 func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
 	g2 := grid.MeshSpec(2, 2)
@@ -135,12 +140,12 @@ func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
 		if _, _, ok := k.EdgeDilation(e.From, e.To.NewRankDistancer()); !ok {
 			t.Fatalf("%s -> %s (%s): kernel is not carry-free", e.From, e.To, e.Strategy)
 		}
-		if k.Bijective() || k.AxisImages() != nil {
+		if k.Bijective() || k.Components() != nil {
 			t.Fatalf("%s -> %s (%s): kernel proved a bijection", e.From, e.To, e.Strategy)
 		}
 		nw, g := New(e.To), NewGuest(e.From)
 		if cf := nw.closedForm(e.From, e); cf != nil {
-			t.Fatalf("%s -> %s (%s): closed form taken for a non-disjoint kernel", e.From, e.To, e.Strategy)
+			t.Fatalf("%s -> %s (%s): closed form taken for a one-component kernel", e.From, e.To, e.Strategy)
 		}
 		stats, hist, err := EmbeddingCongestion(nw, g, e)
 		if err != nil {
@@ -161,18 +166,24 @@ func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
 // bijection, through the same seeded swaps and permutations of random
 // guest sets (the shape of the extended anneal moves). Stats and
 // Dilation must agree after every move, and every load and bucket at
-// the end.
+// the end. The pairs' components are pinned: single axes, one axis
+// moving two host digits, and two with multi-axis components.
 func TestTiledLoadStateMatchesRouted(t *testing.T) {
 	moves := 2000
 	if testing.Short() {
 		moves = 300
 	}
-	for _, pair := range [][2]grid.Spec{
-		{grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16)},
-		{grid.RingSpec(64), grid.TorusSpec(8, 8)},
-		{grid.TorusSpec(2, 4, 8), grid.MeshSpec(8, 4, 2)},
+	for _, tc := range []struct {
+		guest, host grid.Spec
+		components  [][]int // each component's guest axes
+	}{
+		{grid.TorusSpec(16, 16, 16), grid.MeshSpec(16, 16, 16), [][]int{{0}, {1}, {2}}},
+		{grid.RingSpec(64), grid.TorusSpec(8, 8), [][]int{{0}}},
+		{grid.TorusSpec(2, 4, 8), grid.MeshSpec(8, 4, 2), [][]int{{0}, {1}, {2}}},
+		{grid.TorusSpec(4, 4, 2, 2), grid.MeshSpec(8, 8), [][]int{{0, 2}, {1, 3}}},
+		{grid.MeshSpec(8, 2, 2, 2), grid.TorusSpec(8, 8), [][]int{{0}, {1, 2, 3}}},
 	} {
-		gs, hs := pair[0], pair[1]
+		gs, hs := tc.guest, tc.host
 		e, err := core.Embed(gs, hs)
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +191,14 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 		nw, g := New(hs), NewGuest(gs)
 		if nw.closedForm(gs, e) == nil {
 			t.Fatalf("%s -> %s (%s): not a proved bijection", gs, hs, e.Strategy)
+		}
+		var got [][]int
+		for _, c := range e.Digits().Components() {
+			got = append(got, c.Axes)
+		}
+		slices.SortFunc(got, slices.Compare)
+		if !slices.EqualFunc(got, tc.components, slices.Equal) {
+			t.Fatalf("%s -> %s (%s): components %v, want %v", gs, hs, e.Strategy, got, tc.components)
 		}
 		tiled, err := NewEmbeddingLoadState(nw, g, e)
 		if err != nil {
@@ -235,10 +254,17 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 // census's pair workers and a search's candidate and annealing workers
 // share theirs. Goroutines racing to the first routing pass and the
 // first load state must build the edge list and incidence lists once
-// and measure what a lone caller measures.
+// and measure what a lone caller measures. They share the Network too,
+// and race to its first fibers through a two-component bijection's
+// closed form.
 func TestGuestSharedFirstUse(t *testing.T) {
 	gs, hs := grid.TorusSpec(4, 4, 4), grid.MeshSpec(8, 8)
 	e, err := core.Embed(gs, hs) // a reduction: routed, not closed form
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := grid.TorusSpec(4, 4, 2, 2)
+	comp, err := core.Embed(cs, hs) // two components, {0,2} and {1,3}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +273,14 @@ func TestGuestSharedFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGuest(gs)
+	compWant, err := Congestion(nw, taskgraph.FromSpec(cs), Placement(comp.Table()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, cg := NewGuest(gs), NewGuest(cs)
 	const workers = 8
 	graphs := make([]*taskgraph.Graph, workers)
-	errs := make(chan error, 2*workers)
+	errs := make(chan error, 3*workers)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
@@ -264,6 +294,11 @@ func TestGuestSharedFirstUse(t *testing.T) {
 			ls, err := NewEmbeddingLoadState(nw, g, e)
 			if err == nil && ls.Stats() != want {
 				err = fmt.Errorf("worker %d: load state %+v, want %+v", w, ls.Stats(), want)
+			}
+			errs <- err
+			stats, _, err = EmbeddingCongestion(nw, cg, comp)
+			if err == nil && stats != compWant {
+				err = fmt.Errorf("worker %d: closed form %+v, want %+v", w, stats, compWant)
 			}
 			errs <- err
 			graphs[w] = g.Graph()

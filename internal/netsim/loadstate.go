@@ -23,7 +23,7 @@
 // Construction takes the tally of the placement's loads from one of two
 // sources. NewEmbeddingLoadState, given a proved bijection, tiles the
 // closed form's slice loads into the link array: O(links) writes and
-// Σ l_i routes. Every other construction runs the network's one
+// the routes of one slice per component. Every other construction runs the network's one
 // striped accumulator (the pass Congestion runs), the O(|E|·distance)
 // cost. Either way the load-value bucket counters and maxima are
 // derived from the tally's integers afterwards, so the built state is

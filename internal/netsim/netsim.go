@@ -32,9 +32,11 @@
 //
 // Beside the pass sits its closed form (closedform.go). An embedding
 // whose digit kernel is a proved bijection
-// (embed.DigitKernel.Bijective) loads every slice of a guest axis
-// alike, so routing one slice per axis, Σ l_i edges in all, gives the
-// pass's loads and aggregates exactly. EmbeddingCongestion, the
+// (embed.DigitKernel.Bijective) is a product of its components, groups
+// of guest axes that move disjoint host digits, and loads every slice
+// of a component alike. So routing one slice per component, inside
+// the component's fiber (a network of the host axes it moves), gives
+// the pass's loads and aggregates exactly. EmbeddingCongestion, the
 // census's congestion column and the placement search's scoring
 // backend, takes it whenever that proof holds and routes the
 // embedding's table otherwise. NewEmbeddingLoadState, the annealing
@@ -65,6 +67,9 @@ type Network struct {
 
 	coordOnce sync.Once
 	coords    []int32 // coords[x·Dim+j] = coordinate j of node x; see coordTable
+
+	fiberMu sync.Mutex
+	fibers  map[uint64]*Network // by host-axis mask; see fiber
 }
 
 // New builds a network from a spec. It allocates nothing proportional

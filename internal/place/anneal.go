@@ -178,8 +178,10 @@ func (ms *moveScratch) reverseSegment(ls *netsim.LoadState, rng *rand.Rand, n in
 
 // planeSwap proposes exchanging two parallel hyperplanes of the host:
 // every guest at coordinate c1 along a random axis trades hosts with
-// its projection at coordinate c2. Returns false when every host axis
-// is too short.
+// its projection at coordinate c2. The c1 hyperplane is walked in
+// ascending host rank, one run of stride ranks per block of l·stride,
+// so a proposal visits its n/l hosts and no others. Returns false when
+// every host axis is too short.
 func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bool {
 	j := rng.Intn(len(ms.shape))
 	l := ms.shape[j]
@@ -194,13 +196,12 @@ func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bo
 	}
 	off := (c2 - c1) * stride
 	ms.reset()
-	for h := 0; h < n; h++ {
-		if (h/stride)%l != c1 {
-			continue
+	for blk := 0; blk < n; blk += l * stride {
+		for h := blk + c1*stride; h < blk+(c1+1)*stride; h++ {
+			g1, g2 := int32(ls.GuestAt(h)), int32(ls.GuestAt(h+off))
+			ms.add(g1, int32(h+off))
+			ms.add(g2, int32(h))
 		}
-		g1, g2 := int32(ls.GuestAt(h)), int32(ls.GuestAt(h+off))
-		ms.add(g1, int32(h+off))
-		ms.add(g2, int32(h))
 	}
 	return true
 }

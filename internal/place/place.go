@@ -78,13 +78,15 @@
 // so a broken construction is discarded and counted, not fatal — only
 // the baseline is load-bearing) and measures its dilation and average
 // dilation, through embed's Verify and EdgeDilation. Both take the
-// digit kernel's closed forms first: a disjoint kernel with distinct
-// axis images is a proved bijection, and a carry-free kernel's
-// dilation follows from its Σ l_i axis edges. Candidates without a
-// closed form are materialized, scanned, and measured in one fused
-// pass over the guest's edge blocks. Only then does the worker measure
-// congestion through netsim.EmbeddingCongestion: a proved bijection in
-// closed form from the same axis images, with no table, and any other
+// digit kernel's closed forms first: a carry-free kernel whose
+// components (groups of guest axes moving disjoint host digits) each
+// map their points to distinct images is a proved bijection, and a
+// carry-free kernel's dilation follows from its Σ l_i axis edges.
+// Candidates without a closed form are materialized, scanned, and
+// measured in one fused pass over the guest's edge blocks. Only then
+// does the worker measure congestion through
+// netsim.EmbeddingCongestion: a proved bijection in closed form from
+// one slice per component, with no table, and any other
 // candidate by routing the guest's edges over its table — the
 // expensive half. So a proved bijection is materialized only when it
 // seeds annealing, and the guest's edge list is built only when a
