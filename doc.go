@@ -36,13 +36,14 @@
 //
 // # The batch engine
 //
-// Embeddings carry two evaluation forms. Map is the per-node closure of
-// Definition 1. Kernel is the compiled, index-native form: a batch
-// evaluator over row-major ranks. Every construction in the paper is
+// An embedding is its kernel, the index-native form: a batch evaluator
+// over row-major ranks; Map, the per-node view of Definition 1, reads
+// one rank through it. Every construction in the paper is
 // digit-separable — each guest coordinate independently determines a
-// fixed set of host digits — so the engine compiles it into a
-// per-digit contribution table (host rank = Σ_i contrib[i][digit_i]),
-// and guests up to SetMaterializeThreshold nodes materialize into flat
+// fixed set of host digits — so each writes its per-digit contribution
+// table (host rank = Σ_i contrib[i][digit_i]) directly, one sequence
+// evaluation per (axis, value), and guests up to
+// SetMaterializeThreshold nodes materialize into flat
 // lookup tables whose compositions fuse into a single table. The
 // measurement paths (Dilation, AverageDilation, Verify) answer from
 // the contribution table's closed forms when they apply: dilation from

@@ -29,14 +29,14 @@ type Simulation struct {
 	Load int
 	// Strategy names the construction.
 	Strategy string
-	// mapFn must be a pure function safe for concurrent calls that
+	// nodeMap must be a pure function safe for concurrent calls that
 	// neither mutates nor retains its argument — the same contract as
 	// embed.Embedding.Map, which Dilation's parallel pass relies on.
-	mapFn func(grid.Node) grid.Node
+	nodeMap func(grid.Node) grid.Node
 }
 
 // Map returns the host image of a guest node.
-func (s *Simulation) Map(n grid.Node) grid.Node { return s.mapFn(n) }
+func (s *Simulation) Map(n grid.Node) grid.Node { return s.nodeMap(n) }
 
 // Dilation measures the maximum host distance between images of
 // adjacent guest nodes (0 when every edge collapses into single nodes)
@@ -49,7 +49,7 @@ func (s *Simulation) Dilation() int {
 		node := make(grid.Node, s.From.Dim())
 		for i, x := range blk {
 			s.From.Shape.NodeInto(node, x)
-			blk[i] = s.To.Shape.Index(s.mapFn(node))
+			blk[i] = s.To.Shape.Index(s.nodeMap(node))
 		}
 	}, s.To.NewRankDistancer())
 	return d
@@ -60,7 +60,7 @@ func (s *Simulation) Verify() error {
 	counts := make([]int, s.To.Size())
 	n := s.From.Size()
 	for x := 0; x < n; x++ {
-		img := s.mapFn(s.From.Shape.NodeAt(x))
+		img := s.nodeMap(s.From.Shape.NodeAt(x))
 		if !img.InBounds(s.To.Shape) {
 			return fmt.Errorf("contract: image %s out of bounds for %s", img, s.To)
 		}
@@ -113,7 +113,7 @@ func BlockContraction(guest, host grid.Spec) (*Simulation, error) {
 		To:       host,
 		Load:     load,
 		Strategy: "block-contraction",
-		mapFn: func(n grid.Node) grid.Node {
+		nodeMap: func(n grid.Node) grid.Node {
 			out := make(grid.Node, len(n))
 			for i, v := range n {
 				out[i] = v / bs[i]
@@ -160,7 +160,7 @@ func Simulate(guest, host grid.Spec) (*Simulation, error) {
 		To:       host,
 		Load:     con.Load,
 		Strategy: "block-contraction ∘ " + e.Strategy,
-		mapFn: func(n grid.Node) grid.Node {
+		nodeMap: func(n grid.Node) grid.Node {
 			return e.Map(con.Map(n))
 		},
 	}, nil
@@ -173,7 +173,7 @@ func fromEmbedding(e *embed.Embedding) *Simulation {
 		To:       e.To,
 		Load:     1,
 		Strategy: e.Strategy,
-		mapFn:    e.Map,
+		nodeMap:  e.Map,
 	}
 }
 

@@ -167,7 +167,7 @@ func TestDilationMatchesPerEdgeWalk(t *testing.T) {
 		}
 		want := 0
 		sim.From.VisitEdges(func(a, b grid.Node) {
-			if d := sim.To.Distance(sim.mapFn(a.Clone()), sim.mapFn(b.Clone())); d > want {
+			if d := sim.To.Distance(sim.nodeMap(a.Clone()), sim.nodeMap(b.Clone())); d > want {
 				want = d
 			}
 		})

@@ -21,6 +21,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"torusmesh/internal/embed"
 	"torusmesh/internal/expand"
@@ -227,16 +229,19 @@ func refineToPrimes(g, mid grid.Spec) (*embed.Embedding, error) {
 		return embed.Compose(p, same)
 	}
 	factor := make(expand.Factor, g.Dim())
+	primes := make([]int, 0, mid.Dim())
 	for i, l := range g.Shape {
-		primes := primeFactors(l)
+		start := len(primes)
+		primes = appendPrimeFactors(primes, l)
+		f := primes[start:len(primes):len(primes)]
 		// Put a 2 first when present so H_V applies to even toruses.
-		for j, p := range primes {
+		for j, p := range f {
 			if p%2 == 0 {
-				primes[0], primes[j] = primes[j], primes[0]
+				f[0], f[j] = f[j], f[0]
 				break
 			}
 		}
-		factor[i] = primes
+		factor[i] = f
 	}
 	return expand.WithFactor(g, mid, factor)
 }
@@ -260,10 +265,13 @@ func coarsenFromPrimes(mid, h grid.Spec) (*embed.Embedding, error) {
 		return embed.Compose(p, same)
 	}
 	sf := make(reduce.SimpleFactor, h.Dim())
+	primes := make([]int, 0, mid.Dim())
 	for k, m := range h.Shape {
-		// primeFactors is already non-increasing, which minimizes the
+		// Prime factors come non-increasing, which minimizes the
 		// Theorem 39 bound m_k / l_{v_k}.
-		sf[k] = primeFactors(m)
+		start := len(primes)
+		primes = appendPrimeFactors(primes, m)
+		sf[k] = primes[start:len(primes):len(primes)]
 	}
 	return reduce.WithSimpleFactor(mid, h, sf)
 }
@@ -277,7 +285,13 @@ func primeShape(n int) grid.Shape {
 // primeFactors returns the prime factorization of n with multiplicity,
 // in non-increasing order (shape convention: largest lengths first).
 func primeFactors(n int) []int {
-	var out []int
+	return appendPrimeFactors(make([]int, 0, bits.Len(uint(n))), n)
+}
+
+// appendPrimeFactors appends the prime factorization of n, in
+// non-increasing order, to out.
+func appendPrimeFactors(out []int, n int) []int {
+	start := len(out)
 	for p := 2; p*p <= n; p++ {
 		for n%p == 0 {
 			out = append(out, p)
@@ -287,30 +301,29 @@ func primeFactors(n int) []int {
 	if n > 1 {
 		out = append(out, n)
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out[start:])
 	return out
 }
 
 // embedBasic handles guests of dimension 1 (lines and rings), Section 3.
+// The guest's one axis carries the whole host rank: the share of value
+// v is the host rank of the sequence's v-th node.
 func embedBasic(g, h grid.Spec) (*embed.Embedding, error) {
 	L := radix.Base(h.Shape)
 	n := g.Size()
-	if g.Kind == grid.Mesh {
+	var (
+		seq       func(grid.Node, radix.Base, int) grid.Node
+		name      string
+		predicted int
+	)
+	switch {
+	case g.Kind == grid.Mesh:
 		// A line embeds anywhere with unit dilation (Theorem 13).
-		return embed.NewSeparable(g, h, "basic/f_L", 1, func(node grid.Node) grid.Node {
-			return gray.F(L, node[0])
-		})
-	}
-	// Guest is a ring.
-	if h.Kind == grid.Torus {
-		// Theorem 28: unit dilation into any torus.
-		return embed.NewSeparable(g, h, "basic/h_L", 1, func(node grid.Node) grid.Node {
-			return gray.H(L, node[0])
-		})
-	}
-	if n%2 == 0 && h.Dim() >= 2 {
+		seq, name, predicted = gray.FInto, "basic/f_L", 1
+	case h.Kind == grid.Torus:
+		// Theorem 28: a ring embeds in any torus with unit dilation.
+		seq, name, predicted = gray.HInto, "basic/h_L", 1
+	case n%2 == 0 && h.Dim() >= 2:
 		// Theorem 24: even ring into a mesh of dimension >= 2 with unit
 		// dilation, permuting an even length to the front.
 		evenIdx := -1
@@ -326,14 +339,23 @@ func embedBasic(g, h grid.Spec) (*embed.Embedding, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: internal error building L* for %s", h)
 		}
-		base := radix.Base(lStar)
-		return embed.NewSeparable(g, h, "basic/π∘h_L*", 1, func(node grid.Node) grid.Node {
-			return grid.Node(perm.Apply(pi, gray.H(base, node[0])))
+		node := make(grid.Node, len(lStar))
+		return embed.NewRows(g, h, "basic/π∘h_L*", 1, func(_, v int) int {
+			gray.HInto(node, lStar, v)
+			r := 0
+			for j, src := range pi {
+				r = r*h.Shape[j] + node[src]
+			}
+			return r
 		})
+	default:
+		// Theorem 17: dilation 2, optimal for odd meshes and lines of
+		// size > 2.
+		seq, name, predicted = gray.GInto, "basic/g_L", 2
 	}
-	// Theorem 17: dilation 2, optimal for odd meshes and lines of size > 2.
-	return embed.NewSeparable(g, h, "basic/g_L", 2, func(node grid.Node) grid.Node {
-		return gray.G(L, node[0])
+	node := make(grid.Node, len(L))
+	return embed.NewRows(g, h, name, predicted, func(_, v int) int {
+		return h.Shape.Index(seq(node, L, v))
 	})
 }
 

@@ -1,7 +1,7 @@
 package embed
 
-// This file is the digit-kernel compiler: the closed form every one of
-// Ma & Tao's constructions compiles to, the collapse that turns a
+// This file is the digit kernel: the form every one of Ma & Tao's
+// constructions writes through NewRows, the collapse that turns a
 // composition of such kernels back into one kernel, the odometer fill
 // that materializes a kernel without division, and the closed forms
 // that measure a kernel's dilation from its Σ l_i axis images and prove
@@ -24,17 +24,18 @@ import (
 // table; kernels past it take the division path and no closed form.
 const maxDigitAxes = 32
 
-// DigitKernel is the compiled form of a digit-separable node map: each
-// guest coordinate independently determines a fixed set of host
-// digits, so the host rank decomposes as
+// DigitKernel is the form of a digit-separable map: each guest
+// coordinate independently determines a fixed set of host digits, so
+// the host rank decomposes as
 //
 //	host(x) = Σ_i contrib[i][digit_i(x)]
 //
 // where digit_i(x) is the i-th row-major digit of guest rank x. All of
-// the paper's construction maps (permutations, T_L, F_V/G_V/H_V, U_V,
-// and the general-reduction supernode maps) are of this shape, and so
-// is a composition of them whenever each stage but the last is
-// disjoint (see Compose).
+// the paper's construction maps (the basic maps f_L, g_L and h_L,
+// permutations, rotations, T_L, F_V/G_V/H_V, U_V, and the
+// general-reduction supernode maps) are of this shape and write their
+// rows through NewRows, and so is a composition of them whenever each
+// stage but the last is disjoint (see Compose).
 //
 // The kernel records its host shape. Its axis analysis — the axis
 // images, whether they are disjoint and carry-free over the host, and
@@ -81,35 +82,57 @@ func (k *DigitKernel) EvalBatch(dst, src []int) {
 	}
 }
 
-// CompileSeparable compiles a digit-separable node map into a
-// DigitKernel by probing fn at the all-zeros guest node and at each
-// single-coordinate value — Σ_i l_i + 1 evaluations in total. fn MUST
-// map each guest coordinate independently to a fixed set of host digit
-// positions (true for every construction in the paper); the compiled
-// kernel is only guaranteed to agree with fn under that condition, and
-// the package's parity tests enforce it for every producer.
-func CompileSeparable(from, to grid.Spec, fn func(grid.Node) grid.Node) *DigitKernel {
-	probe := make(grid.Node, from.Dim())
-	base := to.Shape.Index(fn(probe))
+// NewRows builds an embedding from a construction's rows. share(i, v)
+// is the host-rank share of value v on guest axis i: the host rank of
+// guest node x is Σ_i share(i, x_i). Every construction of the paper
+// has this form, since each guest coordinate fixes its own block of
+// host digits; its share is that block's digits weighted by the host's
+// row-major weights (grid.Shape.Weight). share is called once per
+// (axis, value), Σ_i l_i times, and not retained.
+//
+// The rows are stored in the kernel's format: row 0 carries the
+// origin's image, and every other row is relative to its own value 0.
+func NewRows(from, to grid.Spec, strategy string, predicted int, share func(i, v int) int) (*Embedding, error) {
+	e, err := NewKernel(from, to, strategy, predicted, nil)
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for _, l := range from.Shape {
 		total += l
 	}
-	contrib := make([]int, total)
-	off := 0
+	k := newDigitKernel(from.Shape, to.Shape, total)
+	contrib := k.contrib
+	origin, off := 0, 0
 	for i, l := range from.Shape {
-		for v := 1; v < l; v++ {
-			probe[i] = v
-			contrib[off+v] = to.Shape.Index(fn(probe)) - base
+		row := contrib[off : off+l]
+		for v := range row {
+			row[v] = share(i, v)
 		}
-		probe[i] = 0
+		origin += row[0]
+		for v := l - 1; v >= 0; v-- {
+			row[v] -= row[0]
+		}
 		off += l
 	}
-	// Fold the base offset into dimension 0 so evaluation is a pure sum.
 	for v := range from.Shape[0] {
-		contrib[v] += base
+		contrib[v] += origin
 	}
-	return &DigitKernel{lengths: from.Shape.Clone(), contrib: contrib, host: to.Shape.Clone()}
+	e.kernel = k
+	return e, nil
+}
+
+// newDigitKernel allocates a kernel's total contribution entries and
+// its copies of both shapes in one buffer, so a kernel keeps no other
+// kernel's rows reachable.
+func newDigitKernel(lengths, host []int, total int) *DigitKernel {
+	d := len(lengths)
+	buf := make([]int, total+d+len(host))
+	return &DigitKernel{
+		contrib: buf[:total:total],
+		lengths: append(buf[total:total:total+d], lengths...),
+		host:    grid.Shape(append(buf[total+d:total+d], host...)),
+	}
 }
 
 // fill writes the kernel's image of guest ranks lo, lo+1, ... into
@@ -468,8 +491,8 @@ func (k *DigitKernel) Components() []Component {
 // over next's guest (k's host): then each host digit of k's image is
 // fixed by one guest coordinate, so next — a sum over those digits —
 // becomes a sum over guest coordinates, and its contributions are next
-// evaluated at k's axis images. The new kernel shares k's lengths and
-// allocates only its contribution table.
+// evaluated at k's axis images. The new kernel allocates only its
+// contribution table and copies of both shapes (newDigitKernel).
 func (k *DigitKernel) then(next *DigitKernel) *DigitKernel {
 	if !k.host.Equal(next.lengths) {
 		return nil
@@ -478,14 +501,15 @@ func (k *DigitKernel) then(next *DigitKernel) *DigitKernel {
 	if !k.disjoint {
 		return nil
 	}
-	contrib := make([]int, len(k.images))
+	out := newDigitKernel(k.lengths, next.host, len(k.images))
+	contrib := out.contrib
 	next.EvalBatch(contrib, k.images)
 	// Every row starts at the origin's image; keep it in row 0 only.
 	origin := contrib[0]
 	for v := k.lengths[0]; v < len(contrib); v++ {
 		contrib[v] -= origin
 	}
-	return &DigitKernel{lengths: k.lengths, contrib: contrib, host: next.host}
+	return out
 }
 
 // collapse returns the one-kernel form of "first, then second" when

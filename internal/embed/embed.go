@@ -5,19 +5,20 @@
 // It also provides the composition, identity and coordinate-permutation
 // embeddings the paper uses as glue between construction steps.
 //
-// Every embedding carries two evaluation forms. Map is the per-node
-// closure form used by the paper's definitions and by small consumers.
-// Kernel is the compiled, index-native form: a batch evaluator over
-// row-major ranks (see kernel.go). Constructions register their closed
-// forms with NewSeparable/NewIndexed/NewKernel; closures registered with
-// New fall back to a decode-map-encode adapter. Compositions of digit
-// kernels compile into one digit kernel when each stage but the last is
-// disjoint, and a digit kernel's closed forms (digits.go) measure its
-// dilation from its axis images and prove its injectivity from its
-// components, the groups of guest axes that move disjoint host digits.
-// Kernels of guests at or below MaterializeThreshold() are materialized
-// into lookup tables on first use, and composing materialized steps
-// fuses their tables.
+// Every embedding is its kernel, the index-native form: a batch
+// evaluator over row-major ranks (see kernel.go). Map, the per-node
+// form small consumers use, decodes and re-encodes one rank through it.
+// The paper's constructions are per-dimension maps, each guest
+// coordinate fixing its own block of host digits, so each writes its
+// digit kernel directly: NewRows takes the host-rank share of every
+// (axis, value) and stores the rows. NewIndexed and NewKernel take a
+// rank map or any other kernel. Compositions of digit kernels compile
+// into one digit kernel when each stage but the last is disjoint, and a
+// digit kernel's closed forms (digits.go) measure its dilation from its
+// axis images and prove its injectivity from its components, the groups
+// of guest axes that move disjoint host digits. Kernels of guests at or
+// below MaterializeThreshold() are materialized into lookup tables on
+// first use, and composing materialized steps fuses their tables.
 //
 // The package owns the choice of measurement route. Verify and
 // EdgeDilation (whose halves are Dilation and AverageDilation) answer
@@ -30,7 +31,7 @@ package embed
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -38,9 +39,8 @@ import (
 	"torusmesh/internal/perm"
 )
 
-// Embedding is an injection from the nodes of From to the nodes of To.
-// Map must be a pure function safe for concurrent calls; nodes passed
-// to Map are not retained or mutated.
+// Embedding is an injection from the nodes of From to the nodes of To,
+// held as its kernel. Every method is safe for concurrent calls.
 type Embedding struct {
 	From, To grid.Spec
 	// Strategy names the construction that produced the embedding, e.g.
@@ -49,7 +49,6 @@ type Embedding struct {
 	// Predicted is the dilation cost guaranteed by the paper's theorem
 	// for this construction, or 0 if no guarantee is recorded.
 	Predicted int
-	mapFn     func(grid.Node) grid.Node
 	kernel    Kernel
 
 	matOnce  sync.Once
@@ -57,11 +56,9 @@ type Embedding struct {
 	matTable Table
 }
 
-// New builds an embedding from a node map. The sizes of the two specs
-// must agree (the paper studies same-size embeddings only). The batch
-// kernel falls back to a decode-map-encode adapter around fn; prefer
-// NewSeparable or NewIndexed when a compiled form exists.
-func New(from, to grid.Spec, strategy string, predicted int, fn func(grid.Node) grid.Node) (*Embedding, error) {
+// NewKernel builds an embedding from its kernel. The sizes of the two
+// specs must agree (the paper studies same-size embeddings only).
+func NewKernel(from, to grid.Spec, strategy string, predicted int, k Kernel) (*Embedding, error) {
 	if err := from.Shape.Validate(); err != nil {
 		return nil, fmt.Errorf("embed: guest: %v", err)
 	}
@@ -72,13 +69,26 @@ func New(from, to grid.Spec, strategy string, predicted int, fn func(grid.Node) 
 		return nil, fmt.Errorf("embed: guest %s has %d nodes but host %s has %d; sizes must match",
 			from, from.Size(), to, to.Size())
 	}
-	e := &Embedding{From: from, To: to, Strategy: strategy, Predicted: predicted, mapFn: fn}
-	e.kernel = nodeMapKernel{from: from, to: to, fn: fn}
-	return e, nil
+	return &Embedding{From: from, To: to, Strategy: strategy, Predicted: predicted, kernel: k}, nil
 }
 
-// Map returns the image of guest node n in the host.
-func (e *Embedding) Map(n grid.Node) grid.Node { return e.mapFn(n) }
+// NewIndexed builds an embedding directly from a rank-to-rank map,
+// which must be safe for concurrent calls.
+func NewIndexed(from, to grid.Spec, strategy string, predicted int, fn func(int) int) (*Embedding, error) {
+	return NewKernel(from, to, strategy, predicted, IndexFunc(fn))
+}
+
+// Map returns the image of guest node n in the host: the host node of
+// the kernel's image of n's guest rank. n must be a guest node (every
+// coordinate within From's shape); it is neither retained nor mutated.
+// Map reads a table the embedding already materialized and otherwise
+// evaluates the kernel on the one rank, materializing nothing.
+func (e *Embedding) Map(n grid.Node) grid.Node {
+	var dst, src [1]int
+	src[0] = e.From.Shape.Index(n)
+	e.cachedKernel().EvalBatch(dst[:], src[:])
+	return e.To.Shape.NodeAt(dst[0])
+}
 
 // cachedKernel returns the materialized table when one already exists,
 // otherwise the raw (unmaterialized) kernel. Unlike Kernel it never
@@ -90,10 +100,10 @@ func (e *Embedding) cachedKernel() Kernel {
 	return e.kernel
 }
 
-// Digits returns the embedding's compiled digit kernel, whose closed
-// forms (DigitKernel.EdgeDilation, Bijective) measure the embedding
-// from its axis images, or nil when the kernel is not one: a table, a
-// chain of stages that do not collapse, or a closure adapter.
+// Digits returns the embedding's digit kernel, whose closed forms
+// (DigitKernel.EdgeDilation, Bijective) measure the embedding from its
+// axis images, or nil when the kernel is not one: a table, a chain of
+// stages that do not collapse, or a rank map.
 func (e *Embedding) Digits() *DigitKernel {
 	k, ok := e.kernel.(*DigitKernel)
 	if !ok || !k.host.Equal(e.To.Shape) || !e.From.Shape.Equal(k.lengths) {
@@ -149,15 +159,20 @@ func (e *Embedding) Dilation() int {
 }
 
 // DilationPerNode is the reference per-node implementation of Dilation:
-// a sequential walk of every guest edge through the Map closure. Kept
-// for parity testing, benchmarking against the batch path, and tiny
-// shapes where spinning up workers is not worth it.
+// a sequential walk of every guest edge through Map. Map evaluates the
+// same kernel one rank at a time, so the walk checks the batch routes
+// (the closed form and the striped edge pass over blocks of ranks)
+// against a per-edge walk of that kernel; whether the kernel is the
+// paper's map is checked elsewhere, against the per-node closures of
+// the constructions' tests. Kept for that parity, for benchmarking
+// against the batch routes, and for tiny shapes where spinning up
+// workers is not worth it.
 func (e *Embedding) DilationPerNode() int {
 	max := 0
 	e.From.VisitEdges(func(a, b grid.Node) {
 		// Map neither mutates nor retains its argument, so the reused
 		// VisitEdges buffers are passed directly.
-		if d := e.To.Distance(e.mapFn(a), e.mapFn(b)); d > max {
+		if d := e.To.Distance(e.Map(a), e.Map(b)); d > max {
 			max = d
 		}
 	})
@@ -173,11 +188,12 @@ func (e *Embedding) AverageDilation() float64 {
 }
 
 // AverageDilationPerNode is the reference per-node implementation of
-// AverageDilation, kept alongside DilationPerNode.
+// AverageDilation, kept alongside DilationPerNode: a per-edge walk of
+// the same kernel through Map.
 func (e *Embedding) AverageDilationPerNode() float64 {
 	sum, count := 0, 0
 	e.From.VisitEdges(func(a, b grid.Node) {
-		sum += e.To.Distance(e.mapFn(a), e.mapFn(b))
+		sum += e.To.Distance(e.Map(a), e.Map(b))
 		count++
 	})
 	if count == 0 {
@@ -241,7 +257,8 @@ func (e *Embedding) CheckPredicted() (int, error) {
 // most one guest axis): the new contributions are the second kernel
 // evaluated at the first's axis images, so a whole construction
 // pipeline evaluates as one sum per rank. Anything else chains stage by
-// stage until first materialization.
+// stage until first materialization. Map follows from the composed
+// kernel like every other embedding's.
 func Compose(first, second *Embedding) (*Embedding, error) {
 	if first.To.Kind != second.From.Kind || !first.To.Shape.Equal(second.From.Shape) {
 		return nil, fmt.Errorf("embed: cannot compose %s -> %s with %s -> %s: intermediate specs differ",
@@ -252,15 +269,7 @@ func Compose(first, second *Embedding) (*Embedding, error) {
 		pred = first.Predicted * second.Predicted
 	}
 	strategy := first.Strategy + " ∘ " + second.Strategy
-	f1, f2 := first.mapFn, second.mapFn
-	e, err := New(first.From, second.To, strategy, pred, func(n grid.Node) grid.Node {
-		return f2(f1(n))
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.kernel = composeKernels(first.cachedKernel(), second.cachedKernel())
-	return e, nil
+	return NewKernel(first.From, second.To, strategy, pred, composeKernels(first.cachedKernel(), second.cachedKernel()))
 }
 
 // ComposeAll chains a pipeline of embeddings left to right.
@@ -286,18 +295,15 @@ func Identity(from, to grid.Spec) (*Embedding, error) {
 	if !from.Shape.Equal(to.Shape) {
 		return nil, fmt.Errorf("embed: identity requires equal shapes, got %s and %s", from.Shape, to.Shape)
 	}
-	e, err := New(from, to, "identity", 1, func(n grid.Node) grid.Node { return n.Clone() })
-	if err != nil {
-		return nil, err
-	}
-	e.kernel = identityKernel{}
-	return e, nil
+	return NewKernel(from, to, "identity", 1, identityKernel{})
 }
 
 // Permute returns the coordinate-permutation embedding of G into the
 // graph of the same kind whose shape is Apply(p, G.Shape). It is a graph
 // isomorphism, hence has unit dilation; the paper uses it as the π, α, τ
-// and β glue steps of Sections 4 and 5.
+// and β glue steps of Sections 4 and 5. Host axis j carries guest axis
+// p[j], so the share of value v on guest axis i is v times the weight
+// of the host axis that carries it.
 func Permute(from grid.Spec, p perm.Perm, toKind grid.Kind) (*Embedding, error) {
 	if len(p) != from.Dim() {
 		return nil, fmt.Errorf("embed: permutation length %d does not match dimension %d", len(p), from.Dim())
@@ -310,9 +316,12 @@ func Permute(from grid.Spec, p perm.Perm, toKind grid.Kind) (*Embedding, error) 
 	if err != nil {
 		return nil, err
 	}
-	pc := append(perm.Perm(nil), p...)
-	return NewSeparable(from, to, "permute", 1, func(n grid.Node) grid.Node {
-		return grid.Node(perm.Apply(pc, n))
+	return NewRows(from, to, "permute", 1, func(i, v int) int {
+		w := 1
+		for j := len(p) - 1; p[j] != i; j-- {
+			w *= toShape[j]
+		}
+		return v * w
 	})
 }
 
@@ -330,31 +339,26 @@ func Rotate(sp grid.Spec, offsets []int) (*Embedding, error) {
 	if len(offsets) != sp.Dim() {
 		return nil, fmt.Errorf("embed: rotation of %d offsets does not match dimension %d", len(offsets), sp.Dim())
 	}
-	r := make([]int, len(offsets))
-	zero := true
-	for j, v := range offsets {
+	norm := func(j int) int {
 		l := sp.Shape[j]
-		r[j] = ((v % l) + l) % l
-		if r[j] != 0 {
-			zero = false
-		}
+		return ((offsets[j] % l) + l) % l
 	}
+	zero := true
+	strategy := append(make([]byte, 0, 8+4*len(offsets)), "rotate("...)
+	for j := range offsets {
+		if j > 0 {
+			strategy = append(strategy, ',')
+		}
+		strategy = strconv.AppendInt(strategy, int64(norm(j)), 10)
+		zero = zero && norm(j) == 0
+	}
+	strategy = append(strategy, ')')
 	predicted := 0
 	if zero || sp.Kind == grid.Torus {
 		predicted = 1
 	}
-	parts := make([]string, len(r))
-	for j, v := range r {
-		parts[j] = fmt.Sprintf("%d", v)
-	}
-	strategy := "rotate(" + strings.Join(parts, ",") + ")"
-	shape := sp.Shape.Clone()
-	return NewSeparable(sp, sp, strategy, predicted, func(n grid.Node) grid.Node {
-		out := make(grid.Node, len(n))
-		for j, v := range n {
-			out[j] = (v + r[j]) % shape[j]
-		}
-		return out
+	return NewRows(sp, sp, string(strategy), predicted, func(i, v int) int {
+		return (v + norm(i)) % sp.Shape[i] * sp.Shape.Weight(i)
 	})
 }
 

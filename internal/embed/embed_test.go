@@ -40,9 +40,13 @@ func TestIdentityRejectsShapeMismatch(t *testing.T) {
 }
 
 func TestNewRejectsSizeMismatch(t *testing.T) {
-	_, err := New(grid.MeshSpec(3, 4), grid.MeshSpec(3, 5), "x", 0, nil)
+	_, err := NewKernel(grid.MeshSpec(3, 4), grid.MeshSpec(3, 5), "x", 0, identityKernel{})
 	if err == nil {
-		t.Error("New accepted mismatched sizes")
+		t.Error("NewKernel accepted mismatched sizes")
+	}
+	_, err = NewRows(grid.MeshSpec(3, 4), grid.MeshSpec(3, 5), "x", 0, func(i, v int) int { return v })
+	if err == nil {
+		t.Error("NewRows accepted mismatched sizes")
 	}
 }
 

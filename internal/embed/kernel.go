@@ -1,22 +1,21 @@
 package embed
 
-// This file is the compiled, index-native half of the package: instead
-// of evaluating an embedding one grid.Node at a time through closures,
-// a Kernel maps blocks of guest row-major ranks to host ranks. The
-// measurement routes (Verify and EdgeDilation, which take a digit
-// kernel's closed forms first and otherwise scan a table or drive the
-// kernel) and the batch consumers (netsim placements, sweeps, codecs)
-// run entirely on ranks, which removes the per-node coordinate
-// allocations and lets the work stripe across GOMAXPROCS workers.
+// This file is the index-native form every embedding takes: a Kernel
+// maps blocks of guest row-major ranks to host ranks. The measurement
+// routes (Verify and EdgeDilation, which take a digit kernel's closed
+// forms first and otherwise scan a table or drive the kernel) and the
+// batch consumers (netsim placements, sweeps, codecs) run entirely on
+// ranks, with no per-node coordinates, and stripe the work across
+// GOMAXPROCS workers.
 //
-// Three compiled forms cover every construction in the paper:
+// Three forms cover every construction in the paper:
 //
-//   - DigitKernel (digits.go): the closed form for every one of Ma &
-//     Tao's constructions. Each guest coordinate independently
-//     determines a fixed set of host digits, so the host rank is a sum
-//     of per-coordinate contributions: host(x) = Σ_i contrib[i][digit_i(x)].
-//     CompileSeparable builds the tables by probing the node map once
-//     per (dimension, digit value) — Σ l_i probes in total — and a
+//   - DigitKernel (digits.go): the form of every one of Ma & Tao's
+//     constructions. Each guest coordinate independently determines a
+//     fixed set of host digits, so the host rank is a sum of
+//     per-coordinate contributions: host(x) = Σ_i contrib[i][digit_i(x)].
+//     Each construction writes these rows directly through NewRows, one
+//     sequence evaluation per (dimension, digit value), and a
 //     composition of digit kernels compiles to one digit kernel
 //     whenever each stage but the last is disjoint.
 //   - Table: the fully materialized map. Any kernel over a guest of at
@@ -25,7 +24,7 @@ package embed
 //     and composing two materialized steps that do not collapse fuses
 //     them into a single table instead of chaining evaluations.
 //   - chainKernel: the fallback for stages that do not collapse (a
-//     closure, a table or a non-disjoint digit kernel followed by
+//     rank map, a table or a non-disjoint digit kernel followed by
 //     another stage); stages evaluate in place over the same block, and
 //     a chain under the threshold is materialized on first use.
 
@@ -176,36 +175,12 @@ type identityKernel struct{}
 
 func (identityKernel) EvalBatch(dst, src []int) { copy(dst, src) }
 
-// nodeMapKernel adapts a per-node closure to the batch interface: it
-// decodes each rank into a reused coordinate buffer, applies the map,
-// and re-encodes. Out-of-bounds images encode as rank -1 so Verify
-// reports them as such rather than aliasing them onto valid hosts.
-// This is the uncompiled fallback for embeddings built with New.
-type nodeMapKernel struct {
-	from, to grid.Spec
-	fn       func(grid.Node) grid.Node
-}
-
-func (k nodeMapKernel) EvalBatch(dst, src []int) {
-	scratch := make(grid.Node, k.from.Dim()) // one alloc per block, not per node
-	shape := k.from.Shape
-	for i, x := range src {
-		shape.NodeInto(scratch, x)
-		img := k.fn(scratch)
-		if !img.InBounds(k.to.Shape) {
-			dst[i] = -1
-			continue
-		}
-		dst[i] = k.to.Shape.Index(img)
-	}
-}
-
 // chainKernel evaluates a composition stage by stage over the same
 // block. Stage 0 reads src; later stages rewrite dst in place, which
-// every Kernel implementation supports. A stage fed the out-of-bounds
-// sentinel (-1, produced by nodeMapKernel when a closure maps outside
-// the host) must pass it through untouched so Verify can report it
-// instead of a lookup panicking on a negative index.
+// every Kernel implementation supports. A stage fed a negative rank
+// (the out-of-bounds sentinel -1, which a broken caller-supplied
+// kernel or table may hold) passes it through untouched so Verify can
+// report it instead of a lookup panicking on a negative index.
 type chainKernel struct{ steps []Kernel }
 
 func (k chainKernel) EvalBatch(dst, src []int) {
@@ -379,46 +354,8 @@ func (e *Embedding) Kernel() Kernel {
 // every i, using the compiled kernel.
 func (e *Embedding) EvalBatch(dst, src []int) { e.Kernel().EvalBatch(dst, src) }
 
-// NewIndexed builds an embedding directly from a rank-to-rank map. The
-// node-level Map is derived from the kernel, so the public surface
-// stays identical to closure-built embeddings.
-func NewIndexed(from, to grid.Spec, strategy string, predicted int, fn func(int) int) (*Embedding, error) {
-	return NewKernel(from, to, strategy, predicted, IndexFunc(fn))
-}
-
-// NewKernel builds an embedding from an explicit kernel, deriving the
-// per-node Map adapter from it.
-func NewKernel(from, to grid.Spec, strategy string, predicted int, k Kernel) (*Embedding, error) {
-	e, err := New(from, to, strategy, predicted, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.kernel = k
-	e.mapFn = func(n grid.Node) grid.Node {
-		var dst, src [1]int
-		src[0] = from.Shape.Index(n)
-		k.EvalBatch(dst[:], src[:])
-		return to.Shape.NodeAt(dst[0])
-	}
-	return e, nil
-}
-
-// NewSeparable builds an embedding from a digit-separable node map
-// (every construction of the paper is one: each guest coordinate
-// independently determines a fixed set of host digits). The map is
-// compiled into a DigitKernel by probing — see CompileSeparable — and
-// kept as the per-node Map, so Map-vs-kernel parity is testable.
-func NewSeparable(from, to grid.Spec, strategy string, predicted int, fn func(grid.Node) grid.Node) (*Embedding, error) {
-	e, err := New(from, to, strategy, predicted, fn)
-	if err != nil {
-		return nil, err
-	}
-	e.kernel = CompileSeparable(from, to, fn)
-	return e, nil
-}
-
-// WithSpecs returns an embedding with the same node map and kernel but
-// re-labelled guest/host specs — used when a hypercube (simultaneously
+// WithSpecs returns an embedding with the same kernel but re-labelled
+// guest/host specs — used when a hypercube (simultaneously
 // a torus and a mesh) was embedded under one interpretation and the
 // caller wants the other. Shapes must match exactly; only kinds may
 // differ.
@@ -427,10 +364,6 @@ func (e *Embedding) WithSpecs(from, to grid.Spec) (*Embedding, error) {
 		return nil, fmt.Errorf("embed: WithSpecs requires identical shapes, got %s -> %s for %s -> %s",
 			from.Shape, to.Shape, e.From.Shape, e.To.Shape)
 	}
-	out, err := New(from, to, e.Strategy, e.Predicted, e.mapFn)
-	if err != nil {
-		return nil, err
-	}
-	out.kernel = e.cachedKernel() // reuse an already-materialized table
-	return out, nil
+	// Reuse an already-materialized table.
+	return NewKernel(from, to, e.Strategy, e.Predicted, e.cachedKernel())
 }

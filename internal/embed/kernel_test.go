@@ -169,12 +169,8 @@ func TestMaterializationAndFusion(t *testing.T) {
 func TestBatchMeasurementMatchesPerNode(t *testing.T) {
 	from := grid.MustSpec(grid.Torus, grid.Shape{6, 5, 4})
 	to := grid.MustSpec(grid.Mesh, grid.Shape{6, 5, 4})
-	e, err := NewSeparable(from, to, "T_L", 2, func(n grid.Node) grid.Node {
-		out := make(grid.Node, len(n))
-		for i, x := range n {
-			out[i] = gray.TN(from.Shape[i], x)
-		}
-		return out
+	e, err := NewRows(from, to, "T_L", 2, func(i, v int) int {
+		return gray.TN(from.Shape[i], v) * to.Shape.Weight(i)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,12 +292,8 @@ func benchEmbedding(b *testing.B) *Embedding {
 	b.Helper()
 	from := grid.MustSpec(grid.Torus, grid.Shape{32, 32, 32})
 	to := grid.MustSpec(grid.Mesh, grid.Shape{32, 32, 32})
-	e, err := NewSeparable(from, to, "bench/T_L", 2, func(n grid.Node) grid.Node {
-		out := make(grid.Node, len(n))
-		for i, x := range n {
-			out[i] = gray.TN(from.Shape[i], x)
-		}
-		return out
+	e, err := NewRows(from, to, "bench/T_L", 2, func(i, v int) int {
+		return gray.TN(from.Shape[i], v) * to.Shape.Weight(i)
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -349,8 +341,8 @@ func BenchmarkVerifyBatch(b *testing.B) {
 func benchTable(b *testing.B) *Embedding {
 	b.Helper()
 	from, to := grid.TorusSpec(1024, 1024), grid.MeshSpec(1024, 1024)
-	tl, err := NewSeparable(from, to, "bench/T_L", 2, func(n grid.Node) grid.Node {
-		return grid.Node{gray.TN(1024, n[0]), gray.TN(1024, n[1])}
+	tl, err := NewRows(from, to, "bench/T_L", 2, func(i, v int) int {
+		return gray.TN(1024, v) * to.Shape.Weight(i)
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -49,10 +49,11 @@ func routeCases(t *testing.T) []routeCase {
 	to := digit.To
 	// Dropping axis 1 keeps the map separable but folds three guest
 	// nodes onto every image.
-	digitBad := must(NewSeparable(from, to, "drop-axis", 0, func(n grid.Node) grid.Node {
-		m := n.Clone()
-		m[1] = 0
-		return digit.Map(m)
+	digitBad := must(NewRows(from, to, "drop-axis", 0, func(i, v int) int {
+		if i == 1 {
+			return 0
+		}
+		return mapIndex(digit, v*from.Shape.Weight(i))
 	}))
 	reverse := must(New(from, from, "reverse", 1, func(n grid.Node) grid.Node {
 		m := n.Clone()

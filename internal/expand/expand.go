@@ -37,7 +37,11 @@ type Factor [][]int
 
 // Flat returns the concatenation V̄ = V1 ∘ V2 ∘ ... ∘ Vd.
 func (f Factor) Flat() grid.Shape {
-	var out grid.Shape
+	n := 0
+	for _, v := range f {
+		n += len(v)
+	}
+	out := make(grid.Shape, 0, n)
 	for _, v := range f {
 		out = append(out, v...)
 	}
@@ -204,7 +208,9 @@ func HypercubeFactor(L grid.Shape) (Factor, bool) {
 	return f, true
 }
 
-// mapper builds the node map (i1,...,id) -> seq_{V1}(i1) ∘ ... ∘ seq_{Vd}(id).
+// mapper builds the node map (i1,...,id) -> seq_{V1}(i1) ∘ ... ∘ seq_{Vd}(id),
+// the per-node form of Definition 31. WithFactor writes the same map as
+// digit rows; the per-node maps serve the experiments and the tests.
 func mapper(f Factor, seq func(radix.Base, int) grid.Node) func(grid.Node) grid.Node {
 	bases := make([]radix.Base, len(f))
 	total := 0
@@ -244,25 +250,41 @@ func WithFactor(g, h grid.Spec, f Factor) (*embed.Embedding, error) {
 		return nil, fmt.Errorf("expand: no permutation aligns %v with %v", flat, h.Shape)
 	}
 	var (
-		fn        func(grid.Node) grid.Node
+		seq       func(grid.Node, radix.Base, int) grid.Node
 		name      string
 		predicted int
 	)
 	switch {
 	case g.Kind == grid.Mesh:
-		fn, name, predicted = FV(f), "expansion/π∘F_V", 1
+		seq, name, predicted = gray.FInto, "expansion/π∘F_V", 1
 	case h.Kind == grid.Torus:
-		fn, name, predicted = HV(f), "expansion/π∘H_V", 1
+		seq, name, predicted = gray.HInto, "expansion/π∘H_V", 1
 	case f.EvenFirst():
-		fn, name, predicted = HV(f), "expansion/π∘H_V", 1
+		seq, name, predicted = gray.HInto, "expansion/π∘H_V", 1
 	default:
-		fn, name, predicted = GV(f), "expansion/π∘G_V", 2
+		seq, name, predicted = gray.GInto, "expansion/π∘G_V", 2
 	}
-	// Every Theorem 32 map is digit-separable: guest coordinate i
-	// independently determines its block of host digits, so the whole
-	// embedding compiles to a per-digit contribution table.
-	return embed.NewSeparable(g, h, name, predicted, func(n grid.Node) grid.Node {
-		return grid.Node(perm.Apply(pi, fn(n)))
+	// Every Theorem 32 map is a per-dimension map: guest coordinate i
+	// fills its own block of V̄ positions with seq_{Vi}, and π puts V̄
+	// position π[j] on host axis j. So the share of value v on axis i is
+	// seq_{Vi}(v) weighted by the host weights of its block, w; digits
+	// holds one sequence value at a time.
+	buf := make([]int, 2*len(flat))
+	w, digits := buf[:len(flat)], buf[len(flat):]
+	for j, r := len(pi)-1, 1; j >= 0; j-- {
+		w[pi[j]] = r
+		r *= h.Shape[j]
+	}
+	return embed.NewRows(g, h, name, predicted, func(i, v int) int {
+		off := 0
+		for _, b := range f[:i] {
+			off += len(b)
+		}
+		r := 0
+		for t, x := range seq(digits[:len(f[i])], f[i], v) {
+			r += x * w[off+t]
+		}
+		return r
 	})
 }
 

@@ -5,9 +5,10 @@
 // LoadState construction on the paper embedding of the same pair and
 // on a two-component bijection beside its routing pass, the
 // small-pair and search passes (one size-120 census, default placement
-// searches of a 16-node, a 4096-node and a 32768-node pair) and one
-// construction (a mid-rotated prime refinement of the 32³ pair, built
-// and materialized) through testing.Benchmark at one worker and at the
+// searches of a 16-node, a 4096-node and a 32768-node pair) and two
+// constructions (a mid-rotated prime refinement of the 32³ pair, built
+// and materialized, and the census-sized torus(8x15) -> mesh(4x5x6),
+// built only) through testing.Benchmark at one worker and at the
 // machine's full worker count, and renders the results as a versioned
 // BENCH.json. The artifact is the repo's recorded perf trajectory: CI
 // runs the runner as a smoke (the numbers themselves are
@@ -321,6 +322,18 @@ func RunBench() (*BenchReport, error) {
 				b.Fatal(err)
 			}
 			e.Kernel()
+		}
+	})
+	// A census-sized construction: torus(8x15) -> mesh(4x5x6) is a
+	// prime refinement (an expansion, then a simple reduction) of a
+	// placement-census pair, built without materializing its table, as
+	// the census and the placement search build thousands per pass.
+	smallGuest, smallHost := grid.TorusSpec(8, 15), grid.MeshSpec(4, 5, 6)
+	runScaling(report, fmt.Sprintf("construct/embed/%s->%s", smallGuest, smallHost), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Embed(smallGuest, smallHost); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	return report, nil

@@ -6,6 +6,10 @@
 // cyclic sequence h_L (Definition 22). Each sequence is exposed both as a
 // point function (value at position x) and as an inverse (position of a
 // value); all are bijections between [n] and the radix-L numbers Ω_L.
+// Each point function has one implementation, which writes into a
+// caller's buffer (FInto, GInto, RInto, HInto) so that the embedding
+// constructions evaluate it without allocating; F, G, R and H wrap it
+// with a fresh node.
 //
 // Guarantees proved in the paper and enforced by this package's tests:
 //
@@ -32,20 +36,28 @@ func P(L radix.Base, x int) grid.Node { return radix.ToDigits(L, x) }
 
 // F is the reflected mixed-radix Gray sequence f_L of Definition 9:
 // digit i of f_L(x) equals the i-th radix-L digit x̂_i of x when
-// ⌊x/w_{i-1}⌋ is even and l_i - x̂_i - 1 when it is odd. The prefix value
-// ⌊x/w_{i-1}⌋ is exactly the integer formed by the first i-1 true digits,
-// which lets us compute the whole list in one left-to-right pass.
-func F(L radix.Base, x int) grid.Node {
-	digits := radix.ToDigits(L, x)
+// ⌊x/w_{i-1}⌋ is even and l_i - x̂_i - 1 when it is odd. It returns a
+// fresh node; FInto writes the same digits into a caller's buffer.
+func F(L radix.Base, x int) grid.Node { return FInto(make(grid.Node, len(L)), L, x) }
+
+// FInto writes f_L(x) into dst, which must have len(L) entries, and
+// returns dst. The prefix value ⌊x/w_{i-1}⌋ is exactly the integer
+// formed by the first i-1 true digits, which lets the whole list be
+// computed in one left-to-right pass after the radix-L decode.
+func FInto(dst grid.Node, L radix.Base, x int) grid.Node {
+	for j := len(L) - 1; j >= 0; j-- {
+		dst[j] = x % L[j]
+		x /= L[j]
+	}
 	prefix := 0
 	for j, l := range L {
-		hat := digits[j]
+		hat := dst[j]
 		if prefix%2 == 1 {
-			digits[j] = l - hat - 1
+			dst[j] = l - hat - 1
 		}
 		prefix = prefix*l + hat
 	}
-	return digits
+	return dst
 }
 
 // FInv returns the position x with F(L, x) equal to v.
@@ -82,10 +94,14 @@ func TNInv(n, y int) int {
 // G is the cyclic sequence g_L = f_L ∘ t_n of Definition 15. Its cyclic
 // δm-spread is at most 2, giving a dilation-2 embedding of a ring in a
 // mesh (Theorem 17), optimal when the mesh has odd size or is a line of
-// size greater than 2.
-func G(L radix.Base, x int) grid.Node {
-	n := grid.Shape(L).Size()
-	return F(L, TN(n, x))
+// size greater than 2. It returns a fresh node; GInto writes into a
+// caller's buffer.
+func G(L radix.Base, x int) grid.Node { return GInto(make(grid.Node, len(L)), L, x) }
+
+// GInto writes g_L(x) into dst, which must have len(L) entries, and
+// returns dst.
+func GInto(dst grid.Node, L radix.Base, x int) grid.Node {
+	return FInto(dst, L, TN(grid.Shape(L).Size(), x))
 }
 
 // GInv returns the position x with G(L, x) equal to v.
@@ -97,20 +113,29 @@ func GInv(L radix.Base, v grid.Node) int {
 // R is the two-dimensional cyclic sequence r_L of Definition 20 for
 // L = (l1, l2): march down the first column from (l1-1, 0) to (0, 0),
 // then sweep the remaining (l1, l2-1)-mesh with f. Unit cyclic δt-spread
-// always; unit cyclic δm-spread when l1 is even.
-func R(L radix.Base, x int) grid.Node {
+// always; unit cyclic δm-spread when l1 is even. It returns a fresh
+// node; RInto writes into a caller's buffer.
+func R(L radix.Base, x int) grid.Node { return RInto(make(grid.Node, len(L)), L, x) }
+
+// RInto writes r_L(x) into dst, which must have len(L) entries, and
+// returns dst. It panics unless L is 2-dimensional.
+func RInto(dst grid.Node, L radix.Base, x int) grid.Node {
 	if len(L) != 2 {
-		panic(fmt.Sprintf("gray: R requires a 2-dimensional base, got %v", L))
+		// The message leaves L out so that L does not escape: HInto's
+		// two-axis bases stay on the stack.
+		panic(fmt.Sprintf("gray: R requires a 2-dimensional base, got %d dimensions", len(L)))
 	}
 	l1, l2 := L[0], L[1]
-	if x < l1 {
-		return grid.Node{l1 - 1 - x, 0}
+	switch {
+	case x < l1:
+		dst[0], dst[1] = l1-1-x, 0
+	case l2 == 2:
+		dst[0], dst[1] = x-l1, 1
+	default:
+		FInto(dst, radix.Base{l1, l2 - 1}, x-l1)
+		dst[1]++
 	}
-	if l2 == 2 {
-		return grid.Node{x - l1, 1}
-	}
-	v := F(radix.Base{l1, l2 - 1}, x-l1)
-	return grid.Node{v[0], v[1] + 1}
+	return dst
 }
 
 // RInv returns the position x with R(L, x) equal to v.
@@ -133,12 +158,18 @@ func RInv(L radix.Base, v grid.Node) int {
 // identity. Unit cyclic δt-spread always (Theorem 28: a ring embeds in
 // any torus of the same size with dilation 1); unit cyclic δm-spread when
 // l1 is even (Theorem 24 after permuting an even length to the front).
-func H(L radix.Base, x int) grid.Node {
+// It returns a fresh node; HInto writes into a caller's buffer.
+func H(L radix.Base, x int) grid.Node { return HInto(make(grid.Node, len(L)), L, x) }
+
+// HInto writes h_L(x) into dst, which must have len(L) entries, and
+// returns dst.
+func HInto(dst grid.Node, L radix.Base, x int) grid.Node {
 	switch len(L) {
 	case 1:
-		return grid.Node{x}
+		dst[0] = x
+		return dst
 	case 2:
-		return R(L, x)
+		return RInto(dst, L, x)
 	}
 	lp := radix.Base{L[0], L[1]}
 	lpp := radix.Base(L[2:])
@@ -151,9 +182,13 @@ func H(L radix.Base, x int) grid.Node {
 		if a%2 == 1 {
 			b = plane - b - 2
 		}
-		return grid.Concat(R(lp, b), F(lpp, a))
+		RInto(dst[:2], lp, b)
+		FInto(dst[2:], lpp, a)
+		return dst
 	}
-	return grid.Concat(R(lp, plane-1), F(lpp, n-x-1))
+	RInto(dst[:2], lp, plane-1)
+	FInto(dst[2:], lpp, n-x-1)
+	return dst
 }
 
 // HInv returns the position x with H(L, x) equal to v.

@@ -2,14 +2,10 @@ package grid
 
 import "testing"
 
-func TestNodeStringAndConcat(t *testing.T) {
+func TestNodeStringEqualClone(t *testing.T) {
 	n := Node{1, 2, 3}
 	if n.String() != "(1,2,3)" {
 		t.Errorf("Node.String = %q", n.String())
-	}
-	c := Concat(Node{1, 2}, Node{3}, Node{})
-	if !c.Equal(Node{1, 2, 3}) {
-		t.Errorf("Concat = %v", c)
 	}
 	if n.Equal(Node{1, 2}) {
 		t.Error("Equal accepted different lengths")

@@ -224,20 +224,6 @@ func (n Node) InBounds(s Shape) bool {
 	return true
 }
 
-// Concat returns the concatenation n ∘ m (the paper's list-concatenation
-// operator from Section 2).
-func Concat(lists ...Node) Node {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make(Node, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	return out
-}
-
 // Index converts a node to its row-major index in [Size()). The leftmost
 // coordinate is the most significant digit, matching the radix-L
 // representation of Definition 7.
@@ -247,6 +233,16 @@ func (s Shape) Index(n Node) int {
 		x = x*s[j] + v
 	}
 	return x
+}
+
+// Weight returns the row-major weight of axis j, the product of the
+// lengths after it: Index(n) = Σ_j n[j]·Weight(j).
+func (s Shape) Weight(j int) int {
+	w := 1
+	for _, l := range s[j+1:] {
+		w *= l
+	}
+	return w
 }
 
 // NodeAt converts a row-major index back to a node.

@@ -122,8 +122,8 @@ func firstDiff(a, b []int32) int {
 // of the same kind.
 func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
 	g2 := grid.MeshSpec(2, 2)
-	shared, err := embed.NewSeparable(g2, grid.LineSpec(4), "shared digit", 0, func(x grid.Node) grid.Node {
-		return grid.Node{x[0] + 2*x[1]}
+	shared, err := embed.NewRows(g2, grid.LineSpec(4), "shared digit", 0, func(i, v int) int {
+		return v << i
 	})
 	if err != nil {
 		t.Fatal(err)

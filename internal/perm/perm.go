@@ -10,7 +10,7 @@ package perm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Perm is a permutation of [k] in image form: the value at position j is
@@ -93,20 +93,32 @@ func Find(from, to []int) (Perm, bool) {
 	if len(from) != len(to) {
 		return nil, false
 	}
-	// Bucket the positions of each value in from, then consume them in
-	// order as values appear in to.
-	pos := make(map[int][]int, len(from))
-	for i, v := range from {
-		pos[v] = append(pos[v], i)
-	}
+	// to[j] takes the occurrence of its value in from whose rank among
+	// that value's occurrences is the rank of to[j] among them in to.
+	// The lists are axis lists, short enough that the quadratic scan
+	// beats bucketing positions in a map, and p is the only allocation.
 	p := make(Perm, len(to))
 	for j, v := range to {
-		bucket := pos[v]
-		if len(bucket) == 0 {
+		r := 0
+		for _, u := range to[:j] {
+			if u == v {
+				r++
+			}
+		}
+		p[j] = -1
+		for i, u := range from {
+			if u != v {
+				continue
+			}
+			if r == 0 {
+				p[j] = i
+				break
+			}
+			r--
+		}
+		if p[j] < 0 {
 			return nil, false
 		}
-		p[j] = bucket[0]
-		pos[v] = bucket[1:]
 	}
 	return p, true
 }
@@ -143,17 +155,29 @@ func All(k int) []Perm {
 }
 
 // SameMultiset reports whether a and b contain the same values with the
-// same multiplicities.
+// same multiplicities. It counts each value's occurrences in place, a
+// quadratic scan without allocation, meant for short lists such as
+// shapes and factors.
 func SameMultiset(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
+	for i, v := range a {
+		if slices.Index(a, v) < i {
+			continue // counted at its first occurrence
+		}
+		n := 0
+		for _, u := range a[i:] {
+			if u == v {
+				n++
+			}
+		}
+		for _, u := range b {
+			if u == v {
+				n--
+			}
+		}
+		if n != 0 {
 			return false
 		}
 	}

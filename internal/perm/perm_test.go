@@ -2,6 +2,7 @@ package perm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +88,11 @@ func TestFind(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Equal values match left to right (the constructions' axis
+	// alignments, and so every artifact, depend on it).
+	if want := (Perm{2, 0, 1}); !slices.Equal(p, want) {
+		t.Errorf("Find with duplicates = %v, want the stable %v", p, want)
 	}
 	// Not a permutation.
 	if _, ok := Find([]int{2, 3}, []int{3, 3}); ok {

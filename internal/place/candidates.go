@@ -28,6 +28,7 @@ package place
 
 import (
 	"fmt"
+	"strconv"
 
 	"torusmesh/internal/catalog"
 	"torusmesh/internal/embed"
@@ -51,7 +52,20 @@ type variantSpec struct {
 
 // key is the dedup identity of a variant.
 func (v variantSpec) key() string {
-	return fmt.Sprintf("%d|%v|%v|%v|%v|%v", v.strategy, v.gperm, v.hperm, v.grot, v.hrot, v.midrot)
+	k := strconv.AppendInt(make([]byte, 0, 64), int64(v.strategy), 10)
+	k = appendInts(appendInts(appendInts(k, v.gperm), v.hperm), v.grot)
+	return string(appendInts(appendInts(k, v.hrot), v.midrot))
+}
+
+// appendInts appends the list's length and then its values to a key,
+// so distinct lists never share a key. A nil list and an empty one
+// (both the identity) do.
+func appendInts(key []byte, xs []int) []byte {
+	key = strconv.AppendInt(append(key, '|'), int64(len(xs)), 10)
+	for _, x := range xs {
+		key = strconv.AppendInt(append(key, ','), int64(x), 10)
+	}
+	return key
 }
 
 // describe fills the serializable form of the variant.
@@ -285,7 +299,9 @@ func permutedHost(h grid.Spec, hperm perm.Perm) grid.Spec {
 // host shape the construction targets. Variants sharing a key share
 // one constructed embedding.
 func (v variantSpec) baseKey(hp grid.Spec) string {
-	return fmt.Sprintf("%d|%v|%v|%v|%s", v.strategy, v.gperm, v.grot, v.midrot, hp.Shape)
+	k := strconv.AppendInt(make([]byte, 0, 64), int64(v.strategy), 10)
+	k = appendInts(appendInts(appendInts(k, v.gperm), v.grot), v.midrot)
+	return string(appendInts(k, hp.Shape))
 }
 
 // buildBase constructs the cached half of a variant: guest rotation,

@@ -656,7 +656,7 @@ func (b *builder) build(v variantSpec) (*embed.Embedding, error) {
 
 // post returns the cached host-side relabeling of a variant.
 func (b *builder) post(v variantSpec) (*embed.Embedding, error) {
-	key := fmt.Sprintf("%v|%v", v.hperm, v.hrot)
+	key := string(appendInts(appendInts(make([]byte, 0, 32), v.hperm), v.hrot))
 	b.postMu.Lock()
 	pe := b.posts[key]
 	if pe == nil {

@@ -5,10 +5,10 @@ import (
 	"sort"
 
 	"torusmesh/internal/embed"
-	"torusmesh/internal/expand"
 	"torusmesh/internal/gray"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/perm"
+	"torusmesh/internal/radix"
 )
 
 // GeneralFactor describes a general reduction of L into M per
@@ -95,15 +95,6 @@ func (f *GeneralFactor) Validate(L, M grid.Shape) error {
 	return nil
 }
 
-// expansionFactor views S as an expansion factor of L” into the shape S̄.
-func (f *GeneralFactor) expansionFactor() expand.Factor {
-	ef := make(expand.Factor, len(f.S))
-	for i, s := range f.S {
-		ef[i] = append([]int(nil), s...)
-	}
-	return ef
-}
-
 // WithGeneralFactor builds the Theorem 43 embedding of g in h through
 // the supernode maps of Definition 42: β ∘ F'_S ∘ α for guest meshes,
 // β ∘ G'_S ∘ α for torus into torus, and β ∘ G”_S ∘ α for torus into
@@ -112,7 +103,7 @@ func WithGeneralFactor(g, h grid.Spec, f *GeneralFactor) (*embed.Embedding, erro
 	if err := f.Validate(g.Shape, h.Shape); err != nil {
 		return nil, err
 	}
-	c := h.Dim()
+	d, c := g.Dim(), h.Dim()
 	alpha, ok := perm.Find(g.Shape, append(f.LPrime.Clone(), f.LDouble...))
 	if !ok {
 		return nil, fmt.Errorf("reduce: no permutation α aligns %v with %v∘%v", g.Shape, f.LPrime, f.LDouble)
@@ -123,50 +114,59 @@ func WithGeneralFactor(g, h grid.Spec, f *GeneralFactor) (*embed.Embedding, erro
 	}
 	flatS := f.FlatS()
 	b := len(flatS)
-	ef := f.expansionFactor()
-	lPrime := f.LPrime.Clone()
 
 	var (
-		offsetOf func(grid.Node) grid.Node
+		seq      func(grid.Node, radix.Base, int) grid.Node
 		name     string
 		dilation int
 		useT     bool
 	)
 	switch {
 	case g.Kind == grid.Mesh:
-		offsetOf, name, dilation = expand.FV(ef), "general-reduction/β∘F'_S∘α", f.MaxS()
+		seq, name, dilation = gray.FInto, "general-reduction/β∘F'_S∘α", f.MaxS()
 	case h.Kind == grid.Torus:
-		offsetOf, name, dilation = expand.GV(ef), "general-reduction/β∘G'_S∘α", f.MaxS()
+		seq, name, dilation = gray.GInto, "general-reduction/β∘G'_S∘α", f.MaxS()
 	default: // torus into mesh
-		offsetOf, name, dilation, useT = expand.GV(ef), "general-reduction/β∘G''_S∘α", 2*f.MaxS(), true
+		seq, name, dilation, useT = gray.GInto, "general-reduction/β∘G''_S∘α", 2*f.MaxS(), true
 	}
 
-	fn := func(n grid.Node) grid.Node {
-		aligned := perm.Apply(alpha, n)
-		base := aligned[:c]
-		if useT {
-			shifted := make([]int, c)
-			for j := 0; j < c; j++ {
-				shifted[j] = gray.TN(lPrime[j], base[j])
-			}
-			base = shifted
-		}
-		offset := offsetOf(grid.Node(aligned[c:]))
-		out := make(grid.Node, c)
-		for j := 0; j < b; j++ {
-			out[j] = flatS[j]*base[j] + offset[j]
-		}
-		for j := b; j < c; j++ {
-			out[j] = base[j]
-		}
-		return grid.Node(perm.Apply(beta, []int(out)))
+	// α puts guest axis α[q] at position q of L'∘L''. Position j < c is
+	// multiplicand j: it sets supernode coordinate j (through t_{l'_j}
+	// on the torus-into-mesh path), which host coordinate j scales by
+	// s_j when j < b. Position c+i is multiplier i: it fills S_i's block
+	// of S̄ positions with seq_{S_i}, the offset digits host coordinate
+	// j adds for j < b. β puts coordinate β[m] on host axis m, so w[j]
+	// weighs host coordinate j and at[i] is guest axis i's position.
+	buf := make([]int, c+d+b)
+	w, at, digits := buf[:c], buf[c:c+d], buf[c+d:]
+	for m, r := c-1, 1; m >= 0; m-- {
+		w[beta[m]] = r
+		r *= h.Shape[m]
 	}
-	// Each host coordinate is flatS[j]*base[j] + offset[j] (or base[j]),
-	// where base[j] depends on one guest coordinate and every offset
-	// digit comes from the expansion of a single multiplier coordinate —
-	// so the host rank is a sum of per-guest-digit contributions and the
-	// map compiles to a DigitKernel.
-	return embed.NewSeparable(g, h, name, dilation, fn)
+	for q, i := range alpha {
+		at[i] = q
+	}
+	return embed.NewRows(g, h, name, dilation, func(i, v int) int {
+		j := at[i]
+		if j < c {
+			if useT {
+				v = gray.TN(f.LPrime[j], v)
+			}
+			if j < b {
+				v *= flatS[j]
+			}
+			return v * w[j]
+		}
+		off := 0
+		for _, s := range f.S[:j-c] {
+			off += len(s)
+		}
+		r := 0
+		for t, x := range seq(digits[:len(f.S[j-c])], f.S[j-c], v) {
+			r += x * w[off+t]
+		}
+		return r
+	})
 }
 
 // FindGeneral searches for a general-reduction factor of L into M,

@@ -25,7 +25,6 @@ import (
 	"torusmesh/internal/gray"
 	"torusmesh/internal/grid"
 	"torusmesh/internal/perm"
-	"torusmesh/internal/radix"
 )
 
 // SimpleFactor is a reduction factor V = (V1, ..., Vc) of L into M: the
@@ -37,7 +36,11 @@ type SimpleFactor [][]int
 
 // Flat returns the concatenation V̄ = V1 ∘ ... ∘ Vc.
 func (f SimpleFactor) Flat() grid.Shape {
-	var out grid.Shape
+	n := 0
+	for _, v := range f {
+		n += len(v)
+	}
+	out := make(grid.Shape, 0, n)
 	for _, v := range f {
 		out = append(out, v...)
 	}
@@ -190,56 +193,28 @@ func FindSimple(L, M grid.Shape) (SimpleFactor, bool) {
 	return best, true
 }
 
-// UV returns the digit-grouping map U_V of Definition 38 from the graph
-// of shape V̄ = V1∘...∘Vc to the graph of shape M: the coordinates of
-// group k, read as a radix-Vk number, become host coordinate k.
-func UV(f SimpleFactor) func(grid.Node) grid.Node {
-	bases := make([]radix.Base, len(f))
-	for k, v := range f {
-		bases[k] = radix.Base(append([]int(nil), v...))
-	}
-	return func(n grid.Node) grid.Node {
-		out := make(grid.Node, len(bases))
-		off := 0
-		for k, b := range bases {
-			out[k] = radix.FromDigits(b, grid.Node(n[off:off+len(b)]))
-			off += len(b)
-		}
-		return out
-	}
-}
-
-// TL returns the same-shape torus-to-mesh map T_L of Definition 35:
-// coordinate i becomes t_{l_i}(x_i). Every pair of torus neighbors lands
-// at mesh distance at most 2, which is optimal for non-hypercube shapes
-// (Lemma 36).
-func TL(L grid.Shape) func(grid.Node) grid.Node {
-	return func(n grid.Node) grid.Node {
-		out := make(grid.Node, len(n))
-		for i, x := range n {
-			out[i] = gray.TN(L[i], x)
-		}
-		return out
-	}
-}
-
 // SameShape embeds a torus or mesh in a same-shape torus or mesh
 // (Lemma 36): identity everywhere except torus into non-hypercube mesh,
-// which uses T_L with dilation 2.
+// which uses the map T_L of Definition 35: coordinate i becomes
+// t_{l_i}(x_i), so every pair of torus neighbors lands at mesh
+// distance at most 2, which is optimal for non-hypercube shapes.
 func SameShape(g, h grid.Spec) (*embed.Embedding, error) {
 	if !g.Shape.Equal(h.Shape) {
 		return nil, fmt.Errorf("reduce: SameShape requires equal shapes, got %s and %s", g.Shape, h.Shape)
 	}
 	if g.Kind == grid.Torus && h.Kind == grid.Mesh && !g.IsHypercube() {
-		fn := TL(g.Shape)
-		return embed.NewSeparable(g, h, "T_L", 2, fn)
+		return embed.NewRows(g, h, "T_L", 2, func(i, v int) int {
+			return gray.TN(g.Shape[i], v) * h.Shape.Weight(i)
+		})
 	}
 	return embed.Identity(g, h)
 }
 
 // WithSimpleFactor builds the full Theorem 39 embedding of g in h using
 // the given factor: τ permutes g's coordinates into group order, T_{V̄}
-// intervenes when a torus embeds in a mesh, and U_V collapses the groups.
+// intervenes when a torus embeds in a mesh, and the digit-grouping map
+// U_V of Definition 38 collapses the groups: the coordinates of group k,
+// read as a radix-Vk number, become host coordinate k.
 func WithSimpleFactor(g, h grid.Spec, f SimpleFactor) (*embed.Embedding, error) {
 	if err := f.Validate(g.Shape, h.Shape); err != nil {
 		return nil, err
@@ -249,20 +224,31 @@ func WithSimpleFactor(g, h grid.Spec, f SimpleFactor) (*embed.Embedding, error) 
 	if !ok {
 		return nil, fmt.Errorf("reduce: no permutation aligns %v with %v", g.Shape, flat)
 	}
-	uv := UV(f)
 	base := f.Dilation()
 
-	// U_V reads each digit group as a mixed-radix number, so the host
-	// rank is linear in the guest digits (with t_n applied digit-wise on
-	// the torus-into-mesh path) — digit-separable either way.
+	// U_V reads group k as a radix-Vk number, so V̄ position q, the t-th
+	// digit of group k, weighs the product of the digits after it in
+	// its group times host axis k's weight; τ puts guest axis τ[q] at
+	// position q. The host rank is linear in the guest digits (in their
+	// t_n images on the torus-into-mesh path): w[i] weighs guest axis i.
+	w := make([]int, len(flat))
+	q := len(flat)
+	for k, hw := len(f)-1, 1; k >= 0; k-- {
+		rw := hw
+		for t := len(f[k]) - 1; t >= 0; t-- {
+			q--
+			w[tau[q]] = rw
+			rw *= f[k][t]
+		}
+		hw *= h.Shape[k]
+	}
 	if g.Kind == grid.Torus && h.Kind == grid.Mesh {
-		tl := TL(flat)
-		return embed.NewSeparable(g, h, "simple-reduction/U_V∘T∘τ", 2*base, func(n grid.Node) grid.Node {
-			return uv(tl(grid.Node(perm.Apply(tau, n))))
+		return embed.NewRows(g, h, "simple-reduction/U_V∘T∘τ", 2*base, func(i, v int) int {
+			return gray.TN(g.Shape[i], v) * w[i]
 		})
 	}
-	return embed.NewSeparable(g, h, "simple-reduction/U_V∘τ", base, func(n grid.Node) grid.Node {
-		return uv(grid.Node(perm.Apply(tau, n)))
+	return embed.NewRows(g, h, "simple-reduction/U_V∘τ", base, func(i, v int) int {
+		return v * w[i]
 	})
 }
 
