@@ -87,6 +87,50 @@ func TestHTTPSearchedGolden(t *testing.T) {
 	checkGolden(t, "placed-v2-status.golden.json", body)
 }
 
+// placedDefaults is the search config placed runs under without search
+// flags: the settings of CI's placed smoke and of the serve benchmark's
+// hot traffic.
+func placedDefaults(t testing.TB) place.Config {
+	t.Helper()
+	fs := flag.NewFlagSet("placed", flag.ContinueOnError)
+	build := place.BindFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestHTTPHotGolden pins the searched-tier /place answer without
+// table=1, the body of every hot request, for torus(8x2) -> mesh(4x4)
+// named canonically and with its guest axes reversed. The server runs
+// under placed's default search flags, so CI diffs a running placed
+// against the same files.
+func TestHTTPHotGolden(t *testing.T) {
+	cfg := testConfig()
+	cfg.Place = placedDefaults(t)
+	srv := newTestServer(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if code, body := get(t, ts, "/place?from=torus:8x2&to=mesh:4x4&wait=1"); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	for _, tc := range []struct{ query, golden string }{
+		{"from=torus:8x2&to=mesh:4x4", "placed-v1-hot.golden.json"},
+		{"from=torus:2x8&to=mesh:4x4", "placed-v1-hot-relabeled.golden.json"},
+	} {
+		code, body := get(t, ts, "/place?"+tc.query)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.query, code, body)
+		}
+		checkGolden(t, tc.golden, body)
+	}
+}
+
 // TestHTTPMetricsGolden pins the full Prometheus /metrics exposition
 // for a known request sequence on a manual clock. The choreography —
 // one parked worker, explicit clock advances between phases — makes

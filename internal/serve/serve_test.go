@@ -75,7 +75,7 @@ func refSearch(t *testing.T, g, h grid.Spec) (*place.Result, []byte) {
 	return res, raw
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
