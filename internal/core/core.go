@@ -76,20 +76,22 @@ func dispatch(g, h grid.Spec) (*embed.Embedding, error) {
 	case d == 1:
 		return embedBasic(g, h)
 	case d == c:
-		if e, err := embedSameDimension(g, h); err == nil {
+		if e, ok := embedSameDimension(g, h); ok {
 			return e, nil
 		}
 		return embedViaPrimeRefinement(g, h)
 	case d < c:
-		if e, err := expand.Embed(g, h); err == nil {
-			return e, nil
+		if f, ok := expand.FactorFor(g, h); ok {
+			if e, err := expand.WithFactor(g, h, f); err == nil {
+				return e, nil
+			}
 		}
 		if g.Shape.IsSquare() && h.Shape.IsSquare() {
 			return square.Embed(g, h)
 		}
 		return embedViaPrimeRefinement(g, h)
 	default:
-		if e, err := reduce.Embed(g, h); err == nil {
+		if e, ok := reduce.Reduction(g, h); ok {
 			return e, nil
 		}
 		if g.Shape.IsSquare() && h.Shape.IsSquare() {
@@ -360,23 +362,25 @@ func embedBasic(g, h grid.Spec) (*embed.Embedding, error) {
 }
 
 // embedSameDimension handles d == c: the shapes must be permutations of
-// each other (the paper's same-shape case composed with the π glue).
-func embedSameDimension(g, h grid.Spec) (*embed.Embedding, error) {
+// each other (the paper's same-shape case composed with the π glue). ok
+// is false when they are not; the dispatcher then refines through the
+// primes, so no error message is built.
+func embedSameDimension(g, h grid.Spec) (*embed.Embedding, bool) {
 	pi, ok := perm.Find(g.Shape, h.Shape)
 	if !ok {
-		return nil, fmt.Errorf("core: same-dimension shapes %s and %s are not permutations of each other; the paper gives no construction", g.Shape, h.Shape)
+		return nil, false
 	}
 	p1, err := embed.Permute(g, pi, g.Kind)
 	if err != nil {
-		return nil, err
+		return nil, false
 	}
 	p2, err := reduce.SameShape(p1.To, h)
 	if err != nil {
-		return nil, err
+		return nil, false
 	}
 	e, err := embed.Compose(p1, p2)
 	if err != nil {
-		return nil, err
+		return nil, false
 	}
 	if g.Kind == grid.Torus && h.Kind == grid.Mesh && !g.IsHypercube() {
 		e.Strategy = "same-dim/T_L∘π"
@@ -385,7 +389,7 @@ func embedSameDimension(g, h grid.Spec) (*embed.Embedding, error) {
 		e.Strategy = "same-dim/π"
 		e.Predicted = 1
 	}
-	return e, nil
+	return e, true
 }
 
 // Predicted returns the dilation guarantee Embed would attach for the

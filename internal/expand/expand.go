@@ -299,16 +299,24 @@ func Embed(g, h grid.Spec) (*embed.Embedding, error) {
 	if g.Dim() >= h.Dim() {
 		return nil, fmt.Errorf("expand: expansion needs dim(G) < dim(H), got %d >= %d", g.Dim(), h.Dim())
 	}
-	if g.Kind == grid.Torus && h.Kind == grid.Mesh && g.Size()%2 == 0 {
-		if f, ok := FindEvenFirst(g.Shape, h.Shape); ok {
-			return WithFactor(g, h, f)
-		}
-	}
-	f, ok := Find(g.Shape, h.Shape)
+	f, ok := FactorFor(g, h)
 	if !ok {
 		return nil, fmt.Errorf("expand: %s is not an expansion of %s (Definition 30)", h.Shape, g.Shape)
 	}
 	return WithFactor(g, h, f)
+}
+
+// FactorFor returns the expansion factor Embed builds g -> h with: an
+// even-first factor when g is an even torus, h a mesh and one exists,
+// otherwise any factor; ok is false when h is not an expansion of g. It
+// builds no error message, so a dispatcher can ask before it tries.
+func FactorFor(g, h grid.Spec) (Factor, bool) {
+	if g.Kind == grid.Torus && h.Kind == grid.Mesh && g.Size()%2 == 0 {
+		if f, ok := FindEvenFirst(g.Shape, h.Shape); ok {
+			return f, true
+		}
+	}
+	return Find(g.Shape, h.Shape)
 }
 
 // Predicted returns the dilation Theorem 32 guarantees for the kinds of

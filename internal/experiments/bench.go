@@ -8,7 +8,8 @@
 // searches of a 16-node, a 4096-node and a 32768-node pair) and two
 // constructions (a mid-rotated prime refinement of the 32³ pair, built
 // and materialized, and the census-sized torus(8x15) -> mesh(4x5x6),
-// built only) through testing.Benchmark at one worker and at the
+// built only) and one hot placed request (the /place handler answering
+// a searched pair) through testing.Benchmark at one worker and at the
 // machine's full worker count, and renders the results as a versioned
 // BENCH.json. The artifact is the repo's recorded perf trajectory: CI
 // runs the runner as a smoke (the numbers themselves are
@@ -18,10 +19,13 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -34,6 +38,7 @@ import (
 	"torusmesh/internal/obs"
 	"torusmesh/internal/par"
 	"torusmesh/internal/place"
+	"torusmesh/internal/serve"
 	"torusmesh/internal/taskgraph"
 )
 
@@ -336,7 +341,39 @@ func RunBench() (*BenchReport, error) {
 			}
 		}
 	})
-	return report, nil
+	return report, runPlaceHot(report)
+}
+
+// runPlaceHot records one hot placed request: the /place handler
+// answering torus(8x2) -> mesh(4x4) from its searched entry, under
+// placed's default search settings, into an httptest recorder.
+func runPlaceHot(report *BenchReport) error {
+	g, h := grid.TorusSpec(8, 2), grid.MeshSpec(4, 4)
+	srv, err := serve.New(serve.Config{Place: place.Config{
+		Objective:   place.DefaultObjective(),
+		CapDilation: true,
+		Rotations:   true,
+		Strategies:  place.DefaultStrategies(),
+	}})
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	if _, err := srv.Place(context.Background(), g, h, true); err != nil {
+		return err
+	}
+	hd := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/place?from=torus:8x2&to=mesh:4x4", nil)
+	runScaling(report, fmt.Sprintf("serve/place-hot/%s->%s", g, h), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			hd.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	})
+	return nil
 }
 
 // WriteBench runs the benchmark suite and writes BENCH.json to w.

@@ -352,13 +352,27 @@ func EmbedGeneral(g, h grid.Spec) (*embed.Embedding, error) {
 	return WithGeneralFactor(g, h, f)
 }
 
-// Embed tries simple reduction first (its dilation bound is usually
-// tighter), then general reduction.
-func Embed(g, h grid.Spec) (*embed.Embedding, error) {
-	if e, err := EmbedSimple(g, h); err == nil {
-		return e, nil
+// Reduction embeds g in h by simple reduction when one applies (its
+// dilation bound is usually tighter), else by general reduction; ok is
+// false when neither does. It builds no error message, so a dispatcher
+// can try it on pairs no reduction covers.
+func Reduction(g, h grid.Spec) (*embed.Embedding, bool) {
+	if g.Size() != h.Size() {
+		return nil, false
 	}
-	return EmbedGeneral(g, h)
+	if g.Dim() > h.Dim() {
+		if f, ok := FindSimple(g.Shape, h.Shape); ok {
+			if e, err := WithSimpleFactor(g, h, f); err == nil {
+				return e, true
+			}
+		}
+	}
+	if f, ok := FindGeneral(g.Shape, h.Shape); ok {
+		if e, err := WithGeneralFactor(g, h, f); err == nil {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
 // factorizations enumerates all multisets of integers >= minF whose

@@ -271,30 +271,30 @@ func TestTheorem43Dilations(t *testing.T) {
 }
 
 func TestEmbedDispatch(t *testing.T) {
-	// Embed prefers simple reduction when available.
-	e, err := Embed(grid.MeshSpec(4, 2, 3), grid.MeshSpec(4, 6))
-	if err != nil {
-		t.Fatal(err)
+	// Reduction prefers simple reduction when available.
+	e, ok := Reduction(grid.MeshSpec(4, 2, 3), grid.MeshSpec(4, 6))
+	if !ok {
+		t.Fatal("(4,2,3) -> (4,6) has no reduction")
 	}
 	if e.Strategy != "simple-reduction/U_V∘τ" {
 		t.Errorf("strategy = %q, want simple reduction", e.Strategy)
 	}
 	// Falls back to general reduction when no partition of L multiplies
 	// to M's components: 6 is not a sub-product of {3,4,4}.
-	e2, err := Embed(grid.MeshSpec(3, 4, 4), grid.MeshSpec(6, 8))
-	if err != nil {
-		t.Fatal(err)
+	e2, ok := Reduction(grid.MeshSpec(3, 4, 4), grid.MeshSpec(6, 8))
+	if !ok {
+		t.Fatal("(3,4,4) -> (6,8) has no reduction")
 	}
 	if e2.Strategy != "general-reduction/β∘F'_S∘α" {
 		t.Errorf("strategy = %q, want general reduction", e2.Strategy)
 	}
 	// Size mismatch is rejected.
-	if _, err := Embed(grid.MeshSpec(5, 7), grid.MeshSpec(7, 6)); err == nil {
+	if _, ok := Reduction(grid.MeshSpec(5, 7), grid.MeshSpec(7, 6)); ok {
 		t.Error("size mismatch accepted")
 	}
-	if _, err := Embed(grid.MeshSpec(2, 3, 5), grid.MeshSpec(5, 6)); err != nil {
+	if _, ok := Reduction(grid.MeshSpec(2, 3, 5), grid.MeshSpec(5, 6)); !ok {
 		// (2,3,5) -> (5,6): simple grouping ((5),(3,2)) exists.
-		t.Errorf("(2,3,5) -> (5,6) should embed via simple reduction: %v", err)
+		t.Error("(2,3,5) -> (5,6) should embed via simple reduction")
 	}
 }
 

@@ -16,15 +16,35 @@
 // -json` output; /warm accepts a sweep/sweepd census artifact in
 // either encoding and pre-seeds the cache from it. A cold-pair /place
 // against a full search queue answers 429 with a Retry-After header.
+//
+// A /place body is the bytes json.Encoder with a two-space indent
+// writes for the answer's Response, built member by member so that a
+// hot request reflects over nothing:
+//
+//   - the head: schema, the request's guest and host, the entry's
+//     canonical names (formatted once per entry) and, for a relabeled
+//     guest, guest_perm, appended by hand;
+//   - the tier's members: tier and search, then search_error, baseline
+//     or result where the Response carries them. A searched entry
+//     encodes its members once, from its result, on its first
+//     searched-tier answer; a baseline-tier answer encodes them per
+//     request;
+//   - with table=1, placement, encoded per request;
+//
+// then the closing brace. Every encoded member goes through one member
+// encoder, so there is one body format; the whole-Response encoding is
+// the test oracle.
 
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"torusmesh/internal/census"
@@ -34,11 +54,12 @@ import (
 )
 
 // ResponseSchemaVersion versions the /place wire format. Bump it on
-// any shape change and regenerate the golden (go test ./internal/serve
-// -run TestHTTPPlaceGolden -update).
+// any shape change and regenerate the goldens (go test ./internal/serve
+// -run Golden -update).
 const ResponseSchemaVersion = 1
 
-// Response is one /place answer.
+// Response is one /place answer: the schema clients decode into. The
+// handler writes it member by member (placeBody), in field order.
 type Response struct {
 	Schema int `json:"schema"`
 	// Guest and Host echo the request; CanonicalGuest/CanonicalHost
@@ -140,8 +161,7 @@ func setRetryAfter(w http.ResponseWriter, err error) {
 
 // pairParams parses the from/to query parameters shared by /place and
 // /artifact.
-func pairParams(r *http.Request) (g, h grid.Spec, err error) {
-	q := r.URL.Query()
+func pairParams(q url.Values) (g, h grid.Spec, err error) {
 	from, to := q.Get("from"), q.Get("to")
 	if from == "" || to == "" {
 		return g, h, errors.New("both from and to are required, e.g. ?from=torus:8x2&to=mesh:4x4")
@@ -155,8 +175,8 @@ func pairParams(r *http.Request) (g, h grid.Spec, err error) {
 	return g, h, nil
 }
 
-func boolParam(r *http.Request, name string) bool {
-	v := r.URL.Query().Get(name)
+func boolParam(q url.Values, name string) bool {
+	v := q.Get(name)
 	return v == "1" || v == "true"
 }
 
@@ -165,43 +185,158 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	g, h, err := pairParams(r)
+	q := r.URL.Query()
+	g, h, err := pairParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	a, err := s.Place(r.Context(), g, h, boolParam(r, "wait"))
+	a, err := s.Place(r.Context(), g, h, boolParam(q, "wait"))
 	if err != nil {
 		setRetryAfter(w, err)
 		writeError(w, errorCode(err), "%v", err)
 		return
 	}
-	resp := &Response{
-		Schema:         ResponseSchemaVersion,
-		Guest:          g.String(),
-		Host:           h.String(),
-		CanonicalGuest: a.Key.Guest.String(),
-		CanonicalHost:  a.Key.Host.String(),
-		Tier:           string(a.Tier),
-		Search:         a.State.String(),
-		Baseline:       a.Baseline,
-		Result:         a.Result,
+	body, err := s.placeBody(g, h, a, boolParam(q, "table"))
+	if err != nil {
+		writeError(w, errorCode(err), "%v", err)
+		return
 	}
-	if !a.Key.Identity() {
-		resp.GuestPerm = a.Key.GuestPerm
-	}
-	if a.SearchErr != nil {
-		resp.SearchError = a.SearchErr.Error()
-	}
-	if boolParam(r, "table") {
-		table, err := s.Table(a)
-		if err != nil {
-			writeError(w, errorCode(err), "%v", err)
-			return
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// placeBody is the /place body answering the request g -> h with a:
+// the head, the tier's members, placement with table=1, and the
+// closing brace.
+func (s *Server) placeBody(g, h grid.Spec, a *Answer, table bool) ([]byte, error) {
+	var searched []byte
+	if a.Tier == TierSearched {
+		var err error
+		if searched, err = a.e.searchedMembers(); err != nil {
+			return nil, err
 		}
-		resp.Placement = table
 	}
-	writeJSON(w, http.StatusOK, resp)
+	m := members{buf: make([]byte, 0, 256+len(searched))}
+	m.head(g, h, a)
+	if a.Tier == TierSearched {
+		m.buf = append(m.buf, searched...)
+	} else {
+		m.tier(a)
+	}
+	if table {
+		placement, err := s.Table(a)
+		if err != nil {
+			return nil, err
+		}
+		m.add("placement", placement)
+	}
+	m.buf = append(m.buf, "\n}\n"...)
+	return m.buf, m.err
+}
+
+// searchedMembers returns the searched tier's members, tier, search and
+// result, encoded from the entry's result on its first searched-tier
+// answer and kept, at their length, for every later one.
+func (e *entry) searchedMembers() ([]byte, error) {
+	e.membersOnce.Do(func() {
+		var m members
+		m.tier(&Answer{Tier: TierSearched, State: SearchDone, Result: e.res})
+		e.members, e.membersErr = bytes.Clone(m.buf), m.err
+	})
+	return e.members, e.membersErr
+}
+
+// members appends members of a Response object to buf, keeping the
+// first encoding error.
+type members struct {
+	buf []byte
+	err error
+}
+
+// add is the member encoder: it appends `,\n  "name": value`, the value
+// encoded by encoding/json (HTML-escaped, as json.Encoder escapes) and
+// indented one level, as json.Encoder with a two-space indent places it
+// inside the object.
+func (m *members) add(name string, v any) {
+	if m.err != nil {
+		return
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		m.err = err
+		return
+	}
+	m.buf = append(m.buf, ",\n  \""...)
+	m.buf = append(m.buf, name...)
+	m.buf = append(m.buf, "\": "...)
+	buf := bytes.NewBuffer(m.buf)
+	m.err = json.Indent(buf, enc, "  ", "  ")
+	m.buf = buf.Bytes()
+}
+
+// tier appends the answer's members after the head: tier and search,
+// then search_error, baseline and result where the Response carries
+// them.
+func (m *members) tier(a *Answer) {
+	m.add("tier", a.Tier)
+	m.add("search", a.State.String())
+	if a.SearchErr != nil {
+		m.add("search_error", a.SearchErr.Error())
+	}
+	if a.Baseline != nil {
+		m.add("baseline", a.Baseline)
+	}
+	if a.Result != nil {
+		m.add("result", a.Result)
+	}
+}
+
+// head opens the object and appends the members no encoder needs to
+// reflect over: schema, the request's guest and host (the entry's
+// names when the request names the canonical specs), the canonical
+// names and, for a relabeled guest, guest_perm.
+func (m *members) head(g, h grid.Spec, a *Answer) {
+	e := a.e
+	m.buf = append(m.buf, "{\n  \"schema\": "...)
+	m.buf = strconv.AppendInt(m.buf, ResponseSchemaVersion, 10)
+	m.buf = append(m.buf, ",\n  \"guest\": "...)
+	m.buf = appendSpecName(m.buf, g, e.key.Guest, e.guestName)
+	m.buf = append(m.buf, ",\n  \"host\": "...)
+	m.buf = appendSpecName(m.buf, h, e.key.Host, e.hostName)
+	m.buf = append(m.buf, ",\n  \"canonical_guest\": "...)
+	m.buf = append(m.buf, e.guestName...)
+	m.buf = append(m.buf, ",\n  \"canonical_host\": "...)
+	m.buf = append(m.buf, e.hostName...)
+	if !a.Key.Identity() {
+		m.buf = append(m.buf, ",\n  \"guest_perm\": ["...)
+		for i, v := range a.Key.GuestPerm {
+			if i > 0 {
+				m.buf = append(m.buf, ',')
+			}
+			m.buf = append(m.buf, "\n    "...)
+			m.buf = strconv.AppendInt(m.buf, int64(v), 10)
+		}
+		m.buf = append(m.buf, "\n  ]"...)
+	}
+}
+
+// appendSpecName appends the JSON string of sp's name: name, the
+// formatted name of canon, when sp is canon.
+func appendSpecName(dst []byte, sp, canon grid.Spec, name []byte) []byte {
+	if sp.Kind == canon.Kind && sp.Shape.Equal(canon.Shape) {
+		return append(dst, name...)
+	}
+	return appendName(dst, sp)
+}
+
+// appendName appends sp's name as a JSON string. A name is a kind,
+// digits, x and parentheses, none of which JSON escapes.
+func appendName(dst []byte, sp grid.Spec) []byte {
+	dst = append(dst, '"')
+	dst = append(dst, sp.String()...)
+	return append(dst, '"')
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
@@ -209,7 +344,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	g, h, err := pairParams(r)
+	g, h, err := pairParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

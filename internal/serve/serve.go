@@ -168,6 +168,9 @@ const (
 type entry struct {
 	key catalog.PairKey // canonical pair, identity perms
 	id  string          // key.String()
+	// guestName and hostName are the canonical guest's and host's names
+	// as JSON strings, formatted once for the head of every answer.
+	guestName, hostName []byte
 
 	// created is when the entry (and so its background search) was
 	// enqueued; the time-to-upgrade histogram measures from here.
@@ -183,6 +186,13 @@ type entry struct {
 	res       *place.Result
 	artifact  []byte
 	searchErr error
+
+	// members is the searched tier's answer after the head (see
+	// searchedMembers), encoded from res on the first searched-tier
+	// answer, so entries nobody asks for never build it.
+	membersOnce sync.Once
+	members     []byte
+	membersErr  error
 
 	// warm is the winner summary recorded by the census this entry was
 	// pre-seeded from, when that census ran under the server's exact
@@ -471,7 +481,13 @@ func newEntry(key catalog.PairKey) (*entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPair, err)
 	}
-	return &entry{key: canon, id: canon.String(), done: make(chan struct{})}, nil
+	return &entry{
+		key:       canon,
+		id:        canon.String(),
+		guestName: appendName(nil, canon.Guest),
+		hostName:  appendName(nil, canon.Host),
+		done:      make(chan struct{}),
+	}, nil
 }
 
 func (s *Server) enqueueLocked(e *entry) {
