@@ -88,10 +88,10 @@ func main() {
 		fmt.Printf("searched in %s across %d worker(s), %d congestion scoring(s) pruned\n",
 			res.Elapsed, par.Workers(), res.Pruned)
 		for _, run := range res.AnnealRuns {
-			line := fmt.Sprintf("anneal run from #%d: %d steps (%d rejected by the dilation bound) in %s",
-				run.SeedIndex, run.Steps, run.Bounded, run.Elapsed)
-			if run.Elapsed > 0 {
-				line += fmt.Sprintf(" (%.0f steps/sec)", float64(run.Steps)/run.Elapsed.Seconds())
+			line := fmt.Sprintf("anneal run from #%d: %d steps (%d rejected by the dilation bound) in %s, moves in %s",
+				run.SeedIndex, run.Steps, run.Bounded, run.Elapsed, run.Moves)
+			if run.Moves > 0 {
+				line += fmt.Sprintf(" (%.0f steps/sec)", float64(run.Steps)/run.Moves.Seconds())
 			}
 			fmt.Println(line)
 		}

@@ -1,11 +1,14 @@
 // The reproducible benchmark runner behind `experiments -bench`: it
 // drives the performance-critical kernels of the annealing evaluation
 // stack — LoadState construction, dense congestion, striped edge
-// dilation, and the per-move swap — the closed forms of congestion and
-// LoadState construction on the paper embedding of the same pair and
-// on a two-component bijection beside its routing pass, the
-// small-pair and search passes (one size-120 census, default placement
-// searches of a 16-node, a 4096-node and a 32768-node pair) and two
+// dilation, the per-move swap and a move evaluated and then dropped —
+// the closed forms of congestion and LoadState construction (with the
+// first Evaluate, which tiles the link array) on the paper embedding
+// of the same pair and on a two-component bijection beside its routing
+// pass, the small-pair and search passes (one size-120 census, default
+// placement searches of a 16-node, a 4096-node and a 32768-node pair,
+// and an annealed search of mesh(32x32) -> torus(8x8x16) under the
+// extended move set) and two
 // constructions (a mid-rotated prime refinement of the 32³ pair, built
 // and materialized, and the census-sized torus(8x15) -> mesh(4x5x6),
 // built only) and one hot placed request (the /place handler answering
@@ -153,7 +156,9 @@ func RunBench() (*BenchReport, error) {
 	// bijection: congestion in closed form from its axis images, and a
 	// LoadState whose loads are tiled from the closed form's slices.
 	// The guest's edge list and incidence lists are built once, as a
-	// search builds them once for all of its annealing seeds.
+	// search builds them once for all of its annealing seeds. The tile
+	// waits for a state's first Evaluate, so the tiled rows time
+	// construction plus one evaluated swap.
 	paper, err := core.Embed(guest, nw.Spec)
 	if err != nil {
 		return nil, err
@@ -167,12 +172,12 @@ func RunBench() (*BenchReport, error) {
 			}
 		}
 	})
-	if _, err := netsim.NewEmbeddingLoadState(nw, g, paper); err != nil {
+	if err := initTiled(nw, g, paper); err != nil {
 		return nil, err
 	}
 	runScaling(report, "loadstate-init-tiled/"+pairName, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := netsim.NewEmbeddingLoadState(nw, g, paper); err != nil {
+			if err := initTiled(nw, g, paper); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -205,7 +210,7 @@ func RunBench() (*BenchReport, error) {
 	})
 	runScaling(report, "loadstate-init-tiled/"+compName, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := netsim.NewEmbeddingLoadState(compNet, compG, comp); err != nil {
+			if err := initTiled(compNet, compG, comp); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -234,9 +239,31 @@ func RunBench() (*BenchReport, error) {
 			if v >= u {
 				v++
 			}
-			ls.Swap(u, v)
+			if err := ls.Swap(u, v); err != nil {
+				b.Fatal(err)
+			}
 			_ = ls.Stats()
 			ls.Dilation()
+		}
+	})
+
+	// A move the annealing pass evaluates and then rejects: proposed,
+	// routed into its per-link delta and dropped, so the loads never
+	// change. Steady state must not allocate either.
+	guests, hosts := make([]int32, 2), make([]int32, 2)
+	runOne(report, "anneal-move/evaluate-drop/"+pairName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			u := rng.Intn(n)
+			v := rng.Intn(n - 1)
+			if v >= u {
+				v++
+			}
+			guests[0], guests[1] = int32(u), int32(v)
+			hosts[0], hosts[1] = int32(ls.HostOf(v)), int32(ls.HostOf(u))
+			ls.Propose(guests, hosts)
+			if _, _, _, err := ls.Evaluate(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 
@@ -257,7 +284,9 @@ func RunBench() (*BenchReport, error) {
 			if v >= u {
 				v++
 			}
-			ls.Swap(u, v)
+			if err := ls.Swap(u, v); err != nil {
+				b.Fatal(err)
+			}
 			_ = ls.Stats()
 			ls.Dilation()
 			obsSteps.Inc()
@@ -312,6 +341,25 @@ func RunBench() (*BenchReport, error) {
 			}
 		})
 	}
+	// An annealed search: the largest pair of the benchmark's search
+	// cycle, under the extended move set, whose evaluated moves dominate
+	// it.
+	annealCfg := place.Config{
+		Guest:       grid.MeshSpec(32, 32),
+		Host:        grid.TorusSpec(8, 8, 16),
+		CapDilation: true,
+		Rotations:   true,
+		Anneal:      true,
+		AnnealMoves: place.AnnealMovesAll,
+		Strategies:  place.DefaultStrategies(),
+	}
+	runScaling(report, fmt.Sprintf("place-search-anneal/%s->%s", annealCfg.Guest, annealCfg.Host), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := place.Search(annealCfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	// One construction layer row: build the 32³ pair's prime refinement
 	// around a rotated intermediate (expansion, rotation, reduction —
@@ -342,6 +390,18 @@ func RunBench() (*BenchReport, error) {
 		}
 	})
 	return report, runPlaceHot(report)
+}
+
+// initTiled builds the load state of e's own placement and evaluates
+// one swap on it, which tiles the link array of a proved bijection.
+func initTiled(nw *netsim.Network, g *netsim.Guest, e *embed.Embedding) error {
+	ls, err := netsim.NewEmbeddingLoadState(nw, g, e)
+	if err != nil {
+		return err
+	}
+	ls.Propose([]int32{0, 1}, []int32{int32(ls.HostOf(1)), int32(ls.HostOf(0))})
+	_, _, _, err = ls.Evaluate()
+	return err
 }
 
 // runPlaceHot records one hot placed request: the /place handler

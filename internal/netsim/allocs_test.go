@@ -15,11 +15,12 @@ import (
 // loop allocate, or lets a whole-placement measurement allocate per
 // edge instead of per call, fails deterministically in CI.
 
-// TestSwapSteadyStateAllocs: after warmup (touched-list and move-record
-// growth, histogram bucket growth), a swap plus the aggregate reads of
-// an acceptance decision must not allocate at all — the property that
-// keeps anneal steps at ~10⁵/sec — and neither may the annealing
-// pass's Propose, Commit, Revert cycle of a rejected move.
+// TestSwapSteadyStateAllocs: after warmup (touched-list, link-list and
+// route-scratch growth, histogram bucket growth), a swap plus the
+// aggregate reads of an acceptance decision must not allocate at all —
+// the property that keeps anneal steps at ~10⁵/sec — and neither may
+// the annealing pass's Propose, Evaluate and Apply of an accepted move,
+// nor its Propose and Evaluate of a rejected one.
 func TestSwapSteadyStateAllocs(t *testing.T) {
 	nw := New(grid.TorusSpec(16, 16))
 	tg := taskgraph.FromSpec(grid.MeshSpec(16, 16))
@@ -39,14 +40,18 @@ func TestSwapSteadyStateAllocs(t *testing.T) {
 		pairs[i] = [2]int{u, v}
 	}
 	for _, p := range pairs { // warmup: grow scratch and histograms
-		ls.Swap(p[0], p[1])
+		if err := ls.Swap(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	t.Run("swap", func(t *testing.T) {
 		k := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			p := pairs[k%len(pairs)]
 			k++
-			ls.Swap(p[0], p[1])
+			if err := ls.Swap(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
 			_ = ls.Stats()
 			ls.Dilation()
 		})
@@ -54,27 +59,34 @@ func TestSwapSteadyStateAllocs(t *testing.T) {
 			t.Errorf("steady-state swap allocates %.1f objects/op, want 0", allocs)
 		}
 	})
-	t.Run("propose-commit-revert", func(t *testing.T) {
-		guests, hosts := make([]int32, 2), make([]int32, 2)
-		k := 0
-		cycle := func() {
-			p := pairs[k%len(pairs)]
-			k++
-			guests[0], guests[1] = int32(p[0]), int32(p[1])
-			hosts[0], hosts[1] = int32(ls.HostOf(p[1])), int32(ls.HostOf(p[0]))
-			ls.Propose(guests, hosts)
-			ls.Commit()
-			_ = ls.Stats()
-			ls.Dilation()
-			ls.Revert()
-		}
-		for range pairs { // warmup
-			cycle()
-		}
-		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-			t.Errorf("steady-state propose, commit and revert allocate %.1f objects/op, want 0", allocs)
-		}
-	})
+	guests, hosts := make([]int32, 2), make([]int32, 2)
+	for _, tc := range []struct {
+		name  string
+		apply bool
+	}{{"propose-evaluate-apply", true}, {"propose-evaluate-drop", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := 0
+			cycle := func() {
+				p := pairs[k%len(pairs)]
+				k++
+				guests[0], guests[1] = int32(p[0]), int32(p[1])
+				hosts[0], hosts[1] = int32(ls.HostOf(p[1])), int32(ls.HostOf(p[0]))
+				ls.Propose(guests, hosts)
+				if _, _, _, err := ls.Evaluate(); err != nil {
+					t.Fatal(err)
+				}
+				if tc.apply {
+					ls.Apply()
+				}
+			}
+			for range pairs { // warmup
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Errorf("steady-state %s allocates %.1f objects/op, want 0", tc.name, allocs)
+			}
+		})
+	}
 }
 
 // TestCongestionAllocsBounded: the dense congestion pass allocates a
@@ -138,5 +150,32 @@ func TestClosedFormBytesPerCall(t *testing.T) {
 	t.Logf("EmbeddingCongestion of %s -> %s: %d B/call (limit %d; a host-sized load array is %d)", gs, hs, got, limit, 4*nw.LinkSlots())
 	if got > limit {
 		t.Errorf("EmbeddingCongestion of %s -> %s allocates %d B/call, want <= %d", gs, hs, got, limit)
+	}
+}
+
+// TestEmbeddingLoadStateBytesPerCall: a load state seeded with the
+// paper embedding of torus(32x32x32) -> mesh(32x32x32), a proved
+// bijection, takes its aggregates from the closed form and leaves its
+// link array to the first Evaluate, so construction allocates the
+// placement tables, edge stamps and validation scratch (about 0.7 MB)
+// but no load array: that array alone, LinkSlots()·4 bytes, is the
+// limit.
+func TestEmbeddingLoadStateBytesPerCall(t *testing.T) {
+	gs, hs := grid.TorusSpec(32, 32, 32), grid.MeshSpec(32, 32, 32)
+	e, err := core.Embed(gs, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Kernel() // materialize the table, as a rebuilt annealing seed has one
+	nw, g := New(hs), NewGuest(gs)
+	got := testmem.BytesPerCall(10, func() {
+		if _, err := NewEmbeddingLoadState(nw, g, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := 4 * uint64(nw.LinkSlots())
+	t.Logf("NewEmbeddingLoadState of %s -> %s: %d B/call (limit %d, one load array)", gs, hs, got, limit)
+	if got > limit {
+		t.Errorf("NewEmbeddingLoadState of %s -> %s allocates %d B/call, want <= %d", gs, hs, got, limit)
 	}
 }

@@ -74,8 +74,9 @@ func EmbeddingCongestion(nw *Network, g *Guest, e *embed.Embedding) (CongestionS
 
 // NewEmbeddingLoadState is NewLoadState for the embedding's own
 // placement of the guest, with the guest's shared incidence lists. A
-// proved bijection's loads are tiled from the closed form's slices
-// instead of routed; the placement is validated either way.
+// proved bijection's aggregates come from the closed form, and its link
+// array is tiled from the closed form's slices instead of routed, on
+// the state's first Evaluate; the placement is validated either way.
 func NewEmbeddingLoadState(nw *Network, g *Guest, e *embed.Embedding) (*LoadState, error) {
 	return newLoadState(nw, g.Graph(), g.incidence, sharedPlacement(e), nw.closedForm(g.Spec, e))
 }
@@ -290,15 +291,15 @@ func (nw *Network) fiberRows(c embed.Component, fiber *Network, rows [][]int, fl
 	return corner
 }
 
-// tile is the tally the accumulator leaves for p, the placement of the
-// closed form's embedding, with every load written from the slices
+// tile is the tally the accumulator leaves for p, the placement table of
+// the closed form's embedding, with every load written from the slices
 // instead of routed. Component C's slice through guest node x lies
 // p[x] - p[0] host ranks above the origin slice, so its link ranks lie
 // (p[x] - p[0])·2·Dim above. No two slices share a link, so each link
 // is written once: O(used links) writes and no route. The translates,
 // the guest ranks that are 0 on C's axes, are walked by odometer over
 // the other axes, with no division.
-func (nw *Network) tile(cf *closedForm, p Placement) tally {
+func (nw *Network) tile(cf *closedForm, p []int32) tally {
 	t := tally{load: make([]int32, nw.LinkSlots()), distHist: cf.distHist, hops: cf.stats.TotalHops, distSum: cf.distSum}
 	dirs := nw.lr.Rank(1, 0, false) // link ranks per node
 	used := 0
@@ -324,7 +325,7 @@ func (nw *Network) tile(cf *closedForm, p Placement) tally {
 			}
 		}
 		for x := 0; ; {
-			shift := (p[x] - p[0]) * dirs
+			shift := int(p[x]-p[0]) * dirs
 			for k, r := range links {
 				t.load[r+shift] = loads[k]
 			}

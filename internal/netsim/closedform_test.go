@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,7 +88,11 @@ func checkClosedForm(t *testing.T, nw *Network, g *Guest, e *embed.Embedding, cf
 	if err != nil || stats != wantStats || !maps.Equal(hist.Map(), wantHist) {
 		t.Fatalf("%s -> %s: EmbeddingCongestion %+v %v %v, pass %+v %v", e.From, e.To, stats, hist, err, wantStats, wantHist)
 	}
-	tiled, routed := nw.tile(cf, p), nw.accumulate(tg, p)
+	p32 := make([]int32, len(p))
+	for x, h := range p {
+		p32[x] = int32(h)
+	}
+	tiled, routed := nw.tile(cf, p32), nw.accumulate(tg, p)
 	if i := firstDiff(tiled.load, routed.load); i >= 0 {
 		from, dim, neg := nw.lr.Unrank(i)
 		t.Fatalf("%s -> %s: link %d (node %d, axis %d, neg %v) tiled load %d, routed %d",
@@ -224,8 +229,12 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 				if v >= u {
 					v++
 				}
-				tiled.Swap(u, v)
-				routed.Swap(u, v)
+				if err := tiled.Swap(u, v); err != nil {
+					t.Fatal(err)
+				}
+				if err := routed.Swap(u, v); err != nil {
+					t.Fatal(err)
+				}
 				continue
 			}
 			// Permute a random guest set onto a rotation of its images.
@@ -237,8 +246,8 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 			for i := range guests {
 				hosts[i] = int32(tiled.HostOf(int(guests[(i+1)%len(guests)])))
 			}
-			permute(tiled, guests, hosts)
-			permute(routed, guests, hosts)
+			permute(t, tiled, guests, hosts)
+			permute(t, routed, guests, hosts)
 		}
 		if i := firstDiff(tiled.load, routed.load); i >= 0 {
 			t.Fatalf("%s -> %s: link %d carries %d tiled, %d routed", gs, hs, i, tiled.load[i], routed.load[i])
@@ -247,6 +256,60 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 			!slices.Equal(tiled.distHist, routed.distHist) || !slices.Equal(tiled.p, routed.p) {
 			t.Fatalf("%s -> %s: buckets or placements diverge after %d moves", gs, hs, moves)
 		}
+	}
+}
+
+// TestTiledLinksOnFirstEvaluate: a load state seeded with the paper
+// embedding of torus:16x16 -> mesh:16x16, a proved bijection, takes its
+// aggregates from the closed form and builds no link array until its
+// first Evaluate: not at construction, not for a proposal. That
+// Evaluate tiles the array, whose loads equal the routing pass's, and
+// leaves the aggregates as they were. A state whose closed-form
+// aggregates disagree with the tiled array fails that Evaluate.
+func TestTiledLinksOnFirstEvaluate(t *testing.T) {
+	gs, hs := grid.TorusSpec(16, 16), grid.MeshSpec(16, 16)
+	e, err := core.Embed(gs, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, g := New(hs), NewGuest(gs)
+	if nw.closedForm(gs, e) == nil {
+		t.Fatalf("%s -> %s (%s): not a proved bijection", gs, hs, e.Strategy)
+	}
+	ls, err := NewEmbeddingLoadState(nw, g, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotOf(ls)
+	if ls.load != nil || ls.loadHist != nil || ls.delta != nil {
+		t.Fatal("the constructor built the link array")
+	}
+	ls.Propose([]int32{0, 17}, []int32{int32(ls.HostOf(17)), int32(ls.HostOf(0))})
+	if ls.load != nil {
+		t.Fatal("Propose built the link array")
+	}
+	if _, _, _, err := ls.Evaluate(); err != nil {
+		t.Fatal(err)
+	}
+	if ls.load == nil {
+		t.Fatal("Evaluate left the link array unbuilt")
+	}
+	if got := snapshotOf(ls); !got.equal(want) {
+		t.Fatalf("tiling on the first Evaluate changed the state:\n%+v\nwant\n%+v", got, want)
+	}
+	routed := nw.accumulate(g.Graph(), Placement(e.Table()))
+	if i := firstDiff(ls.load, routed.load); i >= 0 {
+		t.Fatalf("link %d carries %d tiled, %d routed", i, ls.load[i], routed.load[i])
+	}
+
+	bad, err := NewEmbeddingLoadState(nw, g, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.used++
+	bad.Propose([]int32{0, 17}, []int32{int32(bad.HostOf(17)), int32(bad.HostOf(0))})
+	if _, _, _, err := bad.Evaluate(); err == nil || !strings.Contains(err.Error(), "closed form") {
+		t.Fatalf("a tiled array disagreeing with the closed form's used links: Evaluate error %v", err)
 	}
 }
 

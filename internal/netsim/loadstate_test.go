@@ -64,11 +64,11 @@ func TestLoadStateMatchesBatch(t *testing.T) {
 
 // TestLoadStateIncrementalParity drives a LoadState through random
 // swaps and multi-node permutations, each staged by Propose and then
-// committed or dropped, and some committed ones reverted. It checks
-// that Propose's dilation is the committed state's, that a dropped
-// proposal and a revert leave the state exactly as before the move,
-// and after every move that all incrementally maintained aggregates
-// equal a from-scratch measurement — the property the annealing pass's
+// dropped, evaluated and dropped, or evaluated and applied. It checks
+// that Evaluate's dilation is the proposed one, that neither Propose
+// nor Evaluate changes the state, and after every applied move that
+// Evaluate's numbers and all incrementally maintained aggregates equal
+// a from-scratch measurement — the property the annealing pass's
 // correctness rests on.
 func TestLoadStateIncrementalParity(t *testing.T) {
 	for _, tc := range parityCases {
@@ -85,41 +85,51 @@ func TestLoadStateIncrementalParity(t *testing.T) {
 		if testing.Short() {
 			moves = 15
 		}
-		var dropped, reverted int
+		var proposed, evaluated, applied int
 		for m := 0; m < moves; m++ {
 			guests, hosts := randomMove(rng, ls, tg.N)
 			before := snapshotOf(ls)
 			dil := ls.Propose(guests, hosts)
-			if rng.Intn(4) == 0 {
-				dropped++
-				if got := snapshotOf(ls); !got.equal(before) {
-					t.Fatalf("%s on %s move %d: a dropped proposal changed the state:\n%+v\nwant\n%+v", tc.guest, tc.host, m, got, before)
-				}
+			if got := snapshotOf(ls); !got.equal(before) {
+				t.Fatalf("%s on %s move %d: Propose changed the state:\n%+v\nwant\n%+v", tc.guest, tc.host, m, got, before)
+			}
+			if rng.Intn(5) == 0 {
+				proposed++
 				continue
 			}
-			ls.Commit()
-			if got, _ := ls.Dilation(); got != dil {
-				t.Fatalf("%s on %s move %d: proposed dilation %d, committed %d", tc.guest, tc.host, m, dil, got)
+			stats, maxDist, avgDist, err := ls.Evaluate()
+			if err != nil {
+				t.Fatal(err)
 			}
+			if maxDist != dil {
+				t.Fatalf("%s on %s move %d: proposed dilation %d, evaluated %d", tc.guest, tc.host, m, dil, maxDist)
+			}
+			if got := snapshotOf(ls); !got.equal(before) {
+				t.Fatalf("%s on %s move %d: Evaluate changed the state:\n%+v\nwant\n%+v", tc.guest, tc.host, m, got, before)
+			}
+			if rng.Intn(3) == 0 {
+				evaluated++
+				continue
+			}
+			ls.Apply()
+			applied++
 			for _, g := range guests {
 				if ls.GuestAt(ls.HostOf(int(g))) != int(g) {
-					t.Fatalf("%s on %s move %d: inverse map broken after commit", tc.guest, tc.host, m)
+					t.Fatalf("%s on %s move %d: inverse map broken after Apply", tc.guest, tc.host, m)
 				}
+			}
+			want, wantMax, wantAvg := measure(t, ls, tc.guest, rd)
+			if stats != want || maxDist != wantMax || avgDist != wantAvg {
+				t.Fatalf("%s on %s move %d: Evaluate returned %+v (%d, %v), the moved table measures %+v (%d, %v)",
+					tc.guest, tc.host, m, stats, maxDist, avgDist, want, wantMax, wantAvg)
 			}
 			assertParity(t, ls, nw, tg, tc.guest, rd)
-			if rng.Intn(3) == 0 {
-				reverted++
-				ls.Revert()
-				if got := snapshotOf(ls); !got.equal(before) {
-					t.Fatalf("%s on %s move %d: revert left\n%+v\nwant\n%+v", tc.guest, tc.host, m, got, before)
-				}
-			}
 			if t.Failed() {
 				t.Fatalf("%s on %s: diverged at move %d", tc.guest, tc.host, m)
 			}
 		}
-		if dropped == 0 || reverted == 0 {
-			t.Fatalf("%s on %s: %d dropped and %d reverted moves, want both", tc.guest, tc.host, dropped, reverted)
+		if proposed == 0 || evaluated == 0 || applied == 0 {
+			t.Fatalf("%s on %s: %d moves dropped after Propose, %d after Evaluate and %d applied, want each", tc.guest, tc.host, proposed, evaluated, applied)
 		}
 		recheck(t, ls)
 	}
@@ -142,10 +152,14 @@ func randomMove(rng *rand.Rand, ls *LoadState, n int) (guests, hosts []int32) {
 	return guests, hosts
 }
 
-// permute moves each guests[i] to hosts[i] as one committed move.
-func permute(ls *LoadState, guests, hosts []int32) {
+// permute moves each guests[i] to hosts[i] as one applied move.
+func permute(t *testing.T, ls *LoadState, guests, hosts []int32) {
+	t.Helper()
 	ls.Propose(guests, hosts)
-	ls.Commit()
+	if _, _, _, err := ls.Evaluate(); err != nil {
+		t.Fatal(err)
+	}
+	ls.Apply()
 }
 
 // snapshot is everything a LoadState reports: its costs, its table and
@@ -188,18 +202,26 @@ func recheck(t *testing.T, ls *LoadState) {
 	}
 }
 
-func assertParity(t *testing.T, ls *LoadState, nw *Network, tg *taskgraph.Graph, guest grid.Spec, rd *grid.RankDistancer) {
+// measure measures the state's current table from scratch: its
+// congestion stats and its maximum and mean edge distance.
+func measure(t *testing.T, ls *LoadState, guest grid.Spec, rd *grid.RankDistancer) (CongestionStats, int, float64) {
 	t.Helper()
-	tab := make([]int, tg.N)
+	tab := make([]int, len(ls.p))
 	ls.CopyTableInto(tab)
-	want, err := Congestion(nw, tg, Placement(tab))
+	stats, err := Congestion(ls.nw, ls.tg, Placement(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
+	maxDist, avgDist := guest.EdgeDilation(tab, rd)
+	return stats, maxDist, avgDist
+}
+
+func assertParity(t *testing.T, ls *LoadState, nw *Network, tg *taskgraph.Graph, guest grid.Spec, rd *grid.RankDistancer) {
+	t.Helper()
+	want, wantMax, wantAvg := measure(t, ls, guest, rd)
 	if got := ls.Stats(); got != want {
 		t.Errorf("stats: incremental %+v, full %+v", got, want)
 	}
-	wantMax, wantAvg := guest.EdgeDilation(tab, rd)
 	gotMax, gotAvg := ls.Dilation()
 	if gotMax != wantMax || gotAvg != wantAvg {
 		t.Errorf("dilation: incremental (%d, %v), full (%d, %v)", gotMax, gotAvg, wantMax, wantAvg)
@@ -226,10 +248,11 @@ func TestLoadStateRejectsBadInput(t *testing.T) {
 
 // TestLoadStateHistogramGrowth drives the per-load bucket array past its
 // initial 8 buckets through moves: ten edges of a 20-node line start
-// side by side at unit length, then one committed move folds them so
-// that all cross the middle link (load 10) and the outermost routes 19
-// hops. The aggregates must stay exact through the growth and back, and
-// reverting the fold must restore the unit-length state exactly.
+// side by side at unit length, then one applied move folds them so that
+// all cross the middle link (load 10) and the outermost routes 19 hops.
+// Evaluating the fold and dropping it must leave the unit-length state
+// exactly, and the aggregates must stay exact through the growth, the
+// unfold back below the original array sizes, and the fold again.
 func TestLoadStateHistogramGrowth(t *testing.T) {
 	nw := New(grid.LineSpec(20))
 	tg := &taskgraph.Graph{Name: "folded", N: 20}
@@ -239,11 +262,12 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 	side := make(Placement, 20) // edge i on hosts 2i and 2i+1
 	guests := make([]int32, 20)
 	folded := make([]int32, 20) // guest g on host g
+	unfolded := make([]int32, 20)
 	for i := 0; i < 10; i++ {
 		side[i], side[19-i] = 2*i, 2*i+1
 	}
 	for g := range guests {
-		guests[g], folded[g] = int32(g), int32(g)
+		guests[g], folded[g], unfolded[g] = int32(g), int32(g), int32(side[g])
 	}
 	ls, err := NewLoadState(nw, tg, side)
 	if err != nil {
@@ -253,16 +277,18 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 		t.Fatalf("unit-load placement starts with %d load buckets, want 8", got)
 	}
 	side0 := snapshotOf(ls)
-	permute(ls, guests, folded)
-	if len(ls.loadHist) <= 8 {
-		t.Fatalf("load histogram did not grow: %d buckets", len(ls.loadHist))
+	ls.Propose(guests, folded)
+	stats, maxDist, _, err := ls.Evaluate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ls.Revert()
-	if got := snapshotOf(ls); !got.equal(side0) {
-		t.Fatalf("reverting the fold left\n%+v\nwant\n%+v", got, side0)
+	if stats.MaxLink != 10 || maxDist != 19 {
+		t.Fatalf("evaluated fold: MaxLink %d and max distance %d, want 10 and 19", stats.MaxLink, maxDist)
 	}
-	recheck(t, ls)
-	permute(ls, guests, folded)
+	if got := snapshotOf(ls); !got.equal(side0) || len(ls.loadHist) != 8 {
+		t.Fatalf("evaluating the fold left %d buckets and\n%+v\nwant 8 and\n%+v", len(ls.loadHist), got, side0)
+	}
+	permute(t, ls, guests, folded)
 	if len(ls.loadHist) <= 8 {
 		t.Fatalf("load histogram did not grow: %d buckets", len(ls.loadHist))
 	}
@@ -273,10 +299,19 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 		t.Fatalf("max distance = %d, want 19", max)
 	}
 	recheck(t, ls)
+	permute(t, ls, guests, unfolded)
+	if got := snapshotOf(ls); !got.equal(side0) {
+		t.Fatalf("unfolding left\n%+v\nwant\n%+v", got, side0)
+	}
+	recheck(t, ls)
+	permute(t, ls, guests, folded)
 	// Unfold one long edge and re-fold it: growth bookkeeping must
 	// survive decrements back below the original array sizes.
-	ls.Swap(0, 19)
-	ls.Swap(0, 19)
+	for range 2 {
+		if err := ls.Swap(0, 19); err != nil {
+			t.Fatal(err)
+		}
+	}
 	recheck(t, ls)
 	if max, _ := ls.Dilation(); max != 19 {
 		t.Fatalf("max distance after swaps = %d, want 19", max)
@@ -286,9 +321,11 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 // TestLoadStateEpochWrap: when the int32 move epoch wraps to 0 every
 // edge stamp is reset, and no later epoch may read a reset stamp as its
 // own — or the edges left untouched since the reset are skipped by
-// touch and their routes go stale. The first swap forces the wrap; the
-// next two run at epochs -2 and -1, the last value before the next
-// wrap.
+// touch and their routes go stale. Each swap follows a swap evaluated
+// and dropped at the epoch before it. The first swap forces the wrap;
+// the next two run at epochs -3 and -1, the last value before the next
+// wrap. No per-link mark uses the epoch: Evaluate resets every link
+// delta it sets before it returns.
 func TestLoadStateEpochWrap(t *testing.T) {
 	host, guest := grid.TorusSpec(8, 8), grid.MeshSpec(8, 8)
 	nw := New(host)
@@ -299,21 +336,31 @@ func TestLoadStateEpochWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap := func() {
-		t.Helper()
+	pair := func() (int, int) {
 		u, v := rng.Intn(tg.N), rng.Intn(tg.N-1)
 		if v >= u {
 			v++
 		}
-		ls.Swap(u, v)
+		return u, v
+	}
+	swap := func() {
+		t.Helper()
+		u, v := pair()
+		ls.Propose([]int32{int32(u), int32(v)}, []int32{int32(ls.HostOf(v)), int32(ls.HostOf(u))})
+		if _, _, _, err := ls.Evaluate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.Swap(pair()); err != nil {
+			t.Fatal(err)
+		}
 		assertParity(t, ls, nw, tg, guest, rd)
 		if t.Failed() {
 			t.Fatalf("diverged after the swap at epoch %d", ls.epoch)
 		}
 	}
-	ls.epoch = -1
+	ls.epoch = -2
 	swap()
-	ls.epoch = -3
+	ls.epoch = -5
 	swap()
 	swap()
 }

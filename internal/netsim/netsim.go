@@ -20,6 +20,9 @@
 // one. Nothing on that path divides. Its per-axis rule, axisHops, also
 // gives a route's length without building it (distance), which is how
 // LoadState.Propose measures a move before anything is routed.
+// LoadState.Evaluate then routes a move into a per-link delta without
+// making it, and LoadState.Apply writes an accepted move's delta, so a
+// rejected move is never applied or undone.
 //
 // On top of the router sits one load accumulator, accumulate: it
 // stripes task edges over the internal/par pool into per-worker link
@@ -40,8 +43,9 @@
 // census's congestion column and the placement search's scoring
 // backend, takes it whenever that proof holds and routes the
 // embedding's table otherwise. NewEmbeddingLoadState, the annealing
-// seeds' constructor, tiles the slice loads into its link array
-// instead of routing. The passes that take a table (Congestion,
+// seeds' constructor, takes its aggregates from the closed form and
+// tiles the slice loads into its link array, instead of routing, on the
+// state's first Evaluate. The passes that take a table (Congestion,
 // CongestionHops, NewLoadState) always route, so they stay the
 // reference the closed form is tested and re-validated against.
 package netsim

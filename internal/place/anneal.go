@@ -12,14 +12,14 @@
 // placement is measured once (in closed form when the seed is a proved
 // bijection, else by routing), and from then on a move touches only the
 // O(degree) task edges incident to the moved nodes, with every
-// aggregate (dilation, peak, avg-link) maintained exactly — the
+// aggregate (dilation, peak, avg-link) derived exactly — the
 // incremental costs are bit-identical to a full re-measurement, which
 // the periodic evalTable re-validation (and the final check on the
 // returned best) enforces at runtime. That is what lets the pass run
 // on pairs of any size: the old full-re-measurement loop was gated to
 // a few hundred nodes.
 //
-// Each step runs in four parts:
+// Each step runs in four parts, and nothing is ever undone:
 //
 //   - Propose: the load state returns the move's exact dilation from
 //     the touched edges' host coordinates, routing nothing.
@@ -30,15 +30,17 @@
 //     below. A positive bound on the score's rise means the exact
 //     Metropolis rule would draw its uniform here; it is drawn, and a
 //     move whose bound already fails the test is rejected unrouted.
-//   - Commit: any other move is routed, its routed dilation checked
-//     against the proposed one, and decided on its exact costs with
-//     the same uniform — so every RNG stream, trajectory and artifact
-//     is the exact rule's.
-//   - Revert: a committed move the rule rejects is undone from the
-//     record Commit kept, without routing it again.
+//   - Evaluate: any other move is routed into a per-link delta, which
+//     gives the costs the placement would have without changing it;
+//     its routed dilation is checked against the proposed one, and the
+//     move is decided on those exact costs with the same uniform — so
+//     every RNG stream, trajectory and artifact is the exact rule's.
+//   - Apply: an accepted move's net deltas are written into the load
+//     state. A rejected one is dropped, having written nothing.
 //
 // From a paper embedding, whose dilation is already low, most moves end
-// at the bound.
+// at the bound, and a run whose every move ends there never builds the
+// load state's link array.
 //
 // The default move set ("swap") is the full swap neighborhood of the
 // placement bijection: two guest ranks exchange their host images,
@@ -207,25 +209,26 @@ func (ms *moveScratch) planeSwap(ls *netsim.LoadState, rng *rand.Rand, n int) bo
 }
 
 // annealRun refines the placement of one embedding by simulated
-// annealing and returns the best table visited with its costs, and how
-// many moves the dilation bound rejected unrouted. Deterministic for a
-// given placement, step budget, move repertoire and RNG state. The load
-// state starts from netsim's closed form when the embedding is a proved
-// bijection, and from the routing pass otherwise. start must be the
-// placement's exact measured costs: the run re-derives them from the
-// load state and fails loudly on any disagreement, checks every
-// committed move's routed dilation against the proposed one, and
-// re-validates the incremental costs against evalTable every
-// annealRevalidateEvery steps and once more on the returned best.
-func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, int, error) {
+// annealing and returns the best table visited with its costs, how many
+// moves the dilation bound rejected unrouted, and the move loop's wall
+// time. Deterministic for a given placement, step budget, move
+// repertoire and RNG state. The load state starts from netsim's closed
+// form when the embedding is a proved bijection, and from the routing
+// pass otherwise. start must be the placement's exact measured costs:
+// the run re-derives them from the load state and fails loudly on any
+// disagreement, checks every evaluated move's routed dilation against
+// the proposed one, and re-validates the incremental costs against
+// evalTable every annealRevalidateEvery steps and once more on the
+// returned best.
+func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *rand.Rand) annealOutcome {
 	annealRuns.Inc()
 	ls, err := netsim.NewEmbeddingLoadState(s.nw, s.guest, e)
 	if err != nil {
-		return nil, Costs{}, 0, err
+		return annealOutcome{err: err}
 	}
 	cur := s.stateCosts(ls)
 	if cur != start {
-		return nil, Costs{}, 0, fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)
+		return annealOutcome{err: fmt.Errorf("incremental seed costs %+v disagree with measured %+v", cur, start)}
 	}
 	n := s.cfg.Guest.Size()
 	bestTab := make(embed.Table, n)
@@ -240,6 +243,7 @@ func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *ra
 	const tEnd = 0.01
 	bounded := 0
 	var snap embed.Table // revalidation table snapshot, allocated on first use
+	loopStart := s.cfg.Clock()
 	for step := 0; step < steps; step++ {
 		temp := t0 * math.Pow(tEnd/t0, float64(step)/float64(steps))
 		// Propose: swaps draw (i, j) exactly as the pre-incremental
@@ -264,7 +268,7 @@ func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *ra
 		}
 		dil := ls.Propose(ms.guests, ms.newHosts)
 		annealSteps.Inc()
-		// Decide (Bound and Commit in the file comment): lb never
+		// Decide (Bound and Evaluate in the file comment): lb never
 		// exceeds the score's exact rise, so u is drawn exactly where
 		// the exact rule draws it, and the margin covers the rounding
 		// of math.Exp.
@@ -278,17 +282,21 @@ func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *ra
 			annealBounded.Inc()
 			annealRejected.Inc()
 		} else {
-			ls.Commit()
-			if got, _ := ls.Dilation(); got != dil {
-				return nil, Costs{}, 0, fmt.Errorf("step %d: routed dilation %d disagrees with proposed %d", step, got, dil)
+			stats, got, avg, err := ls.Evaluate()
+			if err != nil {
+				return annealOutcome{err: err}
 			}
-			c := s.stateCosts(ls)
+			if got != dil {
+				return annealOutcome{err: fmt.Errorf("step %d: routed dilation %d disagrees with proposed %d", step, got, dil)}
+			}
+			c := s.costs(got, avg, stats)
 			delta := c.Score - cur.Score
 			if delta > 0 && lb <= 0 {
 				u = rng.Float64()
 			}
 			if delta <= 0 || u < math.Exp(-delta/temp) {
 				annealAccepted.Inc()
+				ls.Apply()
 				cur = c
 				// Best-visited advances on a strictly lower score, or on
 				// Pareto dominance at a tied score: a zero-weighted cost
@@ -301,7 +309,6 @@ func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *ra
 				}
 			} else {
 				annealRejected.Inc()
-				ls.Revert()
 			}
 		}
 		if (step+1)%annealRevalidateEvery == 0 {
@@ -312,21 +319,22 @@ func (s *searcher) annealRun(e *embed.Embedding, start Costs, steps int, rng *ra
 			ls.CopyTableInto(snap)
 			full, err := s.evalTable(snap)
 			if err != nil {
-				return nil, Costs{}, 0, err
+				return annealOutcome{err: err}
 			}
 			if full != cur {
-				return nil, Costs{}, 0, fmt.Errorf("step %d: incremental costs %+v drifted from full measurement %+v", step, cur, full)
+				return annealOutcome{err: fmt.Errorf("step %d: incremental costs %+v drifted from full measurement %+v", step, cur, full)}
 			}
 		}
 	}
+	moves := s.cfg.Clock().Sub(loopStart)
 	full, err := s.evalTable(bestTab)
 	if err != nil {
-		return nil, Costs{}, 0, err
+		return annealOutcome{err: err}
 	}
 	if full != best {
-		return nil, Costs{}, 0, fmt.Errorf("best costs %+v drifted from full measurement %+v", best, full)
+		return annealOutcome{err: fmt.Errorf("best costs %+v drifted from full measurement %+v", best, full)}
 	}
-	return bestTab, best, bounded, nil
+	return annealOutcome{tab: bestTab, got: best, bounded: bounded, moves: moves}
 }
 
 // annealSeeds selects which scored candidates seed annealing runs:
@@ -363,11 +371,14 @@ func annealSeeds(scored, front []Candidate) (seeds []Candidate, skipped int) {
 }
 
 // annealOutcome is one seed's finished run, parked until the ordered
-// admission loop reaches its position.
+// admission loop reaches its position: the best table and its costs,
+// the moves the dilation bound rejected, the move loop's wall time and
+// the whole run's, or the error that ended the run.
 type annealOutcome struct {
 	tab     embed.Table
 	got     Costs
 	bounded int
+	moves   time.Duration
 	elapsed time.Duration
 	err     error
 }
@@ -406,12 +417,12 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 				continue
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
-			tab, got, bounded, err := s.annealRun(e, seed.Costs, cfg.AnnealSteps, rng)
-			if err != nil {
-				outs[k] = annealOutcome{err: fmt.Errorf("place: anneal: seed %d: %v", seed.Index, err)}
-				continue
+			out := s.annealRun(e, seed.Costs, cfg.AnnealSteps, rng)
+			if out.err != nil {
+				out.err = fmt.Errorf("place: anneal: seed %d: %v", seed.Index, out.err)
 			}
-			outs[k] = annealOutcome{tab: tab, got: got, bounded: bounded, elapsed: cfg.Clock().Sub(t0)}
+			out.elapsed = cfg.Clock().Sub(t0)
+			outs[k] = out
 		}
 	})
 	var refined []Candidate
@@ -426,6 +437,7 @@ func (s *searcher) annealFront(variants []variantSpec, scored, front []Candidate
 			SeedIndex: seed.Index,
 			Steps:     cfg.AnnealSteps,
 			Bounded:   out.bounded,
+			Moves:     out.moves,
 			Elapsed:   out.elapsed,
 		})
 		c := Candidate{

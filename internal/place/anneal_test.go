@@ -14,9 +14,27 @@ import (
 
 // annealRunFull is the pre-incremental annealing loop, preserved as the
 // reference the incremental engine is pinned against: every step fully
-// re-measures the swapped placement with evalTable. It mutates tab.
+// re-measures the moved placement with evalTable. Under the extended
+// repertoire it draws the move kind, the segment reversals and the
+// plane swaps from the RNG exactly as annealRun does, and makes them on
+// the table and an inverse table directly: a plane is found by scanning
+// every host rank. It mutates tab, which must be a bijection.
 func (s *searcher) annealRunFull(tab embed.Table, start Costs, steps int, rng *rand.Rand) (embed.Table, Costs, error) {
 	n := len(tab)
+	inv := make([]int, n)
+	for g, h := range tab {
+		inv[h] = g
+	}
+	shape := s.cfg.Host.Shape
+	strides := shape.Strides()
+	extended := s.cfg.AnnealMoves == AnnealMovesAll
+	var guests, hosts, from []int
+	move := func(hosts []int) {
+		for i, g := range guests {
+			tab[g] = hosts[i]
+			inv[hosts[i]] = g
+		}
+	}
 	cur := start
 	bestTab := append(embed.Table(nil), tab...)
 	best := start
@@ -24,12 +42,55 @@ func (s *searcher) annealRunFull(tab embed.Table, start Costs, steps int, rng *r
 	const tEnd = 0.01
 	for step := 0; step < steps; step++ {
 		temp := t0 * math.Pow(tEnd/t0, float64(step)/float64(steps))
-		i := rng.Intn(n)
-		j := rng.Intn(n - 1)
-		if j >= i {
-			j++
+		guests, hosts = guests[:0], hosts[:0]
+		if extended {
+			switch rng.Intn(8) {
+			case 6: // reverse a segment of a host-axis line
+				if j := rng.Intn(len(shape)); shape[j] >= 2 {
+					l, st := shape[j], strides[j]
+					anchor := rng.Intn(n)
+					base := anchor - anchor/st%l*st
+					a, b := rng.Intn(l), rng.Intn(l-1)
+					if b >= a {
+						b++
+					}
+					a, b = min(a, b), max(a, b)
+					for k := a; k <= b; k++ {
+						guests = append(guests, inv[base+k*st])
+						hosts = append(hosts, base+(a+b-k)*st)
+					}
+				}
+			case 7: // swap two parallel hyperplanes
+				if j := rng.Intn(len(shape)); shape[j] >= 2 {
+					l, st := shape[j], strides[j]
+					c1, c2 := rng.Intn(l), rng.Intn(l-1)
+					if c2 >= c1 {
+						c2++
+					}
+					for h := range n {
+						if h/st%l == c1 {
+							h2 := h + (c2-c1)*st
+							guests = append(guests, inv[h], inv[h2])
+							hosts = append(hosts, h2, h)
+						}
+					}
+				}
+			}
 		}
-		tab[i], tab[j] = tab[j], tab[i]
+		if len(guests) == 0 {
+			i := rng.Intn(n)
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			guests = append(guests, i, j)
+			hosts = append(hosts, tab[j], tab[i])
+		}
+		from = from[:0]
+		for _, g := range guests {
+			from = append(from, tab[g])
+		}
+		move(hosts)
 		c, err := s.evalTable(tab)
 		if err != nil {
 			return nil, Costs{}, err
@@ -42,7 +103,7 @@ func (s *searcher) annealRunFull(tab embed.Table, start Costs, steps int, rng *r
 				copy(bestTab, tab)
 			}
 		} else {
-			tab[i], tab[j] = tab[j], tab[i]
+			move(from)
 		}
 	}
 	return bestTab, best, nil
@@ -105,30 +166,37 @@ func paperTable(t testing.TB, s *searcher) (embed.Table, Costs) {
 	return tab, start
 }
 
-// TestAnnealIncrementalMatchesFull: with the default swap repertoire,
-// the incremental engine consumes the RNG exactly as the full
-// re-measurement loop did, so a fixed seed and step budget must
-// reproduce the reference's best table and costs bit-for-bit. The
-// scrambled starts accept and revert many moves; the paper start
-// rejects most moves on the dilation bound alone, so that path is
-// pinned to the exact rule too. Under a dilation-only objective the
-// bound equals the exact score, so every uphill move is decided at the
-// bound's threshold, which pins its margin.
+// TestAnnealIncrementalMatchesFull: the incremental engine consumes the
+// RNG exactly as the full re-measurement loop does, so a fixed seed and
+// step budget must reproduce the reference's best table and costs
+// bit-for-bit, under either repertoire. The scrambled starts accept and
+// reject many evaluated moves; the paper starts reject most moves on
+// the dilation bound alone, so that path is pinned to the exact rule
+// too. The extended cases check every segment reversal and plane swap,
+// evaluated and applied or dropped, against the reference's evalTable;
+// both runs must also leave the RNG stream at the same point, which
+// holds only when every step drew alike.
+// Under a dilation-only objective the bound equals the exact score, so
+// every uphill move is decided at the bound's threshold, which pins its
+// margin.
 func TestAnnealIncrementalMatchesFull(t *testing.T) {
 	cases := []struct {
 		guest, host grid.Spec
 		steps       int
+		moves       string
 		paper       bool      // start from the paper embedding, not a scrambled table
 		obj         Objective // the zero value keeps the default
 	}{
-		{grid.MustSpec(grid.Torus, grid.Shape{16}), grid.TorusSpec(4, 4), 512, false, Objective{}},
-		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512, false, Objective{}},
-		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 96, false, Objective{}},
-		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 512, true, Objective{}},
-		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512, false, Objective{Alpha: 1}},
+		{grid.MustSpec(grid.Torus, grid.Shape{16}), grid.TorusSpec(4, 4), 512, DefaultAnnealMoves, false, Objective{}},
+		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512, DefaultAnnealMoves, false, Objective{}},
+		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 96, DefaultAnnealMoves, false, Objective{}},
+		{grid.TorusSpec(16, 16), grid.MeshSpec(16, 16), 512, DefaultAnnealMoves, true, Objective{}},
+		{grid.MeshSpec(6, 4), grid.MeshSpec(8, 3), 512, DefaultAnnealMoves, false, Objective{Alpha: 1}},
+		{grid.MeshSpec(16, 16), grid.TorusSpec(4, 4, 16), 256, AnnealMovesAll, false, Objective{}},
+		{grid.MeshSpec(16, 16), grid.TorusSpec(4, 4, 16), 512, AnnealMovesAll, true, Objective{}},
 	}
 	for _, tc := range cases {
-		s, tab, start := annealSearcher(t, tc.guest, tc.host, DefaultAnnealMoves)
+		s, tab, start := annealSearcher(t, tc.guest, tc.host, tc.moves)
 		if tc.obj != (Objective{}) {
 			s.cfg.Objective = tc.obj
 			var err error
@@ -141,38 +209,47 @@ func TestAnnealIncrementalMatchesFull(t *testing.T) {
 		}
 		bounded := 0
 		for seed := int64(1); seed <= 3; seed++ {
-			gotTab, got, b, err := s.annealRun(tableEmbedding(t, s, tab), start, tc.steps, rand.New(rand.NewSource(seed)))
+			rng, wantRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			out := s.annealRun(tableEmbedding(t, s, tab), start, tc.steps, rng)
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			bounded += out.bounded
+			wantTab, want, err := s.annealRunFull(append(embed.Table(nil), tab...), start, tc.steps, wantRNG)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bounded += b
-			wantTab, want, err := s.annealRunFull(append(embed.Table(nil), tab...), start, tc.steps, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
+			// The runs draw the uniform only on uphill moves, so runs
+			// whose trajectories part leave their streams at different
+			// points, even when their best placements agree.
+			if rng.Int63() != wantRNG.Int63() {
+				t.Fatalf("%s -> %s (%s) seed %d: the runs consumed the RNG stream differently", tc.guest, tc.host, tc.moves, seed)
 			}
-			if got != want {
-				t.Fatalf("%s -> %s seed %d: incremental best %+v, full-eval best %+v",
-					tc.guest, tc.host, seed, got, want)
+			if out.got != want {
+				t.Fatalf("%s -> %s (%s) seed %d: incremental best %+v, full-eval best %+v",
+					tc.guest, tc.host, tc.moves, seed, out.got, want)
 			}
 			for i := range wantTab {
-				if gotTab[i] != wantTab[i] {
-					t.Fatalf("%s -> %s seed %d: best tables diverge at guest %d: %d vs %d",
-						tc.guest, tc.host, seed, i, gotTab[i], wantTab[i])
+				if out.tab[i] != wantTab[i] {
+					t.Fatalf("%s -> %s (%s) seed %d: best tables diverge at guest %d: %d vs %d",
+						tc.guest, tc.host, tc.moves, seed, i, out.tab[i], wantTab[i])
 				}
 			}
 		}
 		if tc.paper && 2*bounded <= 3*tc.steps {
-			t.Errorf("%s -> %s from the paper embedding: the bound rejected %d of %d moves, want most", tc.guest, tc.host, bounded, 3*tc.steps)
+			t.Errorf("%s -> %s (%s) from the paper embedding: the bound rejected %d of %d moves, want most", tc.guest, tc.host, tc.moves, bounded, 3*tc.steps)
 		}
 	}
 }
 
 // TestStateCostsMatchEval drives a load state through random swaps,
-// segment reversals and plane swaps, each proposed and committed,
-// checking after every move that the proposed dilation and the
-// incrementally derived cost vector — score included — equal a full
-// evalTable measurement exactly. This is the engine-level delta-vs-full
-// property the annealing acceptance decisions depend on.
+// segment reversals and plane swaps. Each is proposed and evaluated,
+// and the proposed dilation and the evaluated cost vector — score
+// included — must equal a full evalTable measurement of the moved table
+// exactly, before the move is made. Every fourth move is then dropped
+// and the rest applied, after which the state's own costs must equal
+// the same measurement. This is the engine-level delta-vs-full property
+// the annealing acceptance decisions depend on.
 func TestStateCostsMatchEval(t *testing.T) {
 	s, tab, _ := annealSearcher(t, grid.TorusSpec(6, 4), grid.MeshSpec(4, 6), AnnealMovesAll)
 	ls, err := netsim.NewLoadState(s.nw, s.guest.Graph(), netsim.Placement(tab))
@@ -186,6 +263,7 @@ func TestStateCostsMatchEval(t *testing.T) {
 	if testing.Short() {
 		moves = 20
 	}
+	moved := make(embed.Table, n)
 	for m := 0; m < moves; m++ {
 		switch rng.Intn(3) {
 		case 0:
@@ -204,19 +282,31 @@ func TestStateCostsMatchEval(t *testing.T) {
 				t.Fatal("planeSwap refused a multi-node host")
 			}
 		}
-		dil := ls.Propose(ms.guests, ms.newHosts)
-		ls.Commit()
-		snap := make(embed.Table, n)
-		ls.CopyTableInto(snap)
-		want, err := s.evalTable(snap)
+		ls.CopyTableInto(moved)
+		for i, g := range ms.guests {
+			moved[g] = int(ms.newHosts[i])
+		}
+		want, err := s.evalTable(moved)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.stateCosts(ls); got != want {
-			t.Fatalf("move %d: incremental costs %+v, evalTable %+v", m, got, want)
-		}
+		dil := ls.Propose(ms.guests, ms.newHosts)
 		if dil != want.Dilation {
 			t.Fatalf("move %d: proposed dilation %d, evalTable %d", m, dil, want.Dilation)
+		}
+		stats, maxDist, avgDist, err := ls.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.costs(maxDist, avgDist, stats); got != want {
+			t.Fatalf("move %d: evaluated costs %+v, evalTable %+v", m, got, want)
+		}
+		if m%4 == 3 {
+			continue
+		}
+		ls.Apply()
+		if got := s.stateCosts(ls); got != want {
+			t.Fatalf("move %d: incremental costs %+v, evalTable %+v", m, got, want)
 		}
 	}
 }
@@ -366,7 +456,7 @@ func BenchmarkAnnealStep(b *testing.B) {
 		if full {
 			_, _, err = s.annealRunFull(append(embed.Table(nil), tab...), start, b.N, rng)
 		} else {
-			_, _, _, err = s.annealRun(tableEmbedding(b, s, tab), start, b.N, rng)
+			err = s.annealRun(tableEmbedding(b, s, tab), start, b.N, rng).err
 		}
 		if err != nil {
 			b.Fatal(err)

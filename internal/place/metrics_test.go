@@ -39,10 +39,11 @@ func TestAnnealCountersExact(t *testing.T) {
 	rej0 := annealRejected.Value()
 	bnd0 := annealBounded.Value()
 	const steps = 200
-	_, _, bounded, err := s.annealRun(tableEmbedding(t, s, tab), start, steps, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
+	out := s.annealRun(tableEmbedding(t, s, tab), start, steps, rand.New(rand.NewSource(1)))
+	if out.err != nil {
+		t.Fatal(out.err)
 	}
+	bounded := out.bounded
 	if got := annealRuns.Value() - runs0; got != 1 {
 		t.Errorf("runs moved by %d, want 1", got)
 	}

@@ -557,12 +557,15 @@ type Result struct {
 
 // AnnealRunStat is one annealing run's telemetry: the index of the
 // scored candidate it refined, its move budget, how many of its moves
-// the dilation bound rejected before routing them, and its wall time
-// (scheduling-dependent; never serialized).
+// the dilation bound rejected before routing them, and two wall times
+// (scheduling-dependent; never serialized). Moves is the move loop's
+// own; Elapsed is the whole run's, which adds the seed rebuild, the
+// load-state set-up and the final re-measurement of the best table.
 type AnnealRunStat struct {
 	SeedIndex int
 	Steps     int
 	Bounded   int
+	Moves     time.Duration
 	Elapsed   time.Duration
 }
 

@@ -115,7 +115,9 @@ func sizeSpecs(n, maxDim int) []grid.Spec {
 // parkWorker starts a server whose one search worker searches the
 // given pairs and then parks on a decoy pair whose search blocks until
 // the test ends, so every pair requested afterwards stays queued and
-// answers at the baseline tier.
+// answers at the baseline tier. Once the test ends the worker may still
+// take queued pairs before Close stops it; only the decoy's start is
+// awaited, so those searches must not block on the signal.
 func parkWorker(t testing.TB, cfg Config, searched ...[2]grid.Spec) *Server {
 	t.Helper()
 	var park atomic.Bool
@@ -125,7 +127,10 @@ func parkWorker(t testing.TB, cfg Config, searched ...[2]grid.Spec) *Server {
 		if !park.Load() {
 			return place.Search(pc)
 		}
-		started <- struct{}{}
+		select {
+		case started <- struct{}{}:
+		default:
+		}
 		<-hold
 		return nil, ErrClosed
 	}
