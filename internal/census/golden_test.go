@@ -82,3 +82,50 @@ func TestGoldenArtifact(t *testing.T) {
 	// TestHistogramTopEdge).
 	assertHistogramTopEdges(t, dec)
 }
+
+// streamGoldenPath is the NDJSON stream encoding of the same census,
+// named after the artifact schema version its header line carries.
+func streamGoldenPath() string {
+	return filepath.Join("testdata", "census-v4-stream.golden.ndjson")
+}
+
+// TestGoldenStream pins the NDJSON stream encoding of goldenConfig's
+// census — the header line's field order and every record line — the
+// way TestGoldenArtifact pins the JSON document. Regenerate with
+//
+//	go test ./internal/census -run Golden -update
+func TestGoldenStream(t *testing.T) {
+	var buf bytes.Buffer
+	if err := census.WriteStream(&buf, mustRun(t, goldenConfig())); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	if *update {
+		if err := os.WriteFile(streamGoldenPath(), got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %s (%d bytes)", streamGoldenPath(), len(got))
+		return
+	}
+	want, err := os.ReadFile(streamGoldenPath())
+	if err != nil {
+		t.Fatalf("missing golden stream (run with -update to create it): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("census stream drifted from %s: got %d bytes, want %d bytes.\n"+
+			"If the encoding changed on purpose, bump the version it carries and regenerate with -update.",
+			streamGoldenPath(), len(got), len(want))
+	}
+	// The golden stream reads back as the golden document.
+	c, err := census.ReadStream(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("golden stream does not read: %v", err)
+	}
+	doc, err := os.ReadFile(goldenPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, c), doc) {
+		t.Errorf("golden stream does not read back as %s", goldenPath())
+	}
+}
