@@ -88,11 +88,8 @@ func Decode(r io.Reader) (*Census, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("census: decode: trailing data after the artifact")
 	}
-	if c.Version != ArtifactVersion {
-		return nil, fmt.Errorf("census: artifact version %d is incompatible (want %d)", c.Version, ArtifactVersion)
-	}
-	if c.Shards < 1 || c.Shard < 0 || c.Shard >= c.Shards {
-		return nil, fmt.Errorf("census: artifact has invalid shard %d/%d", c.Shard, c.Shards)
+	if err := c.check("artifact"); err != nil {
+		return nil, err
 	}
 	if c.ByStrategy == nil {
 		c.ByStrategy = map[string]int{}
@@ -100,22 +97,8 @@ func Decode(r io.Reader) (*Census, error) {
 	return &c, nil
 }
 
-// ReadFile loads an artifact from path.
-func ReadFile(path string) (*Census, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return c, nil
-}
-
 // compatible reports why two artifacts cannot be merged, or nil.
-func compatible(a, b *Census) error {
+func compatible(a, b *Header) error {
 	switch {
 	case a.Version != b.Version:
 		return fmt.Errorf("versions %d and %d differ", a.Version, b.Version)
@@ -163,7 +146,7 @@ func Merge(parts ...*Census) (*Census, error) {
 	var duplicated []int
 	total := 0
 	for _, p := range parts {
-		if err := compatible(base, p); err != nil {
+		if err := compatible(&base.Header, &p.Header); err != nil {
 			return nil, fmt.Errorf("census: cannot merge: %v", err)
 		}
 		if seen[p.Shard] {
@@ -206,20 +189,9 @@ func Merge(parts ...*Census) (*Census, error) {
 	if len(results) != base.SpacePairs {
 		return nil, fmt.Errorf("census: cannot merge: %d pairs cover a space of %d", len(results), base.SpacePairs)
 	}
-	out := &Census{
-		Version:    base.Version,
-		Size:       base.Size,
-		MaxDim:     base.MaxDim,
-		Shard:      0,
-		Shards:     1,
-		Metrics:    base.Metrics,
-		Congestion: base.Congestion,
-		Placed:     base.Placed,
-		PlaceSpec:  base.PlaceSpec,
-		Shapes:     append([]string(nil), base.Shapes...),
-		SpacePairs: base.SpacePairs,
-		Results:    results,
-	}
+	out := &Census{Header: base.Header, Results: results}
+	out.Shard, out.Shards = 0, 1
+	out.Shapes = append([]string(nil), base.Shapes...)
 	out.recount()
 	return out, nil
 }

@@ -181,9 +181,12 @@ type PairResult struct {
 	Wall time.Duration `json:"-"`
 }
 
-// Census is the (mergeable, serializable) outcome of a census run. All
-// aggregate fields are derived from Results; Merge recomputes them.
-type Census struct {
+// Header is what a census covers: its schema version, pair space,
+// shard and measured columns. It leads both encodings — the JSON
+// document (Census) and the NDJSON stream's header line (StreamHeader)
+// embed it, and encoding/json writes its fields at the embedding's
+// position.
+type Header struct {
 	Version    int      `json:"version"`
 	Size       int      `json:"size"`
 	MaxDim     int      `json:"maxdim"`
@@ -194,9 +197,27 @@ type Census struct {
 	Placed     bool     `json:"placed"`
 	PlaceSpec  string   `json:"place_spec,omitempty"`
 	Shapes     []string `json:"shapes"`
-	// SpacePairs is the size of the full pair space; Pairs is the
-	// number evaluated in this artifact's shard.
-	SpacePairs        int            `json:"space_pairs"`
+	// SpacePairs is the size of the full pair space; Census.Pairs is
+	// the number evaluated in the artifact's shard.
+	SpacePairs int `json:"space_pairs"`
+}
+
+// check rejects headers from other schema versions and structurally
+// invalid shard labels; what names the encoding in the shard error.
+func (h *Header) check(what string) error {
+	if h.Version != ArtifactVersion {
+		return fmt.Errorf("census: artifact version %d is incompatible (want %d)", h.Version, ArtifactVersion)
+	}
+	if h.Shards < 1 || h.Shard < 0 || h.Shard >= h.Shards {
+		return fmt.Errorf("census: %s has invalid shard %d/%d", what, h.Shard, h.Shards)
+	}
+	return nil
+}
+
+// Census is the (mergeable, serializable) outcome of a census run. All
+// aggregate fields are derived from Results; Merge recomputes them.
+type Census struct {
+	Header
 	Pairs             int            `json:"pairs"`
 	Embeddable        int            `json:"embeddable"`
 	ConstructFailures int            `json:"construct_failures"`
@@ -240,14 +261,11 @@ type StrategyHistogram struct {
 var kinds = [2]grid.Kind{grid.Mesh, grid.Torus}
 
 // Specs returns the (shape, kind) spec list of the config's pair space
-// in enumeration order: pair i embeds guest Specs[i/n] into host
-// Specs[i%n] where n = len(Specs). The distributed driver validates
-// streamed records against this enumeration.
-func (cfg *Config) Specs() []grid.Spec { return cfg.specs() }
-
-// specs expands the shape list into the (shape, kind) spec list: each
-// shape contributes its mesh then its torus.
-func (cfg *Config) specs() []grid.Spec {
+// in enumeration order: each shape contributes its mesh then its torus,
+// and pair i embeds guest Specs[i/n] into host Specs[i%n] where
+// n = len(Specs). The distributed driver validates streamed records
+// against this enumeration.
+func (cfg *Config) Specs() []grid.Spec {
 	out := make([]grid.Spec, 0, 2*len(cfg.Shapes))
 	for _, s := range cfg.Shapes {
 		for _, k := range kinds {
@@ -255,6 +273,29 @@ func (cfg *Config) specs() []grid.Spec {
 		}
 	}
 	return out
+}
+
+// header returns the header a census of this config carries, reading
+// the zero shard spec as 0/1.
+func (cfg *Config) header() Header {
+	shards := cfg.Shards
+	if shards == 0 {
+		shards = 1
+	}
+	specs := 2 * len(cfg.Shapes)
+	return Header{
+		Version:    ArtifactVersion,
+		Size:       cfg.Size,
+		MaxDim:     cfg.MaxDim,
+		Shard:      cfg.Shard,
+		Shards:     shards,
+		Metrics:    cfg.Metrics,
+		Congestion: cfg.Congestion,
+		Placed:     cfg.Place != nil,
+		PlaceSpec:  cfg.PlaceSpec,
+		Shapes:     shapeStrings(cfg.Shapes),
+		SpacePairs: specs * specs,
+	}
 }
 
 // validate normalizes the zero shard spec and rejects misconfiguration.
@@ -293,10 +334,10 @@ func Run(cfg Config) (*Census, error) {
 		return nil, err
 	}
 	start := cfg.Clock()
-	specs := cfg.specs()
-	space := len(specs) * len(specs)
-	indices := make([]int, 0, (space+cfg.Shards-1)/cfg.Shards)
-	for i := cfg.Shard; i < space; i += cfg.Shards {
+	specs := cfg.Specs()
+	c := &Census{Header: cfg.header()}
+	indices := make([]int, 0, (c.SpacePairs+cfg.Shards-1)/cfg.Shards)
+	for i := cfg.Shard; i < c.SpacePairs; i += cfg.Shards {
 		if cfg.Skip != nil && cfg.Skip(i) {
 			continue
 		}
@@ -325,20 +366,7 @@ func Run(cfg Config) (*Census, error) {
 	if interrupted.Load() {
 		return nil, ErrInterrupted
 	}
-	c := &Census{
-		Version:    ArtifactVersion,
-		Size:       cfg.Size,
-		MaxDim:     cfg.MaxDim,
-		Shard:      cfg.Shard,
-		Shards:     cfg.Shards,
-		Metrics:    cfg.Metrics,
-		Congestion: cfg.Congestion,
-		Placed:     cfg.Place != nil,
-		PlaceSpec:  cfg.PlaceSpec,
-		Shapes:     shapeStrings(cfg.Shapes),
-		SpacePairs: space,
-		Results:    results,
-	}
+	c.Results = results
 	c.recount()
 	c.Elapsed = cfg.Clock().Sub(start)
 	return c, nil

@@ -219,14 +219,14 @@ func TestWriteReadFile(t *testing.T) {
 	if err := c.WriteFile(path); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	back, err := census.ReadFile(path)
+	back, err := census.ReadFileAny(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if !bytes.Equal(encode(t, c), encode(t, back)) {
 		t.Error("artifact changed across a file round trip")
 	}
-	if _, err := census.ReadFile(t.TempDir() + "/missing.json"); err == nil {
+	if _, err := census.ReadFileAny(t.TempDir() + "/missing.json"); err == nil {
 		t.Error("reading a missing artifact succeeded")
 	}
 }

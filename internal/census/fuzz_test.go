@@ -24,14 +24,13 @@ import (
 // fuzzHeader is a minimal valid stream header for seed corpus
 // construction.
 func fuzzHeader() StreamHeader {
-	return StreamHeader{
-		Stream:  StreamVersion,
+	return StreamHeader{Stream: StreamVersion, Header: Header{
 		Version: ArtifactVersion,
 		Size:    8,
 		Shards:  1,
 		Metrics: true,
 		Shapes:  []string{"8", "4x2", "2x2x2"},
-	}
+	}}
 }
 
 // fuzzStreamBytes builds a well-formed two-record journal.

@@ -49,83 +49,22 @@ var ErrTruncatedStream = errors.New("census: stream artifact ends mid-record")
 var ErrNoHeader = errors.New("census: stream has no header line")
 
 // StreamHeader is the first line of an NDJSON census stream: the
-// census-level fields of the artifact, minus the aggregates (which are
-// derived from the records and recomputed on read).
+// census's Header, minus the aggregates (which are derived from the
+// records and recomputed on read).
 type StreamHeader struct {
-	Stream     int      `json:"stream"` // StreamVersion; must stay the first field (see streamPrefix)
-	Version    int      `json:"version"`
-	Size       int      `json:"size"`
-	MaxDim     int      `json:"maxdim"`
-	Shard      int      `json:"shard"`
-	Shards     int      `json:"shards"`
-	Metrics    bool     `json:"metrics"`
-	Congestion bool     `json:"congestion"`
-	Placed     bool     `json:"placed"`
-	PlaceSpec  string   `json:"place_spec,omitempty"`
-	Shapes     []string `json:"shapes"`
-	SpacePairs int      `json:"space_pairs"`
+	Stream int `json:"stream"` // StreamVersion; must stay the first field (see streamPrefix)
+	Header
 }
 
 // StreamHeader returns the census's header line fields.
 func (c *Census) StreamHeader() StreamHeader {
-	return StreamHeader{
-		Stream:     StreamVersion,
-		Version:    c.Version,
-		Size:       c.Size,
-		MaxDim:     c.MaxDim,
-		Shard:      c.Shard,
-		Shards:     c.Shards,
-		Metrics:    c.Metrics,
-		Congestion: c.Congestion,
-		Placed:     c.Placed,
-		PlaceSpec:  c.PlaceSpec,
-		Shapes:     c.Shapes,
-		SpacePairs: c.SpacePairs,
-	}
+	return StreamHeader{Stream: StreamVersion, Header: c.Header}
 }
 
 // StreamHeader returns the header a census of this config would carry:
 // what a worker stamps on its stream before any pair has finished.
 func (cfg *Config) StreamHeader() StreamHeader {
-	shard, shards := cfg.Shard, cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	specs := 2 * len(cfg.Shapes)
-	return StreamHeader{
-		Stream:     StreamVersion,
-		Version:    ArtifactVersion,
-		Size:       cfg.Size,
-		MaxDim:     cfg.MaxDim,
-		Shard:      shard,
-		Shards:     shards,
-		Metrics:    cfg.Metrics,
-		Congestion: cfg.Congestion,
-		Placed:     cfg.Place != nil,
-		PlaceSpec:  cfg.PlaceSpec,
-		Shapes:     shapeStrings(cfg.Shapes),
-		SpacePairs: specs * specs,
-	}
-}
-
-// Census converts the header into an empty census skeleton; filling in
-// Results and recounting yields the census the stream encodes.
-func (h StreamHeader) Census() *Census {
-	c := &Census{
-		Version:    h.Version,
-		Size:       h.Size,
-		MaxDim:     h.MaxDim,
-		Shard:      h.Shard,
-		Shards:     h.Shards,
-		Metrics:    h.Metrics,
-		Congestion: h.Congestion,
-		Placed:     h.Placed,
-		PlaceSpec:  h.PlaceSpec,
-		Shapes:     append([]string(nil), h.Shapes...),
-		SpacePairs: h.SpacePairs,
-	}
-	c.recount()
-	return c
+	return StreamHeader{Stream: StreamVersion, Header: cfg.header()}
 }
 
 // validate rejects headers from other framing or schema versions and
@@ -134,13 +73,7 @@ func (h StreamHeader) validate() error {
 	if h.Stream != StreamVersion {
 		return fmt.Errorf("census: stream version %d is incompatible (want %d)", h.Stream, StreamVersion)
 	}
-	if h.Version != ArtifactVersion {
-		return fmt.Errorf("census: artifact version %d is incompatible (want %d)", h.Version, ArtifactVersion)
-	}
-	if h.Shards < 1 || h.Shard < 0 || h.Shard >= h.Shards {
-		return fmt.Errorf("census: stream header has invalid shard %d/%d", h.Shard, h.Shards)
-	}
-	return nil
+	return h.check("stream header")
 }
 
 // SameCensus reports whether two headers describe the same census
@@ -148,13 +81,10 @@ func (h StreamHeader) validate() error {
 // (0/1) journal can be compared against a worker's i/m stream. Callers
 // that need the shard labels equal too compare them directly.
 func (h StreamHeader) SameCensus(o StreamHeader) error {
-	a, b := h.Census(), o.Census()
+	a, b := h.Header, o.Header
 	a.Shard, a.Shards = 0, 1
 	b.Shard, b.Shards = 0, 1
-	if err := compatible(a, b); err != nil {
-		return err
-	}
-	return nil
+	return compatible(&a, &b)
 }
 
 // StreamWriter appends NDJSON census records to an underlying writer.
@@ -306,6 +236,25 @@ func (c *Census) WriteStreamFile(path string) error {
 	return f.Close()
 }
 
+// readAll reads the stream's remaining records: every intact one, up
+// to the first damage (a truncated or undecodable line), which it
+// returns as the error — nil at a clean end of stream. It is the one
+// record loop of the whole-stream readers, which differ only in what
+// they make of the damage.
+func (sr *StreamReader) readAll() ([]PairResult, error) {
+	var recs []PairResult
+	for {
+		rec, err := sr.Read()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, *rec)
+	}
+}
+
 // ReadStream reads a complete stream artifact strictly: any truncated
 // or undecodable line is an error. Aggregates are recomputed from the
 // records, so the result is interchangeable with the census the stream
@@ -315,21 +264,11 @@ func ReadStream(r io.Reader) (*Census, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readStreamRecords(sr)
-}
-
-func readStreamRecords(sr *StreamReader) (*Census, error) {
-	c := sr.Header.Census()
-	for {
-		rec, err := sr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.Results = append(c.Results, *rec)
+	recs, err := sr.readAll()
+	if err != nil {
+		return nil, err
 	}
+	c := &Census{Header: sr.Header.Header, Results: recs}
 	c.recount()
 	return c, nil
 }
@@ -344,16 +283,8 @@ func ScanStream(r io.Reader) (StreamHeader, []PairResult, error) {
 	if err != nil {
 		return StreamHeader{}, nil, err
 	}
-	var out []PairResult
-	for {
-		rec, err := sr.Read()
-		if err != nil {
-			// io.EOF is the clean end; anything else is damage at the
-			// tail, which resume simply re-evaluates.
-			return sr.Header, out, nil
-		}
-		out = append(out, *rec)
-	}
+	recs, _ := sr.readAll()
+	return sr.Header, recs, nil
 }
 
 // ScanStreamFile is ScanStream over a file. It never modifies the
@@ -419,20 +350,8 @@ func RepairStreamFile(path string) (StreamHeader, []PairResult, error) {
 	if err != nil {
 		return StreamHeader{}, nil, fmt.Errorf("%s: %v", path, err)
 	}
-	var recs []PairResult
-	damaged := false
-	for {
-		rec, err := sr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			damaged = true
-			break
-		}
-		recs = append(recs, *rec)
-	}
-	if damaged {
+	recs, damage := sr.readAll()
+	if damage != nil {
 		if err := f.Truncate(sr.IntactBytes()); err != nil {
 			return StreamHeader{}, nil, fmt.Errorf("%s: truncate damaged tail: %v", path, err)
 		}

@@ -535,9 +535,7 @@ func (d *Driver) Run(ctx context.Context) (*census.Census, error) {
 		_ = d.handleEvent(st, ev, retries, &timers)
 	}
 
-	c := d.plan.Config.StreamHeader().Census()
-	c.Results = st.results
-	merged, err := census.Merge(c)
+	merged, err := census.Merge(&census.Census{Header: d.plan.Config.StreamHeader().Header, Results: st.results})
 	if err != nil {
 		// Unreachable if the fold is correct: every stripe was counted
 		// down to zero before we got here.

@@ -283,7 +283,7 @@ func TestMembersBuiltOnDemand(t *testing.T) {
 		{grid.TorusSpec(4, 2), grid.MeshSpec(4, 2)},
 		{grid.MeshSpec(4, 2), grid.RingSpec(8)},
 	}
-	c := &census.Census{Version: census.ArtifactVersion, Size: 8, Shards: 1, Placed: true}
+	c := &census.Census{Header: census.Header{Version: census.ArtifactVersion, Size: 8, Shards: 1, Placed: true}}
 	for _, p := range pairs {
 		c.Results = append(c.Results, census.PairResult{Guest: p[0].String(), Host: p[1].String(), Place: &census.PlaceSummary{}})
 	}

@@ -278,11 +278,13 @@ func TestHTTPWarmEndpoint(t *testing.T) {
 	g, h := grid.TorusSpec(4, 2), grid.MeshSpec(4, 2)
 	ref, refBytes := refSearch(t, g, h)
 	warmCensus := &census.Census{
-		Version:   census.ArtifactVersion,
-		Size:      8,
-		Shards:    1,
-		Placed:    true,
-		PlaceSpec: testConfig().Place.Spec(),
+		Header: census.Header{
+			Version:   census.ArtifactVersion,
+			Size:      8,
+			Shards:    1,
+			Placed:    true,
+			PlaceSpec: testConfig().Place.Spec(),
+		},
 		Results: []census.PairResult{
 			{Guest: g.String(), Host: h.String(), Place: place.Summary(ref.Best)},
 		},
@@ -368,7 +370,7 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /place = %d, want 405", resp.StatusCode)
 	}
-	valid, err := (&census.Census{Version: census.ArtifactVersion, Size: 8, Shards: 1}).EncodeBytes()
+	valid, err := (&census.Census{Header: census.Header{Version: census.ArtifactVersion, Size: 8, Shards: 1}}).EncodeBytes()
 	if err != nil {
 		t.Fatal(err)
 	}

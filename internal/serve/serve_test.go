@@ -230,7 +230,7 @@ func TestWarmCensusParity(t *testing.T) {
 	srv := newTestServer(t, testConfig())
 
 	c := &census.Census{
-		PlaceSpec: testConfig().Place.Spec(),
+		Header: census.Header{PlaceSpec: testConfig().Place.Spec()},
 		Results: []census.PairResult{
 			{Guest: g.String(), Host: h.String(), Place: place.Summary(ref.Best)},
 			{Guest: "mesh(4x2)", Host: "mesh(2x4)", Failure: "nope", FailureStage: "construct"},
@@ -278,7 +278,7 @@ func TestWarmCensusMismatchDetected(t *testing.T) {
 	doctored := place.Summary(ref.Best)
 	doctored.Dilation++
 	c := &census.Census{
-		PlaceSpec: testConfig().Place.Spec(),
+		Header: census.Header{PlaceSpec: testConfig().Place.Spec()},
 		Results: []census.PairResult{
 			{Guest: g.String(), Host: h.String(), Place: doctored},
 		},
@@ -304,7 +304,7 @@ func TestWarmCensusForeignSpecNotCrossChecked(t *testing.T) {
 	doctored := place.Summary(ref.Best)
 	doctored.Peak += 7
 	c := &census.Census{
-		PlaceSpec: "engine=3 objective=9,9,9 budget=1 cap=false rotations=false strategies=other",
+		Header: census.Header{PlaceSpec: "engine=3 objective=9,9,9 budget=1 cap=false rotations=false strategies=other"},
 		Results: []census.PairResult{
 			{Guest: g.String(), Host: h.String(), Place: doctored},
 		},
