@@ -157,9 +157,9 @@ func TestClosedFormBytesPerCall(t *testing.T) {
 // paper embedding of torus(32x32x32) -> mesh(32x32x32), a proved
 // bijection, takes its aggregates from the closed form and leaves its
 // link array to the first Evaluate, so construction allocates the
-// placement tables, edge stamps and validation scratch (about 0.7 MB)
-// but no load array: that array alone, LinkSlots()·4 bytes, is the
-// limit.
+// placement tables, the moved-guest marks and validation scratch (about
+// 0.3 MB) but no load array and nothing edge-sized: half that array,
+// LinkSlots()·2 bytes, is the limit.
 func TestEmbeddingLoadStateBytesPerCall(t *testing.T) {
 	gs, hs := grid.TorusSpec(32, 32, 32), grid.MeshSpec(32, 32, 32)
 	e, err := core.Embed(gs, hs)
@@ -173,8 +173,8 @@ func TestEmbeddingLoadStateBytesPerCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	limit := 4 * uint64(nw.LinkSlots())
-	t.Logf("NewEmbeddingLoadState of %s -> %s: %d B/call (limit %d, one load array)", gs, hs, got, limit)
+	limit := 2 * uint64(nw.LinkSlots())
+	t.Logf("NewEmbeddingLoadState of %s -> %s: %d B/call (limit %d, half a load array)", gs, hs, got, limit)
 	if got > limit {
 		t.Errorf("NewEmbeddingLoadState of %s -> %s allocates %d B/call, want <= %d", gs, hs, got, limit)
 	}

@@ -36,10 +36,10 @@
 // dilation never builds the array.
 //
 // A move is three calls, and nothing is ever undone. Propose stages it:
-// it marks the edges incident to the moved guests and returns the exact
+// it lists the edges incident to the moved guests and returns the exact
 // dilation the placement would have after the move, measuring those
 // edges' distances from host coordinates alone, with the router's own
-// per-axis rule. Evaluate routes the marked edges before and after the
+// per-axis rule. Evaluate routes the listed edges before and after the
 // move into a per-link delta — a link-sized array beside the list of
 // the links the routes cross, both reset per move — and returns the
 // exact congestion stats and dilation the placement would have, from
@@ -92,8 +92,9 @@ type LoadState struct {
 	maxDist  int
 	distSum  int64
 
-	stamp []int32 // per-edge epoch marks of the current move
-	epoch int32
+	// moved marks, one bit per guest, the guests whose incident edges
+	// Propose has listed so far; Propose clears it before it returns.
+	moved []uint64
 	// delta[r] is the net load change on link r of the routes Evaluate
 	// has taken off and put on so far; Evaluate leaves it all zero.
 	delta []int32
@@ -111,7 +112,7 @@ type move struct {
 	guests  []int32 // the moved guests
 	from    []int32 // their hosts before the move
 	to      []int32 // their hosts after it
-	touched []int32 // the edges incident to a moved guest, each once
+	touched []int32 // the edges incident to a moved guest, each once, in first-touch order
 	// dist holds each touched edge's distance: Propose keeps the
 	// distances before the move there, and Evaluate the routed ones,
 	// before the move in dist[:len(touched)] and after it in
@@ -168,7 +169,7 @@ func newLoadState(nw *Network, tg *taskgraph.Graph, incidence func() (off, edges
 		tg:    tg,
 		p:     make([]int32, len(p)),
 		inv:   make([]int32, nw.n),
-		stamp: make([]int32, len(tg.Edges)),
+		moved: make([]uint64, (tg.N+63)/64),
 	}
 	if cf != nil {
 		ls.cf = cf
@@ -256,18 +257,22 @@ func (ls *LoadState) meanDistance(sum int64) float64 {
 // Propose stages moving each guests[i] to hosts[i] and returns the
 // maximum routed edge distance the placement would have after the move.
 // hosts must be a permutation of the guests' current images, so the
-// move preserves injectivity. Only the edges incident to the moved
-// guests are measured, from host coordinates: no link load, aggregate
-// or table entry changes, and a later Propose drops the staged move.
+// move preserves injectivity; the guests are distinct. Only the edges
+// incident to the moved guests are measured, from host coordinates: no
+// link load, aggregate or table entry changes, and a later Propose drops
+// the staged move.
 func (ls *LoadState) Propose(guests, hosts []int32) int {
 	mv := &ls.mv
 	mv.guests = append(mv.guests[:0], guests...)
 	mv.to = append(mv.to[:0], hosts...)
-	mv.from = mv.from[:0]
-	ls.beginMove()
+	mv.from, mv.touched = mv.from[:0], mv.touched[:0]
 	for _, g := range guests {
 		mv.from = append(mv.from, ls.p[g])
 		ls.touch(g)
+	}
+	// Every mark is a moved guest's, so clearing their words clears all.
+	for _, g := range guests {
+		ls.moved[g>>6] = 0
 	}
 	// Take the touched edges out of the distance buckets: the top
 	// bucket left is the longest untouched edge.
@@ -435,28 +440,22 @@ func (ls *LoadState) buildLinks() error {
 	return nil
 }
 
-// beginMove starts a new move epoch for the touched-edge dedup. When
-// the epoch wraps to 0 every stamp is reset to 0, a value the epoch
-// does not take again before the next reset, so no stale stamp can
-// match a later move.
-func (ls *LoadState) beginMove() {
-	ls.epoch++
-	ls.mv.touched = ls.mv.touched[:0]
-	if ls.epoch == 0 {
-		clear(ls.stamp)
-		ls.epoch = 1
-	}
-}
-
-// touch marks every edge incident to guest g for re-routing, once per
-// move even when both endpoints moved.
+// touch lists every edge incident to guest g for re-routing, except one
+// whose other endpoint is marked moved, which listed it already, and
+// then marks g: an edge between two moved guests is listed once, under
+// the one touched first.
 func (ls *LoadState) touch(g int32) {
 	for _, e := range ls.incEdges[ls.incOff[g]:ls.incOff[g+1]] {
-		if ls.stamp[e] != ls.epoch {
-			ls.stamp[e] = ls.epoch
+		ed := ls.tg.Edges[e]
+		o := ed[0]
+		if o == int(g) {
+			o = ed[1]
+		}
+		if ls.moved[o>>6]&(1<<(o&63)) == 0 {
 			ls.mv.touched = append(ls.mv.touched, e)
 		}
 	}
+	ls.moved[g>>6] |= 1 << (g & 63)
 }
 
 // edgeDistance is task edge e's routed distance under the current

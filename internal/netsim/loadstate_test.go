@@ -318,51 +318,105 @@ func TestLoadStateHistogramGrowth(t *testing.T) {
 	}
 }
 
-// TestLoadStateEpochWrap: when the int32 move epoch wraps to 0 every
-// edge stamp is reset, and no later epoch may read a reset stamp as its
-// own — or the edges left untouched since the reset are skipped by
-// touch and their routes go stale. Each swap follows a swap evaluated
-// and dropped at the epoch before it. The first swap forces the wrap;
-// the next two run at epochs -3 and -1, the last value before the next
-// wrap. No per-link mark uses the epoch: Evaluate resets every link
-// delta it sets before it returns.
-func TestLoadStateEpochWrap(t *testing.T) {
-	host, guest := grid.TorusSpec(8, 8), grid.MeshSpec(8, 8)
+// TestLoadStateGroupMoves drives plane swaps and segment reversals
+// through Propose, Evaluate and Apply, from the identity placement of a
+// mesh on the torus of its shape, so the moved guests share edges.
+// After every Propose the touched edges must be each edge incident to a
+// moved guest exactly once, under the guest touched first, and the
+// moved-guest marks must be clear; every applied move must leave the
+// aggregates equal to a fresh measurement.
+func TestLoadStateGroupMoves(t *testing.T) {
+	host, guest := grid.TorusSpec(6, 4, 5), grid.MeshSpec(6, 4, 5)
 	nw := New(host)
 	tg := taskgraph.FromSpec(guest)
 	rd := host.NewRankDistancer()
-	rng := rand.New(rand.NewSource(43))
-	ls, err := NewLoadState(nw, tg, Placement(rng.Perm(nw.Size())))
+	p := make(Placement, tg.N)
+	for i := range p {
+		p[i] = i
+	}
+	ls, err := NewLoadState(nw, tg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair := func() (int, int) {
-		u, v := rng.Intn(tg.N), rng.Intn(tg.N-1)
-		if v >= u {
-			v++
+	shape, strides := host.Shape, host.Shape.Strides()
+	rng := rand.New(rand.NewSource(47))
+	shared := 0
+	for m := 0; m < 80; m++ {
+		j := rng.Intn(len(shape))
+		l, stride := shape[j], strides[j]
+		a, b := rng.Intn(l), rng.Intn(l-1)
+		if b >= a {
+			b++
 		}
-		return u, v
-	}
-	swap := func() {
-		t.Helper()
-		u, v := pair()
-		ls.Propose([]int32{int32(u), int32(v)}, []int32{int32(ls.HostOf(v)), int32(ls.HostOf(u))})
+		var guests, hosts []int32
+		move := func(from, to int) {
+			guests = append(guests, int32(ls.GuestAt(from)))
+			hosts = append(hosts, int32(to))
+		}
+		if m%2 == 0 {
+			// Swap the hyperplanes at coordinates a and b of axis j.
+			for h := 0; h < tg.N; h++ {
+				if (h/stride)%l == a {
+					move(h, h+(b-a)*stride)
+					move(h+(b-a)*stride, h)
+				}
+			}
+		} else {
+			// Reverse the segment a..b of a random line along axis j.
+			anchor := rng.Intn(tg.N)
+			base := anchor - ((anchor/stride)%l)*stride
+			a, b = min(a, b), max(a, b)
+			for k := a; k <= b; k++ {
+				move(base+k*stride, base+(a+b-k)*stride)
+			}
+		}
+		ls.Propose(guests, hosts)
+		want, both := touchedOracle(tg, guests)
+		shared += both
+		if !slices.Equal(ls.mv.touched, want) {
+			t.Fatalf("move %d: touched %v, want %v", m, ls.mv.touched, want)
+		}
+		if i := slices.IndexFunc(ls.moved, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("move %d: Propose left moved-guest marks in word %d", m, i)
+		}
 		if _, _, _, err := ls.Evaluate(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ls.Swap(pair()); err != nil {
-			t.Fatal(err)
+		if rng.Intn(3) == 0 {
+			continue
 		}
+		ls.Apply()
 		assertParity(t, ls, nw, tg, guest, rd)
 		if t.Failed() {
-			t.Fatalf("diverged after the swap at epoch %d", ls.epoch)
+			t.Fatalf("diverged at move %d", m)
 		}
 	}
-	ls.epoch = -2
-	swap()
-	ls.epoch = -5
-	swap()
-	swap()
+	if shared == 0 {
+		t.Fatal("no move had an edge between two moved guests")
+	}
+}
+
+// touchedOracle lists the edges incident to the guests, each once, in
+// the order a walk of each guest's edges in turn meets them, and counts
+// those whose two endpoints both move.
+func touchedOracle(tg *taskgraph.Graph, guests []int32) (edges []int32, both int) {
+	moved := map[int]bool{}
+	for _, g := range guests {
+		moved[int(g)] = true
+	}
+	seen := map[int]bool{}
+	for _, g := range guests {
+		for e, ed := range tg.Edges {
+			if (ed[0] == int(g) || ed[1] == int(g)) && !seen[e] {
+				seen[e] = true
+				edges = append(edges, int32(e))
+				if moved[ed[0]] && moved[ed[1]] {
+					both++
+				}
+			}
+		}
+	}
+	return edges, both
 }
 
 // TestLoadStateCompactGuard pins the 32-bit overflow guard: a host at
