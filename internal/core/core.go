@@ -39,15 +39,8 @@ import (
 // error when the sizes differ or none of the paper's conditions
 // (expansion, reduction, squareness, matching shapes) hold.
 func Embed(g, h grid.Spec) (*embed.Embedding, error) {
-	if err := g.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("core: guest: %v", err)
-	}
-	if err := h.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("core: host: %v", err)
-	}
-	if g.Size() != h.Size() {
-		return nil, fmt.Errorf("core: guest %s has %d nodes but host %s has %d; the paper studies same-size embeddings",
-			g, g.Size(), h, h.Size())
+	if err := checkPair(g, h); err != nil {
+		return nil, err
 	}
 	// A hypercube is simultaneously a torus and a mesh: choose the
 	// interpretation that yields the cheaper construction.
@@ -79,7 +72,7 @@ func dispatch(g, h grid.Spec) (*embed.Embedding, error) {
 		if e, ok := embedSameDimension(g, h); ok {
 			return e, nil
 		}
-		return embedViaPrimeRefinement(g, h)
+		return embedViaPrimeRefinement(g, h, nil)
 	case d < c:
 		if f, ok := expand.FactorFor(g, h); ok {
 			if e, err := expand.WithFactor(g, h, f); err == nil {
@@ -89,7 +82,7 @@ func dispatch(g, h grid.Spec) (*embed.Embedding, error) {
 		if g.Shape.IsSquare() && h.Shape.IsSquare() {
 			return square.Embed(g, h)
 		}
-		return embedViaPrimeRefinement(g, h)
+		return embedViaPrimeRefinement(g, h, nil)
 	default:
 		if e, ok := reduce.Reduction(g, h); ok {
 			return e, nil
@@ -97,7 +90,7 @@ func dispatch(g, h grid.Spec) (*embed.Embedding, error) {
 		if g.Shape.IsSquare() && h.Shape.IsSquare() {
 			return square.Embed(g, h)
 		}
-		return embedViaPrimeRefinement(g, h)
+		return embedViaPrimeRefinement(g, h, nil)
 	}
 }
 
@@ -110,17 +103,7 @@ func dispatch(g, h grid.Spec) (*embed.Embedding, error) {
 // when the refinement's own conditions do (never for valid same-size
 // pairs).
 func EmbedViaPrimes(g, h grid.Spec) (*embed.Embedding, error) {
-	if err := g.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("core: guest: %v", err)
-	}
-	if err := h.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("core: host: %v", err)
-	}
-	if g.Size() != h.Size() {
-		return nil, fmt.Errorf("core: guest %s has %d nodes but host %s has %d; the paper studies same-size embeddings",
-			g, g.Size(), h, h.Size())
-	}
-	return embedViaPrimeRefinement(g, h)
+	return EmbedViaPrimesMid(g, h, nil)
 }
 
 // MidHook transforms the prime refinement's intermediate stage: given
@@ -150,17 +133,26 @@ func PrimeIntermediate(g, h grid.Spec) grid.Spec {
 // nil hook is EmbedViaPrimes. The hook's embedding must map the
 // intermediate spec onto itself.
 func EmbedViaPrimesMid(g, h grid.Spec, hook MidHook) (*embed.Embedding, error) {
+	if err := checkPair(g, h); err != nil {
+		return nil, err
+	}
+	return embedViaPrimeRefinement(g, h, hook)
+}
+
+// checkPair rejects a pair with an invalid shape or with sizes that
+// differ: what every entry point checks before it constructs.
+func checkPair(g, h grid.Spec) error {
 	if err := g.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("core: guest: %v", err)
+		return fmt.Errorf("core: guest: %v", err)
 	}
 	if err := h.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("core: host: %v", err)
+		return fmt.Errorf("core: host: %v", err)
 	}
 	if g.Size() != h.Size() {
-		return nil, fmt.Errorf("core: guest %s has %d nodes but host %s has %d; the paper studies same-size embeddings",
+		return fmt.Errorf("core: guest %s has %d nodes but host %s has %d; the paper studies same-size embeddings",
 			g, g.Size(), h, h.Size())
 	}
-	return embedViaPrimeRefinementMid(g, h, hook)
+	return nil
 }
 
 // embedViaPrimeRefinement is an extension beyond the paper's explicit
@@ -171,12 +163,9 @@ func EmbedViaPrimesMid(g, h grid.Spec, hook MidHook) (*embed.Embedding, error) {
 // equal-dimension pair (8,2) -> (4,4) — at the cost of a weaker dilation
 // bound (the product of the two steps' guarantees). The intermediate is
 // a torus only when both endpoints are toruses, so the torus-into-mesh
-// penalty is paid at most once.
-func embedViaPrimeRefinement(g, h grid.Spec) (*embed.Embedding, error) {
-	return embedViaPrimeRefinementMid(g, h, nil)
-}
-
-func embedViaPrimeRefinementMid(g, h grid.Spec, hook MidHook) (*embed.Embedding, error) {
+// penalty is paid at most once. A non-nil hook relabels the
+// intermediate between the two steps (EmbedViaPrimesMid).
+func embedViaPrimeRefinement(g, h grid.Spec, hook MidHook) (*embed.Embedding, error) {
 	mid := PrimeIntermediate(g, h)
 
 	up, err := refineToPrimes(g, mid)
@@ -216,19 +205,11 @@ func embedViaPrimeRefinementMid(g, h grid.Spec, hook MidHook) (*embed.Embedding,
 // permutation when g is already a prime shape).
 func refineToPrimes(g, mid grid.Spec) (*embed.Embedding, error) {
 	if g.Dim() == mid.Dim() {
-		pi, ok := perm.Find(g.Shape, mid.Shape)
+		e, ok, err := permuteOnto(g, mid)
 		if !ok {
 			return nil, fmt.Errorf("core: internal error: %v is not a permutation of the prime shape %v", g.Shape, mid.Shape)
 		}
-		p, err := embed.Permute(g, pi, g.Kind)
-		if err != nil {
-			return nil, err
-		}
-		same, err := reduce.SameShape(p.To, mid)
-		if err != nil {
-			return nil, err
-		}
-		return embed.Compose(p, same)
+		return e, err
 	}
 	factor := make(expand.Factor, g.Dim())
 	primes := make([]int, 0, mid.Dim())
@@ -252,19 +233,11 @@ func refineToPrimes(g, mid grid.Spec) (*embed.Embedding, error) {
 // reduction, or a permutation when h is already a prime shape).
 func coarsenFromPrimes(mid, h grid.Spec) (*embed.Embedding, error) {
 	if mid.Dim() == h.Dim() {
-		pi, ok := perm.Find(mid.Shape, h.Shape)
+		e, ok, err := permuteOnto(mid, h)
 		if !ok {
 			return nil, fmt.Errorf("core: internal error: prime shape %v is not a permutation of %v", mid.Shape, h.Shape)
 		}
-		p, err := embed.Permute(mid, pi, mid.Kind)
-		if err != nil {
-			return nil, err
-		}
-		same, err := reduce.SameShape(p.To, h)
-		if err != nil {
-			return nil, err
-		}
-		return embed.Compose(p, same)
+		return e, err
 	}
 	sf := make(reduce.SimpleFactor, h.Dim())
 	primes := make([]int, 0, mid.Dim())
@@ -366,20 +339,8 @@ func embedBasic(g, h grid.Spec) (*embed.Embedding, error) {
 // is false when they are not; the dispatcher then refines through the
 // primes, so no error message is built.
 func embedSameDimension(g, h grid.Spec) (*embed.Embedding, bool) {
-	pi, ok := perm.Find(g.Shape, h.Shape)
-	if !ok {
-		return nil, false
-	}
-	p1, err := embed.Permute(g, pi, g.Kind)
-	if err != nil {
-		return nil, false
-	}
-	p2, err := reduce.SameShape(p1.To, h)
-	if err != nil {
-		return nil, false
-	}
-	e, err := embed.Compose(p1, p2)
-	if err != nil {
+	e, ok, err := permuteOnto(g, h)
+	if !ok || err != nil {
 		return nil, false
 	}
 	if g.Kind == grid.Torus && h.Kind == grid.Mesh && !g.IsHypercube() {
@@ -392,8 +353,30 @@ func embedSameDimension(g, h grid.Spec) (*embed.Embedding, bool) {
 	return e, true
 }
 
-// Predicted returns the dilation guarantee Embed would attach for the
-// pair without constructing the node map. It mirrors the dispatch logic.
+// permuteOnto embeds g in h when h's shape is a permutation of g's: the
+// axis permutation π, then the same-shape embedding of Lemma 36 (the
+// identity, or T_L from a torus into a mesh). ok is false, and no error
+// is built, when the shapes are not permutations of each other.
+func permuteOnto(g, h grid.Spec) (e *embed.Embedding, ok bool, err error) {
+	pi, ok := perm.Find(g.Shape, h.Shape)
+	if !ok {
+		return nil, false, nil
+	}
+	p, err := embed.Permute(g, pi, g.Kind)
+	if err != nil {
+		return nil, true, err
+	}
+	same, err := reduce.SameShape(p.To, h)
+	if err != nil {
+		return nil, true, err
+	}
+	e, err = embed.Compose(p, same)
+	return e, true, err
+}
+
+// Predicted returns the dilation guarantee Embed attaches to the pair.
+// It reads it off the embedding Embed constructs, so it costs what
+// Embed does.
 func Predicted(g, h grid.Spec) (int, error) {
 	e, err := Embed(g, h)
 	if err != nil {

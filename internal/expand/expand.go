@@ -318,12 +318,3 @@ func FactorFor(g, h grid.Spec) (Factor, bool) {
 	}
 	return Find(g.Shape, h.Shape)
 }
-
-// Predicted returns the dilation Theorem 32 guarantees for the kinds of
-// g and h, given whether a unit-cost (even-first) factor is available.
-func Predicted(gKind, hKind grid.Kind, evenFirstAvailable bool) int {
-	if gKind == grid.Torus && hKind == grid.Mesh && !evenFirstAvailable {
-		return 2
-	}
-	return 1
-}

@@ -82,17 +82,3 @@ func Decode(r io.Reader) (*Result, error) {
 	}
 	return &res, nil
 }
-
-// ReadFile loads an artifact from path.
-func ReadFile(path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return res, nil
-}

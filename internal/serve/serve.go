@@ -348,9 +348,6 @@ func (s *Server) registerMetrics() {
 // this server is produced under.
 func (s *Server) Spec() string { return s.spec }
 
-// Registry returns the registry the server's metrics live on.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Answer is one resolved placement request.
 type Answer struct {
 	// Key is the request's canonical identity, carrying the
