@@ -48,23 +48,67 @@ const ArtifactVersion = 4
 
 // Encode writes the census as deterministic, human-readable JSON.
 func Encode(w io.Writer, c *Census) error {
-	data, err := json.MarshalIndent(c, "", "  ")
+	data, err := c.EncodeBytes()
 	if err != nil {
-		return fmt.Errorf("census: encode: %v", err)
+		return err
 	}
-	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
 }
 
-// EncodeBytes returns the census's artifact encoding. Two censuses are
-// interchangeable exactly when their encodings are equal.
+// recordBytes is the output room EncodeBytes reserves per result: a
+// metrics-and-congestion record of a size-360 census takes about 365
+// bytes. A longer record, one with a placement summary, grows the
+// buffer instead.
+const recordBytes = 400
+
+// EncodeBytes returns the census's artifact encoding: json.MarshalIndent
+// of the census with a two-space indent, then a newline. Two censuses
+// are interchangeable exactly when their encodings are equal.
+//
+// The results, the last member and nearly all of a large artifact's
+// bytes, are encoded one record at a time into an output sized up
+// front, at the depth MarshalIndent gives them. One MarshalIndent of
+// the whole census would hold its compact encoding and a buffer of
+// twice that beside the output: for a size-360 artifact of about 3 MB,
+// 9.0 MB allocated per encoding instead of 4.0 MB.
 func (c *Census) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, c); err != nil {
-		return nil, err
+	head := *c
+	head.Results = nil
+	data, err := json.MarshalIndent(&head, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("census: encode: %v", err)
 	}
-	return buf.Bytes(), nil
+	if c.Results == nil {
+		return append(data, '\n'), nil
+	}
+	const tail = "null\n}" // the nil results member, then the document's end
+	if !bytes.HasSuffix(data, []byte(`"results": `+tail)) {
+		return nil, fmt.Errorf("census: encode: results are not the artifact's last member")
+	}
+	out := bytes.NewBuffer(make([]byte, 0, len(data)+recordBytes*len(c.Results)))
+	out.Write(data[:len(data)-len(tail)])
+	out.WriteByte('[')
+	enc := json.NewEncoder(out)
+	enc.SetIndent("    ", "  ")
+	for i := range c.Results {
+		if i > 0 {
+			// Encode ends each record with a newline: the comma goes
+			// before it.
+			out.Truncate(out.Len() - 1)
+			out.WriteByte(',')
+		}
+		out.WriteString("\n    ")
+		if err := enc.Encode(&c.Results[i]); err != nil {
+			return nil, fmt.Errorf("census: encode: %v", err)
+		}
+	}
+	if len(c.Results) > 0 {
+		out.Truncate(out.Len() - 1)
+		out.WriteString("\n  ")
+	}
+	out.WriteString("]\n}\n")
+	return out.Bytes(), nil
 }
 
 // WriteFile saves the artifact to path.

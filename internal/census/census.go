@@ -163,10 +163,11 @@ type PairResult struct {
 	// routing (congestion censuses only).
 	Congestion int `json:"congestion,omitempty"`
 	// HopHist is the route-length distribution of the baseline
-	// placement: routed distance (hops one way; 0 for co-located
-	// endpoints) -> number of guest edges at that distance. It comes out
-	// of the same measurement as Congestion (congestion censuses only).
-	HopHist map[int]int `json:"hop_hist,omitempty"`
+	// placement: for each routed distance (hops one way; 0 for
+	// co-located endpoints), the number of guest edges at that distance,
+	// encoded as a JSON object from distance to edges. It comes out of
+	// the same measurement as Congestion (congestion censuses only).
+	HopHist HopHist `json:"hop_hist,omitempty"`
 	// Place is the best placement the search found for the pair
 	// (placement censuses only; nil for failed pairs).
 	Place *PlaceSummary `json:"place,omitempty"`
@@ -600,9 +601,7 @@ func (ev *evaluator) congest(pr *PairResult, gi, hi int, e *embed.Embedding) {
 		return
 	}
 	pr.Congestion = stats.MaxLink
-	if m := hops.Map(); len(m) > 0 {
-		pr.HopHist = m
-	}
+	pr.HopHist = hopHist(hops)
 	ev.place(pr, ev.specs[gi], ev.specs[hi])
 }
 

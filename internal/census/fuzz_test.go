@@ -42,7 +42,7 @@ func fuzzStreamBytes(tb testing.TB) []byte {
 	}
 	records := []PairResult{
 		{Index: 0, Guest: "torus(4x2)", Host: "mesh(4x2)", Strategy: "torus-to-mesh", Dilation: 2,
-			HopHist: map[int]int{1: 10, 2: 2}},
+			HopHist: HopHist{{1, 10}, {2, 2}}},
 		{Index: 3, Guest: "ring(8)", Host: "torus(2x2x2)", Failure: "no construction", FailureStage: "construct"},
 	}
 	for i := range records {

@@ -2,12 +2,17 @@ package census_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"torusmesh/internal/census"
+	"torusmesh/internal/core"
+	"torusmesh/internal/embed"
+	"torusmesh/internal/grid"
 	"torusmesh/internal/place"
 )
 
@@ -128,4 +133,48 @@ func TestGoldenStream(t *testing.T) {
 	if !bytes.Equal(encode(t, c), doc) {
 		t.Errorf("golden stream does not read back as %s", goldenPath())
 	}
+}
+
+// TestEncodeBytesIsMarshalIndent: EncodeBytes writes the results one
+// record at a time, and its bytes must stay json.MarshalIndent's for
+// the whole census: with placement summaries (the golden config), with
+// metrics and congestion at size 120, with construction failures, and
+// with results nil or empty.
+func TestEncodeBytesIsMarshalIndent(t *testing.T) {
+	congested := richConfig(120, 4)
+	congested.Congestion = true
+	failing := richConfig(12, 0)
+	failing.Embed = func(g, h grid.Spec) (*embed.Embedding, error) {
+		if g.Kind == grid.Torus {
+			return nil, fmt.Errorf("torus guests refused")
+		}
+		return core.Embed(g, h)
+	}
+	censuses := []*census.Census{
+		mustRun(t, goldenConfig()),
+		mustRun(t, congested),
+		mustRun(t, failing),
+		{Header: census.Header{Version: census.ArtifactVersion, Shards: 1}},
+		{Header: census.Header{Version: census.ArtifactVersion, Shards: 1}, Results: []census.PairResult{}},
+	}
+	for i, c := range censuses {
+		want, err := json.MarshalIndent(c, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if got := encode(t, c); !bytes.Equal(got, want) {
+			t.Errorf("census %d (%d results): EncodeBytes differs from MarshalIndent at byte %d of %d", i, len(c.Results), firstByteDiff(got, want), len(want))
+		}
+	}
+}
+
+// firstByteDiff returns the first offset where a and b differ.
+func firstByteDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

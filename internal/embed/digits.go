@@ -9,7 +9,9 @@ package embed
 // move a common host digit. A kernel whose components move disjoint
 // host digits is the product of one smaller embedding per component, so
 // it is injective when each component is, a scan of Σ_C |C| points
-// instead of N.
+// instead of N. A kernel whose axes all join one component is proved by
+// a walk over its N points against a bitset of host ranks, with no
+// table, on the first Bijective call rather than in the analysis.
 
 import (
 	"slices"
@@ -55,6 +57,12 @@ type DigitKernel struct {
 	// parts are the components of a kernel Bijective proves a
 	// bijection, nil for any other kernel.
 	parts []axisGroup
+	// whole is the one component of a carry-free kernel of equal guest
+	// and host size whose axes all join it, when it has several: the
+	// analysis leaves its proof, a walk over all N points, to the first
+	// Bijective call (proveOnce). Zero for any other kernel.
+	whole     axisGroup
+	proveOnce sync.Once
 	// disjoint: every host digit moves with at most one guest axis.
 	// carryFree: the host-digit offsets of the axis images, summed over
 	// all axes, keep every host digit in range. Disjoint implies
@@ -190,7 +198,9 @@ func (k *DigitKernel) fill(out []int, lo int) {
 // decodes each image into host digits once, and groups the axes into
 // components on the stack; a kernel it proves a bijection also keeps
 // its components, and one with a multi-axis component needs a bitset
-// of host ranks for the proof (componentsInjective).
+// of host ranks for the proof (componentsInjective). A kernel whose
+// one component spans several axes is only marked (whole): Bijective
+// proves it.
 func (k *DigitKernel) analyze() {
 	k.analyzeOnce.Do(func() {
 		host, d := k.host, len(k.lengths)
@@ -258,9 +268,14 @@ func (k *DigitKernel) analyze() {
 		var groups [maxDigitAxes]axisGroup
 		n := groupAxes(moves[:d], &groups)
 		k.disjoint = n == d
-		// One component spanning several axes would be a scan of all N
-		// points: such a kernel is left to Verify's scan.
-		if !k.carryFree || grid.Shape(k.lengths).Size() != hostSize || (n == 1 && d > 1) {
+		if !k.carryFree || grid.Shape(k.lengths).Size() != hostSize {
+			return
+		}
+		// One component spanning several axes is a walk over all N
+		// points: Bijective runs it on its first call, so the collapse
+		// of a composition, which analyzes its first stage, never does.
+		if n == 1 && d > 1 {
+			k.whole = groups[0]
 			return
 		}
 		if k.componentsInjective(groups[:n], origin, hostSize) {
@@ -426,11 +441,20 @@ func (k *DigitKernel) EdgeDilation(g grid.Spec, rd *grid.RankDistancer) (max int
 // disjoint host digits, and two guest nodes share an image exactly when
 // every component maps their coordinates to the same point. The proof
 // scans Σ_C |C| points, sorting a single axis's images. A kernel whose
-// one component spans several axes is not proved: that scan would be
-// all N points. This is a proof, not a skipped check: false means only
-// that the caller must scan the images (Verify).
+// one component spans several axes is proved by walking all N points
+// against a bitset of host ranks, once, on the first call; the axis
+// analysis alone never runs it. This is a proof, not a skipped check:
+// false means only that the caller must scan the images (Verify).
 func (k *DigitKernel) Bijective() bool {
 	k.analyze()
+	if k.whole.guest != 0 {
+		k.proveOnce.Do(func() {
+			whole := []axisGroup{k.whole}
+			if k.componentsInjective(whole, k.images[0], k.host.Size()) {
+				k.parts = whole
+			}
+		})
+	}
 	return k.parts != nil
 }
 
@@ -452,9 +476,10 @@ type Component struct {
 }
 
 // Components returns the components of a kernel Bijective proves a
-// bijection, and nil for any other kernel. The image rows are the
-// analysis Bijective already ran, not a copy: the caller must not
-// modify them.
+// bijection, and nil for any other kernel. A kernel proved as one
+// component spanning several axes returns that component, whose fiber
+// is the whole host. The image rows are the analysis Bijective already
+// ran, not a copy: the caller must not modify them.
 func (k *DigitKernel) Components() []Component {
 	if !k.Bijective() {
 		return nil

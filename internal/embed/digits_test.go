@@ -73,9 +73,11 @@ func TestOdometerFillMatchesEvalBatch(t *testing.T) {
 // coordinates, so the dilation closed form must refuse it even though
 // it is a bijection; a kernel whose axes share a host digit is
 // carry-free — its dilation closed form answers and equals the edge
-// pass — but is not disjoint, so it collapses with no next stage, and
-// when its axes form one component, as mesh(2x2) -> line(4)'s do, it
-// proves no bijection either.
+// pass — but is not disjoint, so it collapses with no next stage. When
+// its axes form one component, as mesh(2x2) -> line(4)'s do, the walk
+// over its points proves it a bijection: one component of both guest
+// axes on the line's one axis. The same walk refuses a one-component
+// kernel that folds two points onto one.
 func TestClosedFormsRefuseCarriesAndSharedDigits(t *testing.T) {
 	// Guest 2x3 in host 3x2 by rank identity: axis 0 adds 3, which is
 	// (1,1) in host digits, and axis 1 adds up to (1,0), so host digit
@@ -105,11 +107,21 @@ func TestClosedFormsRefuseCarriesAndSharedDigits(t *testing.T) {
 	if dil != wantDil || avg != wantAvg {
 		t.Errorf("shared-digit closed form = (%d, %v), edge pass (%d, %v)", dil, avg, wantDil, wantAvg)
 	}
-	if shared.Bijective() || shared.Components() != nil {
-		t.Error("bijection proved for a kernel whose one component spans two axes")
+	if !shared.Bijective() {
+		t.Error("one-component bijection not proved")
+	}
+	want := []Component{{Axes: []int{0, 1}, Images: [][]int{{0, 2}, {0, 1}}, HostAxes: []int{0}}}
+	if got := shared.Components(); !slices.EqualFunc(got, want, equalComponents) {
+		t.Errorf("components %+v, want %+v", got, want)
 	}
 	if shared.then(digitKernel([]int{4}, []int{4}, []int{3, 2, 1, 0})) != nil {
 		t.Error("a non-disjoint first stage collapsed")
+	}
+	// x0 + x1 on the 4-line is one component too, but folds (1,0) and
+	// (0,1) onto 1: the walk over its points refuses it.
+	fold := digitKernel([]int{2, 2}, []int{4}, []int{0, 1}, []int{0, 1})
+	if fold.Bijective() || fold.Components() != nil {
+		t.Error("bijection proved for a one-component kernel that folds two points")
 	}
 
 	// A disjoint kernel with a repeated image along one axis is not a
@@ -141,10 +153,7 @@ func TestBijectiveProvesComponents(t *testing.T) {
 		{Axes: []int{1}, Images: [][]int{{0, 1, 2}}, HostAxes: []int{1}},
 		{Axes: []int{0, 2}, Images: [][]int{{0, 3}, {0, 6}}, HostAxes: []int{0}},
 	}
-	got := two.Components()
-	if !slices.EqualFunc(got, want, func(a, b Component) bool {
-		return slices.Equal(a.Axes, b.Axes) && slices.EqualFunc(a.Images, b.Images, slices.Equal) && slices.Equal(a.HostAxes, b.HostAxes)
-	}) {
+	if got := two.Components(); !slices.EqualFunc(got, want, equalComponents) {
 		t.Errorf("components %+v, want %+v", got, want)
 	}
 
@@ -164,6 +173,10 @@ func TestBijectiveProvesComponents(t *testing.T) {
 	if err, want := e.Verify(), wantViolation(t, e); err == nil || err.Error() != want {
 		t.Errorf("Verify = %v, want %s", err, want)
 	}
+}
+
+func equalComponents(a, b Component) bool {
+	return slices.Equal(a.Axes, b.Axes) && slices.EqualFunc(a.Images, b.Images, slices.Equal) && slices.Equal(a.HostAxes, b.HostAxes)
 }
 
 // TestCollapseMatchesChain: digit kernels whose first stage is

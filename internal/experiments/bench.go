@@ -5,10 +5,11 @@
 // the closed forms of congestion and LoadState construction (with the
 // first Evaluate, which tiles the link array) on the paper embedding
 // of the same pair and on a two-component bijection beside its routing
-// pass, the small-pair and search passes (one size-120 census, default
-// placement searches of a 16-node, a 4096-node and a 32768-node pair,
-// and an annealed search of mesh(32x32) -> torus(8x8x16) under the
-// extended move set) and two
+// pass, the closed form of congestion on a one-component bijection
+// beside its routing pass, the small-pair and search passes (one
+// size-120 census, default placement searches of a 16-node, a
+// 4096-node and a 32768-node pair, and an annealed search of
+// mesh(32x32) -> torus(8x8x16) under the extended move set) and two
 // constructions (a mid-rotated prime refinement of the 32³ pair, built
 // and materialized, and the census-sized torus(8x15) -> mesh(4x5x6),
 // built only) and one hot placed request (the /place handler answering
@@ -211,6 +212,32 @@ func RunBench() (*BenchReport, error) {
 	runScaling(report, "loadstate-init-tiled/"+compName, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := initTiled(compNet, compG, comp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// The closed form of a bijection whose one component spans every
+	// guest axis, the paper's reduction of a search pair, routed one edge
+	// class at a time in the whole host, beside the routing pass.
+	oneGuest, oneHost := grid.TorusSpec(16, 8, 8), grid.MeshSpec(32, 32)
+	one, err := core.Embed(oneGuest, oneHost)
+	if err != nil {
+		return nil, err
+	}
+	oneName := fmt.Sprintf("%s->%s", oneGuest, oneHost)
+	oneNet, oneG := netsim.New(oneHost), netsim.NewGuest(oneGuest)
+	oneTable := netsim.Placement(one.Table())
+	runScaling(report, "congestion/"+oneName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := netsim.Congestion(oneNet, oneG.Graph(), oneTable); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runScaling(report, "congestion-closed-form/"+oneName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := netsim.EmbeddingCongestion(oneNet, oneG, one); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,12 +2,17 @@ package netsim
 
 // This file is the closed form of congestion: for an embedding whose
 // digit kernel Bijective proves a bijection, the loads of routing every
-// guest edge follow from routing the edges of one origin slice per
-// component (embed.Component), |C| points each, inside the component's
-// fiber, the way DigitKernel.EdgeDilation gets the dilation from the
-// axis images. A single-axis component's slice is one guest axis's
-// l_i images. EmbeddingCongestion and NewEmbeddingLoadState take it
-// whenever it applies and route everything else.
+// guest edge follow from the edges of one origin slice per component
+// (embed.Component), |C| points each, inside the component's fiber,
+// the way DigitKernel.EdgeDilation gets the dilation from the axis
+// images. A single-axis component's slice is one guest axis's l_i
+// images; a component of every axis has the whole host as its fiber.
+// The slice's edges fall into classes, one per (axis, step), whose
+// edges all move by the same fiber offset, so each class is routed once
+// and shifted, except where a torus route wraps. Every digit
+// construction of the paper is such a bijection. EmbeddingCongestion
+// and NewEmbeddingLoadState take the closed form whenever it applies
+// and route everything else.
 
 import (
 	"slices"
@@ -57,9 +62,10 @@ func (g *Guest) incidence() (off, edges []int32) {
 // histogram, left dense so a caller that reads only the stats allocates
 // no map. When the embedding's digit kernel is a proved bijection the
 // closed form answers from its axis images, with no edge list and no
-// table. Any other embedding, a reduction or a table included, is
-// routed by the accumulator over the embedding's table, read in place
-// when the embedding has one. The closed form counts the integers the
+// table; every digit construction of the paper is one. Any other
+// embedding, an annealed table or a kernel that is not one proved digit
+// kernel, is routed by the accumulator over the embedding's table, read
+// in place when the embedding has one. The closed form counts the integers the
 // pass counts, so both routes return the same values.
 func EmbeddingCongestion(nw *Network, g *Guest, e *embed.Embedding) (CongestionStats, HopHistogram, error) {
 	if cf := nw.closedForm(g.Spec, e); cf != nil {
@@ -143,6 +149,16 @@ type closedForm struct {
 //   - TotalHops is Σ_C (N/|C|) × slice hops;
 //   - UsedLinks is Σ_C (N/|C|) × the slice's distinct links;
 //   - the hop histogram is Σ_C (N/|C|) × the slice histogram.
+//
+// The slice's edges are not routed one by one. A class is one step of
+// one axis q of C, v -> v+1 or the wrap: its edges start at the slice
+// points with coordinate v on q, which are the class's origin-slice
+// point plus the fiber offsets σ of the other axes' coordinates
+// (sliceOffsets). The kernel is carry-free, so every edge of the class
+// moves by the same fiber-digit offset, and class routes each
+// direction once and shifts it by σ (slice.class). A class adds its
+// distance times its |C|/l_q edges to the slice hops, and N/l_q edges
+// to its distance's bucket.
 func (nw *Network) closedForm(g grid.Spec, e *embed.Embedding) *closedForm {
 	k := e.Digits()
 	if k == nil || !g.Shape.Equal(e.From.Shape) || !nw.shape.Equal(e.To.Shape) {
@@ -155,9 +171,11 @@ func (nw *Network) closedForm(g grid.Spec, e *embed.Embedding) *closedForm {
 	n := g.Size()
 	torus := g.Kind == grid.Torus
 	cf := &closedForm{guest: g.Shape, slices: make([]slice, len(comps)), distHist: make([]int32, nw.diameter()+1)}
-	// One allocation each for every slice's loads and for the fiber
-	// ranks of one component's images at a time.
-	slots, width := 0, 0
+	// One allocation each for every slice's loads, for the fiber ranks
+	// of one component's images at a time, and for the offsets of one
+	// axis's classes at a time: a fiber of |C| nodes has |C|/l slice
+	// points with coordinate v on an axis of length l.
+	slots, width, offsets := 0, 0, 0
 	for ci, c := range comps {
 		s := &cf.slices[ci]
 		s.axes, s.hostAxes, s.fiber = c.Axes, c.HostAxes, nw.fiber(c.HostAxes)
@@ -165,55 +183,36 @@ func (nw *Network) closedForm(g grid.Spec, e *embed.Embedding) *closedForm {
 		imgs := 0
 		for _, img := range c.Images {
 			imgs += len(img)
+			offsets = max(offsets, s.fiber.Size()/len(img))
 		}
 		width = max(width, imgs)
 	}
 	loads, flat := make([]int32, slots), make([]int, width)
-	var buf [16]span // two routes of up to four axes stay on the stack
+	offs := make([]int, 0, offsets)
 	var rows [maxAxes][]int
-	var digit [maxAxes]int
 	for ci, c := range comps {
 		s := &cf.slices[ci]
 		s.load, loads = loads[:s.fiber.LinkSlots()], loads[s.fiber.LinkSlots():]
-		s.corner = nw.fiberRows(c, s.fiber, rows[:len(c.Images)], flat)
+		m := len(c.Images)
+		s.corner = nw.fiberRows(c, s.fiber, rows[:m], flat)
 		mult := n / s.fiber.Size()
 		hops := 0
-		edge := func(a, b int) {
-			spans, d := s.fiber.route(buf[:0], a, b)
-			spans, _ = s.fiber.route(spans, b, a)
-			for _, sp := range spans {
-				for r, k := sp.first, 0; k < sp.n; r, k = r+sp.step, k+1 {
-					s.load[r]++
-				}
-			}
-			hops += d
-			cf.distHist[d] += int32(mult)
+		class := func(a, b int) {
+			d := s.class(a, b, offs)
+			hops += d * len(offs)
+			cf.distHist[d] += int32(mult * len(offs))
 		}
-		// Walk the slice's points by odometer: f is the current point's
-		// fiber rank, and digit its coordinates on C's axes.
-		m := len(c.Images)
-		clear(digit[:m])
-		for f := rows[0][0]; ; {
-			for q, row := range rows[:m] {
-				if v := digit[q]; v+1 < len(row) {
-					edge(f, f+row[v+1]-row[v])
-				} else if torus && len(row) > 2 {
-					edge(f, f+row[0]-row[v])
-				}
+		// The classes of axis q: each step v -> v+1, and the wrap, from
+		// every slice point with coordinate v on q, the class's point
+		// plus one offset of offs.
+		for q, row := range rows[:m] {
+			offs = sliceOffsets(offs, rows[:m], q)
+			l := len(row)
+			for v := 0; v+1 < l; v++ {
+				class(row[v], row[v+1])
 			}
-			q := m - 1
-			for ; q >= 0; q-- {
-				row := rows[q]
-				f -= row[digit[q]]
-				if digit[q]++; digit[q] < len(row) {
-					f += row[digit[q]]
-					break
-				}
-				digit[q] = 0
-				f += row[0]
-			}
-			if q < 0 {
-				break
+			if torus && l > 2 {
+				class(row[l-1], row[0])
 			}
 		}
 		for _, v := range s.load {
@@ -227,6 +226,68 @@ func (nw *Network) closedForm(g grid.Spec, e *embed.Embedding) *closedForm {
 		cf.distSum += int64(mult) * int64(hops)
 	}
 	return cf
+}
+
+// sliceOffsets returns, in dst's storage, the fiber-rank offsets σ of
+// the slice points that are 0 on axis q, 0 first: every sum of one
+// image offset row[v] - row[0] from each other axis's row. dst must
+// have room for all |C|/l_q of them, so appending never reallocates.
+func sliceOffsets(dst []int, rows [][]int, q int) []int {
+	dst = append(dst[:0], 0)
+	for p, row := range rows {
+		if p == q {
+			continue
+		}
+		n := len(dst)
+		for _, img := range row[1:] {
+			o := img - row[0]
+			for _, s := range dst[:n] {
+				dst = append(dst, s+o)
+			}
+		}
+	}
+	return dst
+}
+
+// class routes one edge class of the slice, both ways, into its loads
+// and returns the class's distance: the guest edges from fiber node
+// a+σ to b+σ for every offset σ of offs, which starts with 0. The
+// kernel is carry-free, so a+σ and b+σ differ by b-a on every fiber
+// axis, as a and b do, and the router turns the same way on each. A
+// route that wraps no torus axis is then the route from a shifted by
+// σ, its link ranks σ·2·Dim higher: it is routed once. One that wraps
+// an axis (wraps) turns where that axis ends, which the shift moves,
+// so each source is routed.
+func (s *slice) class(a, b int, offs []int) (dist int) {
+	f := s.fiber
+	dirs := f.lr.Rank(1, 0, false) // link ranks per node
+	var buf [8]span                // one route of up to four axes stays on the stack
+	for _, e := range [2][2]int{{a, b}, {b, a}} {
+		spans, d := f.route(buf[:0], e[0], e[1])
+		dist = d // the same both ways
+		if f.wraps(e[0], e[1]) {
+			s.add(spans, 0)
+			for _, o := range offs[1:] {
+				spans, _ = f.route(buf[:0], e[0]+o, e[1]+o)
+				s.add(spans, 0)
+			}
+			continue
+		}
+		for _, o := range offs {
+			s.add(spans, o*dirs)
+		}
+	}
+	return dist
+}
+
+// add adds one to the load of every link of spans, shifted shift link
+// ranks up.
+func (s *slice) add(spans []span, shift int) {
+	for _, sp := range spans {
+		for r, k := sp.first+shift, 0; k < sp.n; r, k = r+sp.step, k+1 {
+			s.load[r]++
+		}
+	}
 }
 
 // maxAxes bounds the axes of a proved bijection's guest and host: the

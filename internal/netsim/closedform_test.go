@@ -18,21 +18,23 @@ import (
 
 // TestClosedFormMatchesPass pins the closed form to the routing pass on
 // every pair of the census spaces (sizes 36, 64 and 120 at maxdim 4,
-// and 360 outside -short) whose construction is a proved bijection: its
-// stats and histogram equal CongestionHops over the embedding's table,
-// EmbeddingCongestion returns the same, and the tiled tally equals the
-// accumulator's on every link load, distance bucket and hop sum. Every
-// other pair must be refused. The counts of covered pairs are pinned
-// too, so a construction change that drops coverage shows: they are the
-// kernels whose components are single axes (124, 136, 392 and 1,156)
-// plus those with two or more components, one of them spanning several
-// axes (80, 96, 580 and 3,552).
+// and 360 outside -short) and on the five one-component bases of the
+// benchmark's search pairs: its stats and histogram equal
+// CongestionHops over the embedding's table, EmbeddingCongestion
+// returns the same, and the tiled tally equals the accumulator's on
+// every link load, distance bucket and hop sum. Every construction of
+// the spaces is a proved bijection, so every pair must take the closed
+// form. The spaces must also reach the class-directions that are routed
+// per source: a step whose route wraps a torus axis going forward, one
+// whose route wraps going back, and a tie, half an axis apart, where
+// only the route toward +1 wraps.
 func TestClosedFormMatchesPass(t *testing.T) {
-	covered := map[int]int{36: 204, 64: 232, 120: 972, 360: 4708}
+	covered := map[int]int{36: 324, 64: 324, 120: 1600, 360: 8464}
 	sizes := []int{36, 64, 120}
 	if !testing.Short() {
 		sizes = append(sizes, 360)
 	}
+	var wrapped classWraps
 	for _, n := range sizes {
 		var specs []grid.Spec
 		for _, s := range catalog.CanonicalShapesOfSize(n, 4) {
@@ -57,11 +59,79 @@ func TestClosedFormMatchesPass(t *testing.T) {
 				}
 				got++
 				checkClosedForm(t, nw, NewGuest(g), e, cf)
+				wrapped.add(nw, e)
 			}
 		}
 		t.Logf("size %d: %d pairs, %d in closed form", n, pairs, got)
 		if got != covered[n] {
 			t.Errorf("size %d: %d pairs take the closed form, want %d", n, got, covered[n])
+		}
+	}
+	t.Logf("class-directions routed per source: %d wrap forward, %d wrap back, %d at a tie", wrapped.forward, wrapped.backward, wrapped.ties)
+	if wrapped.forward == 0 || wrapped.backward == 0 || wrapped.ties == 0 {
+		t.Errorf("the spaces reach %d forward-wrapping, %d backward-wrapping and %d tie class-directions, want all three", wrapped.forward, wrapped.backward, wrapped.ties)
+	}
+	for _, pair := range [][2]grid.Spec{
+		{grid.TorusSpec(8, 2), grid.MeshSpec(4, 4)},
+		{grid.TorusSpec(12, 3), grid.TorusSpec(9, 4)},
+		{grid.TorusSpec(8, 8, 8), grid.MeshSpec(16, 32)},
+		{grid.TorusSpec(16, 8, 8), grid.MeshSpec(32, 32)},
+		{grid.MeshSpec(32, 32), grid.TorusSpec(8, 8, 16)},
+	} {
+		gs, hs := pair[0], pair[1]
+		e, err := core.Embed(gs, hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comps := e.Digits().Components(); len(comps) != 1 || len(comps[0].Axes) < 2 {
+			t.Fatalf("%s -> %s (%s): components %+v, want one spanning several axes", gs, hs, e.Strategy, comps)
+		}
+		nw := New(hs)
+		checkClosedForm(t, nw, NewGuest(gs), e, nw.closedForm(gs, e))
+	}
+}
+
+// classWraps counts the closed form's class-directions that wrap a
+// torus axis (Network.wraps), by whether the step's route goes forward
+// (v -> v+1, or the guest's wrap l-1 -> 0) or back, and those at a tie,
+// where the two endpoints are half a fiber axis apart on some axis.
+type classWraps struct{ forward, backward, ties int }
+
+// add counts the classes of e's closed form in nw.
+func (w *classWraps) add(nw *Network, e *embed.Embedding) {
+	torus := e.From.Kind == grid.Torus
+	for _, c := range e.Digits().Components() {
+		f := nw.fiber(c.HostAxes)
+		rows, width := make([][]int, len(c.Images)), 0
+		for _, img := range c.Images {
+			width += len(img)
+		}
+		nw.fiberRows(c, f, rows, make([]int, width))
+		co, fd := f.coordTable(), len(f.shape)
+		for _, row := range rows {
+			l := len(row)
+			for v := range l {
+				next := v + 1
+				if next == l {
+					if !torus || l <= 2 {
+						continue
+					}
+					next = 0
+				}
+				a, b := row[v], row[next]
+				if f.wraps(a, b) {
+					w.forward++
+				}
+				if f.wraps(b, a) {
+					w.backward++
+				}
+				for j, hl := range f.shape {
+					if delta := int(co[b*fd+j]) - int(co[a*fd+j]); f.torus && 2*max(delta, -delta) == hl {
+						w.ties++
+						break
+					}
+				}
+			}
 		}
 	}
 }
@@ -117,17 +187,19 @@ func firstDiff(a, b []int32) int {
 	return -1
 }
 
-// TestClosedFormRefusesNonDisjointKernels is the one-component refusal
-// test: a carry-free digit kernel whose guest axes all join one
-// component, because they share host digits, is not a proved bijection
-// even when its table is one (its proof would scan all N points), so
-// the closed form must refuse it and the chooser must route it. The
-// hand-built kernel maps mesh(2x2) onto line(4) by x0 + 2·x1; the
-// reduction torus(4x4x4) -> mesh(8x8) is a construction of the paper
-// of the same kind.
+// TestClosedFormRefusesNonDisjointKernels: a carry-free digit kernel
+// whose guest axes all join one component, because they share host
+// digits, is proved a bijection by a walk over its N points, and its
+// closed form, one slice filling the whole host, matches the routing
+// pass. The hand-built kernel maps mesh(2x2) onto line(4) by x0 + 2·x1;
+// the reduction torus(4x4x4) -> mesh(8x8) is a construction of the
+// paper of the same kind. The non-disjoint kernel that folds two points
+// onto one, x0 + x1 onto line(4), is still carry-free but refused:
+// Bijective is false, the closed form is not taken, Verify names the
+// violation and the chooser's routing pass rejects the placement.
 func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
-	g2 := grid.MeshSpec(2, 2)
-	shared, err := embed.NewRows(g2, grid.LineSpec(4), "shared digit", 0, func(i, v int) int {
+	g2, line := grid.MeshSpec(2, 2), grid.LineSpec(4)
+	shared, err := embed.NewRows(g2, line, "shared digit", 0, func(i, v int) int {
 		return v << i
 	})
 	if err != nil {
@@ -145,24 +217,38 @@ func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
 		if _, _, ok := k.EdgeDilation(e.From, e.To.NewRankDistancer()); !ok {
 			t.Fatalf("%s -> %s (%s): kernel is not carry-free", e.From, e.To, e.Strategy)
 		}
-		if k.Bijective() || k.Components() != nil {
-			t.Fatalf("%s -> %s (%s): kernel proved a bijection", e.From, e.To, e.Strategy)
+		comps := k.Components()
+		if !k.Bijective() || len(comps) != 1 || len(comps[0].Axes) != e.From.Dim() || len(comps[0].HostAxes) != e.To.Dim() {
+			t.Fatalf("%s -> %s (%s): components %+v, want one spanning every guest and host axis", e.From, e.To, e.Strategy, comps)
 		}
-		nw, g := New(e.To), NewGuest(e.From)
-		if cf := nw.closedForm(e.From, e); cf != nil {
-			t.Fatalf("%s -> %s (%s): closed form taken for a one-component kernel", e.From, e.To, e.Strategy)
+		nw := New(e.To)
+		cf := nw.closedForm(e.From, e)
+		if cf == nil {
+			t.Fatalf("%s -> %s (%s): closed form refused a proved one-component kernel", e.From, e.To, e.Strategy)
 		}
-		stats, hist, err := EmbeddingCongestion(nw, g, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStats, wantHist, err := CongestionHops(nw, taskgraph.FromSpec(e.From), Placement(e.Table()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats != wantStats || !maps.Equal(hist.Map(), wantHist) {
-			t.Fatalf("%s -> %s: EmbeddingCongestion %+v %v, pass %+v %v", e.From, e.To, stats, hist.Map(), wantStats, wantHist)
-		}
+		checkClosedForm(t, nw, NewGuest(e.From), e, cf)
+	}
+
+	fold, err := embed.NewRows(g2, line, "fold", 0, func(i, v int) int { return v })
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := fold.Digits()
+	if _, _, ok := k.EdgeDilation(g2, line.NewRankDistancer()); !ok {
+		t.Fatal("the folding kernel is meant to be carry-free")
+	}
+	if k.Bijective() || k.Components() != nil {
+		t.Fatal("bijection proved for a one-component kernel that folds two points")
+	}
+	nw := New(line)
+	if nw.closedForm(g2, fold) != nil {
+		t.Fatal("closed form taken for a kernel that folds two points")
+	}
+	if err, want := fold.Verify(), "embed: fold: host node (1) has two pre-images (one is (1,0))"; err == nil || err.Error() != want {
+		t.Errorf("Verify = %v, want %s", err, want)
+	}
+	if _, _, err := EmbeddingCongestion(nw, NewGuest(g2), fold); err == nil {
+		t.Error("EmbeddingCongestion accepted a placement with a shared router")
 	}
 }
 
@@ -172,7 +258,8 @@ func TestClosedFormRefusesNonDisjointKernels(t *testing.T) {
 // guest sets (the shape of the extended anneal moves). Stats and
 // Dilation must agree after every move, and every load and bucket at
 // the end. The pairs' components are pinned: single axes, one axis
-// moving two host digits, and two with multi-axis components.
+// moving two host digits, two with multi-axis components, and one
+// component spanning both guest axes, whose fiber is the whole host.
 func TestTiledLoadStateMatchesRouted(t *testing.T) {
 	moves := 2000
 	if testing.Short() {
@@ -187,6 +274,7 @@ func TestTiledLoadStateMatchesRouted(t *testing.T) {
 		{grid.TorusSpec(2, 4, 8), grid.MeshSpec(8, 4, 2), [][]int{{0}, {1}, {2}}},
 		{grid.TorusSpec(4, 4, 2, 2), grid.MeshSpec(8, 8), [][]int{{0, 2}, {1, 3}}},
 		{grid.MeshSpec(8, 2, 2, 2), grid.TorusSpec(8, 8), [][]int{{0}, {1, 2, 3}}},
+		{grid.MeshSpec(32, 32), grid.TorusSpec(8, 8, 16), [][]int{{0, 1}}},
 	} {
 		gs, hs := tc.guest, tc.host
 		e, err := core.Embed(gs, hs)
@@ -322,7 +410,12 @@ func TestTiledLinksOnFirstEvaluate(t *testing.T) {
 // closed form.
 func TestGuestSharedFirstUse(t *testing.T) {
 	gs, hs := grid.TorusSpec(4, 4, 4), grid.MeshSpec(8, 8)
-	e, err := core.Embed(gs, hs) // a reduction: routed, not closed form
+	reduction, err := core.Embed(gs, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reduction's table: routed, not closed form.
+	e, err := embed.FromTable(gs, hs, "table", 0, reduction.Table())
 	if err != nil {
 		t.Fatal(err)
 	}

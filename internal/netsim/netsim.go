@@ -37,17 +37,21 @@
 // whose digit kernel is a proved bijection
 // (embed.DigitKernel.Bijective) is a product of its components, groups
 // of guest axes that move disjoint host digits, and loads every slice
-// of a component alike. So routing one slice per component, inside
-// the component's fiber (a network of the host axes it moves), gives
-// the pass's loads and aggregates exactly. EmbeddingCongestion, the
-// census's congestion column and the placement search's scoring
-// backend, takes it whenever that proof holds and routes the
-// embedding's table otherwise. NewEmbeddingLoadState, the annealing
-// seeds' constructor, takes its aggregates from the closed form and
-// tiles the slice loads into its link array, instead of routing, on the
-// state's first Evaluate. The passes that take a table (Congestion,
-// CongestionHops, NewLoadState) always route, so they stay the
-// reference the closed form is tested and re-validated against.
+// of a component alike. So one slice per component, inside the
+// component's fiber (a network of the host axes it moves), gives the
+// pass's loads and aggregates exactly, and within a slice every edge of
+// one (axis, step) class moves by the same offset, so the router runs
+// once per class and its route is shifted, except where a torus route
+// wraps. Every digit construction of the paper is such a bijection.
+// EmbeddingCongestion, the census's congestion column and the placement
+// search's scoring backend, takes the closed form whenever the proof
+// holds and routes the embedding's table otherwise: an annealed
+// placement or another non-digit kernel. NewEmbeddingLoadState, the
+// annealing seeds' constructor, takes its aggregates from the closed
+// form and tiles the slice loads into its link array, instead of
+// routing, on the state's first Evaluate. The passes that take a table
+// (Congestion, CongestionHops, NewLoadState) always route, so they stay
+// the reference the closed form is tested and re-validated against.
 package netsim
 
 import (
@@ -179,6 +183,28 @@ func (nw *Network) axisHops(c, t, l int) (n int, neg bool) {
 		}
 	}
 	return n, neg
+}
+
+// wraps reports whether the route src -> dst crosses the wrap link of
+// some torus axis: whether, on some axis, the router turns the other
+// way than the sign of the coordinate difference, as it does past half
+// the axis, and at exactly half of it when the difference is negative
+// (ties go toward +1). A route that wraps no axis stays between its
+// endpoints' coordinates on every axis.
+func (nw *Network) wraps(src, dst int) bool {
+	if !nw.torus {
+		return false
+	}
+	co := nw.coordTable()
+	d := len(nw.shape)
+	from, to := co[src*d:src*d+d], co[dst*d:dst*d+d]
+	for j, l := range nw.shape {
+		c, t := int(from[j]), int(to[j])
+		if _, neg := nw.axisHops(c, t, l); c != t && neg != (t < c) {
+			return true
+		}
+	}
+	return false
 }
 
 // distance returns the hop count of the route src -> dst from the
